@@ -29,6 +29,10 @@ class NonNumericCellError(BenchError):
     pass
 
 
+class NonFiniteCellError(BenchError):
+    pass
+
+
 class TooFewRowsError(BenchError):
     pass
 
@@ -121,6 +125,11 @@ def load_csv(path, target_column: str = "target", split_seed: int = 0) -> Datase
         data = np.array([[float(c) for c in r] for r in body])
     except ValueError as e:
         raise NonNumericCellError(str(e)) from None
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        row, col = bad[0]
+        raise NonFiniteCellError(
+            f"non-finite value in data row {row + 1}, column {header[col]!r}")
     feat = [i for i in range(len(header)) if i != t]
     return make_dataset(path.stem, data[:, feat], data[:, t], split_seed)
 
@@ -136,17 +145,20 @@ def fetch_pmlb(name: str, cache_dir) -> Path:
     out = cache_dir / f"{name}.tsv"
     if out.exists():
         return out
-    import requests
+    import urllib.error
+    import urllib.request  # slow to import; only a cold cache needs it
     try:
-        resp = requests.get(PMLB_URL.format(name=name), timeout=60)
-    except requests.RequestException as e:
+        with urllib.request.urlopen(PMLB_URL.format(name=name),
+                                    timeout=60) as resp:
+            content = resp.read()
+    except urllib.error.HTTPError as e:
+        if e.code == 404:
+            raise NotFoundError(f"no PMLB dataset named {name!r}") from None
+        raise NetworkError(f"HTTP {e.code} fetching {name}") from None
+    except OSError as e:  # URLError, timeouts, resets
         raise NetworkError(str(e)) from None
-    if resp.status_code == 404:
-        raise NotFoundError(f"no PMLB dataset named {name!r}")
-    if resp.status_code != 200:
-        raise NetworkError(f"HTTP {resp.status_code} fetching {name}")
     tmp = cache_dir / f"{name}.tsv.part"
-    tmp.write_bytes(gzip.decompress(resp.content))
+    tmp.write_bytes(gzip.decompress(content))
     tmp.rename(out)
     return out
 

@@ -8,6 +8,7 @@ space-separated prefix enumeration, e.g. ``ADD v1 MUL v2 C+0.3``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,15 +54,15 @@ class PrimitiveSet:
     operators: tuple = OPERATORS
     constant_values: tuple = tuple(round(-0.5 + 0.1 * i, 1) for i in range(11))
 
-    @property
+    @cached_property
     def variables(self) -> tuple:
         return tuple(f"v{i}" for i in range(1, self.n_variables + 1))
 
-    @property
+    @cached_property
     def constants(self) -> tuple:
         return tuple(const_token(v) for v in self.constant_values)
 
-    @property
+    @cached_property
     def terminals(self) -> tuple:
         return self.variables + self.constants
 

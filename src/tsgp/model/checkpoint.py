@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .transformer import Hyperparams, SdTransformer
+from .transformer import Hyperparams, SdTransformer, param_spec
 from .vocab import Vocabulary
 
 MAGIC = b"TSGPMDL1"
@@ -80,33 +80,39 @@ def load_checkpoint(path) -> SdTransformer:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ManifestMismatchError(f"unreadable header: {e}") from None
 
-    hyper = Hyperparams.from_json(header["hyperparams"])
-    vocab = Vocabulary.from_json(header["vocabulary"])
+    try:
+        hyper = Hyperparams.from_json(header["hyperparams"])
+        vocab = Vocabulary.from_json(header["vocabulary"])
+        spec = param_spec(hyper, vocab.size)
+        manifest = [(str(e["name"]), tuple(e["shape"]), e["offset"])
+                    for e in header["tensors"]]
+    except (KeyError, TypeError, ValueError, ArithmeticError) as e:
+        raise ManifestMismatchError(
+            f"malformed header: {type(e).__name__}: {e}") from None
     payload = blob[12 + hlen:]
 
     params = {}
     expected_offset = 0
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * 4
-        if entry["offset"] != expected_offset:
+    for name, shape, offset in manifest:
+        if name in params or name not in spec:
+            raise ManifestMismatchError(f"unexpected tensor {name!r}")
+        if shape != spec[name][0]:
             raise ManifestMismatchError(
-                f"tensor {entry['name']} offset {entry['offset']} != {expected_offset}")
-        if entry["offset"] + nbytes > len(payload):
-            raise TruncatedError(
-                f"payload too short for tensor {entry['name']}")
+                f"tensor {name} has shape {shape}, expected {spec[name][0]}")
+        nbytes = int(np.prod(shape)) * 4
+        if offset != expected_offset:
+            raise ManifestMismatchError(
+                f"tensor {name} offset {offset} != {expected_offset}")
+        if offset + nbytes > len(payload):
+            raise TruncatedError(f"payload too short for tensor {name}")
         flat = np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape)),
-                             offset=entry["offset"])
-        params[entry["name"]] = flat.reshape(shape).astype(np.float64)
+                             offset=offset)
+        params[name] = flat.reshape(shape).astype(np.float64)
         expected_offset += nbytes
     if expected_offset != len(payload):
         raise TruncatedError(
             f"payload has {len(payload) - expected_offset} trailing bytes")
-
-    model = SdTransformer(hyper, vocab, params=params)
-    expected = set(SdTransformer(hyper, vocab,
-                                 rng=np.random.default_rng(0)).params)
-    if set(params) != expected:
-        missing = expected.symmetric_difference(params)
-        raise ManifestMismatchError(f"unexpected tensor set, differs on {missing}")
-    return model
+    if len(params) != len(spec):
+        missing = sorted(set(spec) - set(params))
+        raise ManifestMismatchError(f"missing tensors {missing}")
+    return SdTransformer(hyper, vocab, params=params)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..expr import PrimitiveSet
 
@@ -24,14 +25,12 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.symbols)
 
-    def id_of(self, symbol: str) -> int:
-        try:
-            return self.symbols.index(symbol)
-        except ValueError:
-            raise KeyError(f"symbol {symbol!r} not in vocabulary") from None
+    @cached_property
+    def _index(self) -> dict:
+        return {s: i for i, s in enumerate(self.symbols)}
 
     def encode(self, tokens) -> list:
-        index = {s: i for i, s in enumerate(self.symbols)}
+        index = self._index
         return [index[t] for t in tokens]
 
     def decode(self, ids) -> list:

@@ -52,7 +52,8 @@ class SamplerState:
 
 def legal_mask(state: SamplerState, vocab: Vocabulary,
                max_len: int = 100, max_depth: int = 17) -> np.ndarray:
-    """Boolean legality per vocabulary id for the next token.
+    """Boolean legality per vocabulary id for one sequence's next token;
+    ``batch_legal_mask`` is the vectorised form the sampler uses.
 
     EOS only once the tree is complete; operators only while the remaining
     token budget covers this operator, a minimal terminal completion and the
@@ -74,20 +75,80 @@ def legal_mask(state: SamplerState, vocab: Vocabulary,
     return mask
 
 
-def _draw(probs: np.ndarray, mask: np.ndarray, rng: np.random.Generator) -> int:
+def operator_ids(vocab: Vocabulary) -> tuple:
+    """(is_operator, is_terminal) boolean vectors over the vocabulary ids."""
+    is_op = np.array([sym in expr.OPERATORS for sym in vocab.symbols])
+    is_term = ~is_op
+    is_term[[PAD, BOS, EOS]] = False
+    return is_op, is_term
+
+
+def batch_legal_mask(emitted: np.ndarray, need: np.ndarray,
+                     depth: np.ndarray, kinds: tuple, max_len: int = 100,
+                     max_depth: int = 17) -> np.ndarray:
+    """``legal_mask`` for a batch of rows, (B, V).
+
+    ``emitted``/``need`` are the rows' counters, ``depth`` the depth of each
+    row's current slot (``depth_stack[-1]``, ignored once done) and ``kinds``
+    comes from ``operator_ids``.
+    """
+    is_op, is_term = kinds
+    done = need == 0
+    operator_ok = ((emitted + need + 3 <= max_len) & (depth < max_depth)
+                   & ~done)
+    mask = (is_op & operator_ok[:, None]) | (is_term & ~done[:, None])
+    mask[:, EOS] = done
+    return mask
+
+
+def _draw_batch(probs: np.ndarray, mask: np.ndarray, rngs: list) -> np.ndarray:
+    """One token per row by inverse-CDF over the legal ids' probabilities.
+
+    Each row consumes one draw from its own generator: ``random()``, or
+    ``integers`` over the legal ids when the model gives them zero mass.
+    """
     p = np.where(mask, probs, 0.0)
-    legal = np.flatnonzero(p > 0.0)
-    if len(legal) == 0:  # model assigns zero mass to all legal ids
-        legal = np.flatnonzero(mask)
-        return int(legal[rng.integers(len(legal))])
-    c = np.cumsum(p[legal])
-    j = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
-    return int(legal[min(j, len(legal) - 1)])
+    c = np.cumsum(p, axis=1)  # zeros leave the running sums unchanged
+    total = c[:, -1]
+    toks = np.empty(len(rngs), dtype=np.int64)
+    u = np.zeros(len(rngs))
+    for r, rng in enumerate(rngs):
+        if total[r] > 0.0:
+            u[r] = rng.random()
+        else:
+            legal = np.flatnonzero(mask[r])
+            toks[r] = legal[rng.integers(len(legal))]
+    above = c > (u * total)[:, None]
+    last = p.shape[1] - 1 - np.argmax(p[:, ::-1] > 0.0, axis=1)
+    drawn = np.where(above.any(axis=1), np.argmax(above, axis=1), last)
+    return np.where(total > 0.0, drawn, toks)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _encode_bucketed(model: SdTransformer, ids: list, sds: np.ndarray):
+    """Encode parents in power-of-two length classes, so that one long parent
+    pads only its own class; returns (B, W+1, D) outputs zero-padded to the
+    longest parent, and their key-validity mask."""
+    lengths = np.array([len(row) for row in ids])
+    width = max(1, int(lengths.max()))
+    enc_out = np.zeros((len(ids), width + 1, model.hyper.d_model))
+    enc_valid = np.zeros((len(ids), width + 1), dtype=bool)
+    classes = np.array([int(n - 1).bit_length() for n in lengths])
+    for c in np.unique(classes):
+        rows = np.flatnonzero(classes == c)
+        w = max(1, int(lengths[rows].max()))
+        enc_ids = np.full((len(rows), w), PAD, dtype=np.int64)
+        for r, i in enumerate(rows):
+            enc_ids[r, :lengths[i]] = ids[i]
+        with no_grad():
+            out, valid = model.encode(enc_ids, sds[rows])
+        enc_out[rows, :w + 1] = out.data
+        enc_valid[rows, :w + 1] = valid
+    return Tensor(enc_out), enc_valid
 
 
 def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
@@ -97,43 +158,53 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
     """Sample one offspring token sequence per parent (lockstep batch).
 
     Each sequence consumes only its own rng stream, so results are
-    independent of how sequences are batched together.
+    independent of how sequences are batched together. Decoding is
+    incremental: each step feeds only the latest token through the decoder
+    against a cache of earlier positions, and rows that emit EOS leave the
+    cache.
     """
     vocab = model.vocab
     max_len = model.hyper.max_len
     B = len(parents_tokens)
     sds = np.full(B, float(sd_desired))
+    kinds = operator_ids(vocab)
+    is_op = kinds[0]
 
-    width = max(1, max(min(len(t), max_len) for t in parents_tokens))
-    enc_ids = np.full((B, width), PAD, dtype=np.int64)
-    for i, toks in enumerate(parents_tokens):
-        ids = vocab.encode(toks[:max_len])  # encoder-side truncation only
-        enc_ids[i, :len(ids)] = ids
+    # encoder-side truncation only
+    enc_ids = [vocab.encode(t[:max_len]) for t in parents_tokens]
+    enc_out, enc_valid = _encode_bucketed(model, enc_ids, sds)
     with no_grad():
-        enc_out, enc_valid = model.encode(enc_ids, sds)
-    enc_out = enc_out.data
+        cache = model.start_decoding(enc_out, enc_valid)
 
-    states = [SamplerState() for _ in range(B)]
-    seqs = [[] for _ in range(B)]
-    active = list(range(B))
-    while active:
-        idx = np.array(active)
-        dec_ids = np.array([[BOS] + seqs[i] for i in active], dtype=np.int64)
+    # per-parent counters; depth[i, need[i] - 1] is the open slot's depth
+    emitted = np.zeros(B, dtype=np.int64)
+    need = np.ones(B, dtype=np.int64)
+    depth = np.zeros((B, max_len + 2), dtype=np.int64)
+    seqs = np.zeros((B, max_len), dtype=np.int64)
+    rows = np.arange(B)  # parent of each cache row
+    step_ids = np.full((B, 1), BOS, dtype=np.int64)
+    while len(rows):
         with no_grad():
-            logits = model.decode(dec_ids, sds[idx], Tensor(enc_out[idx]),
-                                  enc_valid[idx]).data
-        probs = _softmax(logits[:, -1, :] / temperature)
-        still = []
-        for row, i in enumerate(active):
-            mask = legal_mask(states[i], vocab, max_len, max_depth)
-            tok = _draw(probs[row], mask, rngs[i])
-            if tok == EOS:
-                continue
-            seqs[i].append(tok)
-            states[i].push(vocab.symbols[tok] in expr.OPERATORS)
-            still.append(i)
-        active = still
-    return [vocab.decode(s) for s in seqs]
+            logits = model.decode(step_ids, sds[rows], None, None,
+                                  cache=cache).data[:, -1, :]
+        top = depth[rows, np.maximum(need[rows] - 1, 0)]
+        mask = batch_legal_mask(emitted[rows], need[rows], top, kinds,
+                                max_len, max_depth)
+        toks = _draw_batch(_softmax(logits / temperature), mask,
+                           [rngs[i] for i in rows])
+        going = toks != EOS
+        if not going.all():
+            order = cache.retain(going)
+            rows, toks = rows[order], toks[order]
+        seqs[rows, emitted[rows]] = toks
+        emitted[rows] += 1
+        op = is_op[toks]
+        slot = need[rows] - 1
+        depth[rows, slot] += op
+        depth[rows[op], slot[op] + 1] = depth[rows[op], slot[op]]
+        need[rows] += np.where(op, 1, -1)
+        step_ids = toks[:, None]
+    return [vocab.decode(seqs[i, :emitted[i]]) for i in range(B)]
 
 
 def sample_offspring(model: SdTransformer, parent: Node, sd_desired: float,

@@ -1,12 +1,14 @@
 import csv
 import math
+import urllib.request
 
 import numpy as np
 import pytest
 
 from tsgp import bench
 from tsgp.bench import (EmptyError, MissingTargetError, MixedMethodsError,
-                        NonNumericCellError, TooFewRowsError, aggregate_runs,
+                        NonFiniteCellError, NonNumericCellError,
+                        TooFewRowsError, aggregate_runs,
                         fetch_pmlb, load_csv, make_dataset, wilcoxon_ranksum,
                         write_results_csv, write_series_csv, write_stats_csv)
 from tsgp.trace import RunTrace, read_trace_csv, write_trace_csv
@@ -79,12 +81,23 @@ class TestLoadCsv:
         with pytest.raises(NonNumericCellError):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        path = tmp_path / "x.csv"
+        rows = self._rows(25, d=1)
+        rows[7][1] = cell
+        _write_csv(path, ["a", "target"], rows)
+        with pytest.raises(NonFiniteCellError, match="row 8.*'target'"):
+            load_csv(path)
+
 
 class TestFetch:
     def test_warm_cache_no_network(self, tmp_path, monkeypatch):
         (tmp_path / "fake_ds.tsv").write_text("a\tb\n")
-        # any network attempt would blow up on import
-        monkeypatch.setitem(__import__("sys").modules, "requests", None)
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("network access on a warm cache")
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
         out = fetch_pmlb("fake_ds", tmp_path)
         assert out.read_text() == "a\tb\n"
 

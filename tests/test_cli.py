@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import pytest
 
@@ -106,9 +107,30 @@ class TestExitCodes:
         bad.write_text("{not json\n")
         assert main(["train", "--pairs", str(bad)]) == 2
 
+    def test_data_error_non_finite_csv(self, workdir):
+        bad = workdir / "nan.csv"
+        rows = [f"{i * 0.1:.1f},{i * 0.2:.1f}" for i in range(30)]
+        rows[3] = "0.3,nan"
+        bad.write_text("x,target\n" + "\n".join(rows) + "\n")
+        assert main(["search", "--method", "stdgp", "--data", str(bad),
+                     "--pop", "10", "--gens", "1",
+                     "--out", str(workdir / "nan_run")]) == 2
+
     def test_data_error_bad_checkpoint(self, workdir):
         bad = workdir / "bad.tsgp"
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
+        assert main(["verify-model", "--model", str(bad)]) == 2
+
+    def test_data_error_header_without_vocabulary(self, workdir, model_file):
+        from tsgp.model.checkpoint import MAGIC
+        blob = model_file.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        del header["vocabulary"]
+        raw = json.dumps(header).encode()
+        bad = workdir / "novocab.tsgp"
+        bad.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw
+                        + blob[12 + hlen:])
         assert main(["verify-model", "--model", str(bad)]) == 2
 
 

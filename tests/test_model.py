@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,10 +11,11 @@ from tsgp.model import (BadMagicError, Hyperparams, ManifestMismatchError,
                         save_checkpoint, train)
 from tsgp.model import checkpoint as ckpt
 from tsgp.model import transformer as tfm
-from tsgp.model.autodiff import no_grad
+from tsgp.model.autodiff import Tensor, no_grad
 from tsgp.model.training import (AdamWState, adamw_step, grad, make_batch,
                                  token_accuracy)
 from tsgp.model.transformer import SdTransformer, SequenceTooLongError
+from tsgp.model.vocab import BOS
 from tsgp.verify import causality_probe, gradient_check, random_pairs
 
 
@@ -86,6 +89,52 @@ class TestForward:
             logits = tiny_model.forward(batch[0], batch[1], batch[2])
         with pytest.raises(ValueError):
             tfm.loss(logits, np.zeros_like(batch[3]))
+
+
+class TestIncrementalDecode:
+    """The cached one-token step against teacher-forced ``decode``."""
+
+    @staticmethod
+    def _inputs(model, rng, B=3):
+        V, L = model.vocab.size, model.hyper.max_len
+        enc = rng.integers(3, V, size=(B, 12))
+        enc[0, 7:] = 0  # PAD tails of different lengths
+        enc[1, 3:] = 0
+        dec = rng.integers(3, V, size=(B, L))
+        sd = rng.uniform(0.0, 2.0, size=B)
+        return enc, dec, sd
+
+    @pytest.mark.parametrize("model_name", ["tiny_model",
+                                            "operator_heavy_model"])
+    def test_step_logits_match_teacher_forcing(self, model_name, request):
+        model = request.getfixturevalue(model_name)
+        enc, dec, sd = self._inputs(model, np.random.default_rng(9))
+        full = np.concatenate([np.full((len(dec), 1), BOS), dec], axis=1)
+        rows = np.arange(len(dec))
+        with no_grad():
+            enc_out, enc_valid = model.encode(enc, sd)
+            cache = model.start_decoding(enc_out, enc_valid)
+            step = model.decode(full[:, :1], sd, None, None, cache=cache)
+            ref = model.decode(full[:, :1], sd, enc_out, enc_valid)
+            np.testing.assert_allclose(step.data, ref.data, rtol=0,
+                                       atol=1e-12)
+            for t in range(1, full.shape[1]):
+                if t in (40, 70):  # drop a row, as when it emits EOS
+                    keep = np.ones(len(rows), dtype=bool)
+                    keep[0 if t == 40 else -1] = False
+                    rows = rows[cache.retain(keep)]
+                step = model.decode(full[rows, t:t + 1], sd[rows], None,
+                                    None, cache=cache)
+                ref = model.decode(full[rows, :t + 1], sd[rows],
+                                   Tensor(enc_out.data[rows]),
+                                   enc_valid[rows])
+                assert step.shape == (len(rows), 1, model.vocab.size)
+                np.testing.assert_allclose(step.data[:, 0], ref.data[:, -1],
+                                           rtol=0, atol=1e-12)
+            assert cache.length == model.hyper.max_len + 2
+            with pytest.raises(SequenceTooLongError):
+                model.decode(full[rows, :1], sd[rows], None, None,
+                             cache=cache)
 
 
 class TestGradients:
@@ -190,6 +239,55 @@ class TestCheckpoint:
         path.write_bytes(blob[:-100])
         with pytest.raises(TruncatedError):
             load_checkpoint(path)
+
+    def _with_header(self, path, edit):
+        """Rewrite the JSON header of a saved checkpoint with ``edit``."""
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        edit(header)
+        raw = json.dumps(header).encode()
+        path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(raw)) + raw
+                         + blob[12 + hlen:])
+
+    def test_header_without_vocabulary(self, tiny_model, tmp_path):
+        path = self._saved(tiny_model, tmp_path)
+        self._with_header(path, lambda h: h.pop("vocabulary"))
+        with pytest.raises(ManifestMismatchError, match="vocabulary"):
+            load_checkpoint(path)
+
+    def test_unknown_hyperparameter(self, tiny_model, tmp_path):
+        path = self._saved(tiny_model, tmp_path)
+        self._with_header(
+            path, lambda h: h["hyperparams"].update(n_experts=4))
+        with pytest.raises(ManifestMismatchError, match="n_experts"):
+            load_checkpoint(path)
+
+    def test_wrong_tensor_shape(self, tiny_model, tmp_path):
+        path = self._saved(tiny_model, tmp_path)
+
+        def row_vector_bias(h):
+            entry = next(e for e in h["tensors"] if e["name"] == "out.b")
+            entry["shape"] = [1] + entry["shape"]
+        self._with_header(path, row_vector_bias)
+        with pytest.raises(ManifestMismatchError, match="out.b"):
+            load_checkpoint(path)
+
+    def test_missing_and_unknown_tensors(self, tiny_model, tmp_path):
+        path = self._saved(tiny_model, tmp_path)
+
+        def rename(h):
+            entry = next(e for e in h["tensors"] if e["name"] == "out.b")
+            entry["name"] = "out.bias"
+        self._with_header(path, rename)
+        with pytest.raises(ManifestMismatchError, match="out.bias"):
+            load_checkpoint(path)
+
+    def test_param_spec_matches_init(self, tiny_model):
+        spec = tfm.param_spec(tiny_model.hyper, tiny_model.vocab.size)
+        assert list(spec) == list(tiny_model.params)
+        for name, (shape, _) in spec.items():
+            assert tiny_model.params[name].shape == shape
 
     def test_corrupt_header(self, tiny_model, tmp_path):
         path = self._saved(tiny_model, tmp_path)

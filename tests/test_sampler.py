@@ -3,7 +3,8 @@ import pytest
 
 from tsgp import expr, semantics
 from tsgp.model.vocab import BOS, EOS, PAD
-from tsgp.sampler import (SamplerState, SearchConfig, legal_mask,
+from tsgp.sampler import (SamplerState, SearchConfig, _draw_batch,
+                          batch_legal_mask, legal_mask, operator_ids,
                           primitives_from_vocab, run_tsgp, sample_offspring,
                           sample_tokens_batch)
 
@@ -61,6 +62,106 @@ class TestLegalMask:
                    if sym in expr.OPERATORS)
 
 
+class TestBatchLegalMask:
+    """The vectorised mask against ``legal_mask`` row by row."""
+
+    @staticmethod
+    def _batch(states, vocab, max_len, max_depth):
+        return batch_legal_mask(
+            np.array([s.emitted for s in states]),
+            np.array([s.need for s in states]),
+            np.array([s.depth_stack[-1] if s.depth_stack else 0
+                      for s in states]),
+            operator_ids(vocab), max_len, max_depth)
+
+    @staticmethod
+    def _random_states(vocab, rng, max_len, max_depth, n_walks=40):
+        """Every intermediate state of random legal emissions."""
+        states = []
+        for _ in range(n_walks):
+            s = SamplerState()
+            while not s.done:
+                states.append(SamplerState(s.emitted, s.need,
+                                           list(s.depth_stack)))
+                legal = np.flatnonzero(legal_mask(s, vocab, max_len,
+                                                  max_depth))
+                tok = int(legal[rng.integers(len(legal))])
+                s.push(vocab.symbols[tok] in expr.OPERATORS)
+            states.append(s)
+        return states
+
+    @pytest.mark.parametrize("max_len,max_depth", [(100, 17), (12, 3)])
+    def test_random_states(self, vocab, max_len, max_depth):
+        states = self._random_states(vocab, np.random.default_rng(4),
+                                     max_len, max_depth)
+        want = np.array([legal_mask(s, vocab, max_len, max_depth)
+                         for s in states])
+        got = self._batch(states, vocab, max_len, max_depth)
+        np.testing.assert_array_equal(got, want)
+
+    def test_edge_states(self, vocab):
+        states = [
+            SamplerState(emitted=1, need=0, depth_stack=[]),  # done
+            SamplerState(emitted=95, need=2, depth_stack=[3, 3]),  # == budget
+            SamplerState(emitted=96, need=2, depth_stack=[3, 3]),  # over it
+            SamplerState(emitted=17, need=1, depth_stack=[17]),  # depth 17
+            SamplerState(emitted=16, need=1, depth_stack=[16]),
+            SamplerState(),
+        ]
+        want = np.array([legal_mask(s, vocab) for s in states])
+        np.testing.assert_array_equal(self._batch(states, vocab, 100, 17),
+                                      want)
+        assert want[1].sum() > want[2].sum()  # the budget edge matters
+
+
+def reference_draw(probs, mask, rng) -> int:
+    """One row's draw: inverse CDF over the legal ids with mass, clamped to
+    the last of them; uniform over the legal ids when none has mass."""
+    p = np.where(mask, probs, 0.0)
+    legal = np.flatnonzero(p > 0.0)
+    if len(legal) == 0:
+        legal = np.flatnonzero(mask)
+        return int(legal[rng.integers(len(legal))])
+    c = np.cumsum(p[legal])
+    j = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
+    return int(legal[min(j, len(legal) - 1)])
+
+
+class _FixedUniform:
+    """Generator stand-in whose ``random()`` returns a fixed value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestDrawBatch:
+    def test_matches_reference_draw(self):
+        rng = np.random.default_rng(8)
+        logits = rng.normal(0.0, 4.0, size=(300, 22))
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        probs[rng.random(probs.shape) < 0.1] = 0.0  # exact zeros
+        mask = rng.random(probs.shape) < 0.6
+        mask[np.arange(300), rng.integers(22, size=300)] = True
+        probs[:20] *= ~mask[:20]  # rows whose legal ids have no mass
+        got = _draw_batch(probs, mask, [np.random.default_rng(i)
+                                        for i in range(300)])
+        want = [reference_draw(probs[i], mask[i], np.random.default_rng(i))
+                for i in range(300)]
+        assert got.tolist() == want
+
+    def test_subnormal_mass_clamps_to_last_legal(self):
+        tiny = np.nextafter(0.0, 1.0)
+        probs = np.zeros((1, 12))
+        probs[0, [5, 9]] = tiny
+        mask = np.ones((1, 12), dtype=bool)
+        # 0.9 * (2 * tiny) rounds back up to the total mass
+        assert reference_draw(probs[0], mask[0], _FixedUniform(0.9)) == 9
+        assert _draw_batch(probs, mask, [_FixedUniform(0.9)]).tolist() == [9]
+
+
 class TestSampling:
     def test_random_theta_always_parses(self, tiny_model, prims):
         rng = np.random.default_rng(0)
@@ -84,6 +185,21 @@ class TestSampling:
         for i in range(8):
             solo = sample_tokens_batch(tiny_model, [parents[i]], 0.1,
                                        [np.random.default_rng(100 + i)])[0]
+            assert solo == batched[i]
+        assert len({len(t) for t in batched}) > 1  # rows end at other steps
+
+    def test_batch_independence_long_rows(self, operator_heavy_model, prims):
+        rng = np.random.default_rng(3)
+        parents = [expr.serialize_prefix(t) for t in
+                   expr.ramped_half_and_half(10, 2, 6, prims, rng)]
+        batched = sample_tokens_batch(
+            operator_heavy_model, parents, 0.1,
+            [np.random.default_rng(200 + i) for i in range(10)])
+        assert len({len(t) for t in batched}) >= 3
+        for i in range(10):
+            solo = sample_tokens_batch(
+                operator_heavy_model, [parents[i]], 0.1,
+                [np.random.default_rng(200 + i)])[0]
             assert solo == batched[i]
 
     def test_single_offspring_deterministic(self, tiny_model, prims):
