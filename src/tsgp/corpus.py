@@ -4,7 +4,7 @@ semantic k-NN search (brute force and IVF) and training-pair mining."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,9 +127,11 @@ def knn_neighbors(corpus: list, query_id: int, k: int) -> list:
 class IvfIndex:
     """Inverted-file index: k-means partition of the corpus semantics."""
 
-    corpus: list
     centroids: np.ndarray
-    clusters: list = field(default_factory=list)  # list of entry-index arrays
+    clusters: list  # list of row-index arrays
+    semantics: np.ndarray  # row i: semantics of the i-th corpus entry
+    ids: np.ndarray  # row i: id of the i-th corpus entry
+    row_of: dict  # entry id -> row
 
 
 def build_ivf_index(corpus: list, n_clusters: int,
@@ -152,19 +154,19 @@ def build_ivf_index(corpus: list, n_clusters: int,
             if len(members):  # empty clusters keep their centroid
                 centroids[c] = members.mean(axis=0)
     clusters = [np.flatnonzero(assign == c) for c in range(n_clusters)]
-    return IvfIndex(corpus=corpus, centroids=centroids, clusters=clusters)
+    ids = np.array([e.id for e in corpus])
+    return IvfIndex(centroids=centroids, clusters=clusters, semantics=S,
+                    ids=ids, row_of={int(i): r for r, i in enumerate(ids)})
 
 
 def query_ivf(index: IvfIndex, query_id: int, k: int, n_probe: int) -> list:
     """Search the n_probe closest clusters; same exclusions/order as knn_neighbors."""
-    by_id = {e.id: i for i, e in enumerate(index.corpus)}
-    q = index.corpus[by_id[query_id]].semantics
+    q = index.semantics[index.row_of[query_id]]
     cdist = np.linalg.norm(index.centroids - q, axis=1)
     probe = np.argsort(cdist, kind="stable")[:max(1, n_probe)]
     members = np.concatenate([index.clusters[c] for c in probe])
-    ids = np.array([index.corpus[i].id for i in members])
-    S = np.stack([index.corpus[i].semantics for i in members])
-    sd = np.linalg.norm(S - q, axis=1)
+    ids = index.ids[members]
+    sd = np.linalg.norm(index.semantics[members] - q, axis=1)
     keep = (ids != query_id) & (sd > 0.0)
     order = np.lexsort((ids[keep], sd[keep]))[:k]
     return [(int(i), float(s)) for i, s in zip(ids[keep][order], sd[keep][order])]

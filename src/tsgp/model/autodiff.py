@@ -63,8 +63,9 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.copy()  # g may be shared with another input
+        else:
+            self.grad += g
 
 
 def _result(data, parents, backward):
@@ -111,12 +112,30 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b``. With a 2-D ``b`` the leading axes of ``a`` are folded into
+    rows, so forward and both gradients are single 2-D GEMMs."""
+    if b.data.ndim == 2:
+        return _matmul_flat(a, b)
+
     def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
     return _result(a.data @ b.data, (a, b), backward)
+
+
+def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
+    rows = a.data.reshape(-1, a.shape[-1])
+    out_shape = a.shape[:-1] + b.shape[-1:]
+
+    def backward(g):
+        g = g.reshape(-1, b.shape[-1])
+        if a.requires_grad:
+            a._accumulate((g @ b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            b._accumulate(rows.T @ g)
+    return _result((rows @ b.data).reshape(out_shape), (a, b), backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:

@@ -32,7 +32,6 @@ class Hyperparams:
     n_decoder_layers: int = 2
     ffn_dim: int = None  # defaults to 4 * d_model
     max_len: int = 100
-    dropout: float = 0.0
     lr: float = 1e-3
     weight_decay: float = 0.01
     epochs: int = 8
@@ -49,7 +48,8 @@ class Hyperparams:
 
     @classmethod
     def from_json(cls, obj) -> "Hyperparams":
-        return cls(**obj)
+        # checkpoints from before dropout was removed carry an unused key
+        return cls(**{k: v for k, v in obj.items() if k != "dropout"})
 
 
 def sinusoidal_positions(n_positions: int, d_model: int) -> np.ndarray:

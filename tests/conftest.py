@@ -1,9 +1,19 @@
+import os
+
+# One BLAS/OpenMP thread, set before NumPy loads its BLAS (as the benchmark's
+# env.py does): the timed criteria must not depend on how many processes
+# share the host's cores.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 
+from tsgp.corpus import build_corpus, mine_pairs
 from tsgp.expr import OPERATORS, PrimitiveSet
 from tsgp.model import Hyperparams, Vocabulary
 from tsgp.model.transformer import SdTransformer
+from tsgp.stdgp import DOUBLE_TOURNAMENT, GPConfig
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +48,13 @@ def operator_heavy_model(vocab):
         if sym in OPERATORS:
             model.params["out.b"].data[i] += 2.0
     return model
+
+
+@pytest.fixture(scope="session")
+def harvested():
+    """A small harvested corpus and its mined pairs (about 1,000 pairs of
+    1 to 65 tokens, with the duplicate semantics of real harvests)."""
+    gp_cfg = GPConfig(pop_size=100, generations=8, selection=DOUBLE_TOURNAMENT)
+    entries, _ = build_corpus(1, gp_cfg, rng=np.random.default_rng(8))
+    pairs, _ = mine_pairs(entries, k=3)
+    return entries, pairs

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,38 @@ class TestIvf:
         for q in range(0, 100, 11):
             assert query_ivf(index, q, 4, n_probe=1) == \
                 knn_neighbors(entries, q, 4)
+
+    def test_mined_pairs_unchanged_on_harvest(self, harvested, monkeypatch):
+        """IVF mining of a harvested corpus (many identical semantics) gives
+        the pairs it gave when each query rebuilt its id -> row map."""
+        entries, _ = harvested
+
+        def mine():
+            index = build_ivf_index(entries, 16, np.random.default_rng(9))
+            pairs, dropped = mine_pairs(entries, k=3, index=index, n_probe=4)
+            assert dropped == 0
+            return [(p.input_tokens, p.output_tokens, p.sd) for p in pairs]
+
+        def rebuilding_query(index, query_id, k, n_probe):
+            by_id = {e.id: i for i, e in enumerate(entries)}
+            q = entries[by_id[query_id]].semantics
+            cdist = np.linalg.norm(index.centroids - q, axis=1)
+            probe = np.argsort(cdist, kind="stable")[:max(1, n_probe)]
+            members = np.concatenate([index.clusters[c] for c in probe])
+            ids = np.array([entries[i].id for i in members])
+            S = np.stack([entries[i].semantics for i in members])
+            sd = np.linalg.norm(S - q, axis=1)
+            keep = (ids != query_id) & (sd > 0.0)
+            order = np.lexsort((ids[keep], sd[keep]))[:k]
+            return [(int(i), float(s))
+                    for i, s in zip(ids[keep][order], sd[keep][order])]
+
+        fast = mine()
+        blob = json.dumps([[i, o, sd.hex()] for i, o, sd in fast]).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "f59cf5cdb4d5aa8e6a4b162bff75246912786c5d7f3d695b1ddfcfbad85fd87a")
+        monkeypatch.setattr(corpus, "query_ivf", rebuilding_query)
+        assert mine() == fast
 
     def test_cluster_count_guard(self):
         entries, rng = _random_corpus(5, seed=2)

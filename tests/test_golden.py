@@ -1,8 +1,12 @@
-"""Golden pins for the sampler: seeded traces and sampled tokens.
+"""Golden pins for the sampler and for training.
 
-The digests were recorded with the uncached reference sampler, which re-ran
-the whole decoder over the prefix for every token. Any change to how
+The sampler digests were recorded with the uncached reference sampler, which
+re-ran the whole decoder over the prefix for every token. Any change to how
 offspring are sampled must keep them byte-identical.
+
+The training losses were recorded when a step ran as one forward/backward
+pass over the whole padded batch. A change to how a step is computed may
+move them by float summation order only.
 """
 
 import hashlib
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 
 from tsgp import bench, corpus, expr
+from tsgp.model import train
 from tsgp.sampler import SearchConfig, run_tsgp, sample_tokens_batch
 
 TRACE_DIGESTS = {
@@ -21,6 +26,18 @@ BATCH_DIGEST = (
     "bc953744660efa4d932e69e62de79fe2e46f22757324624d2c8d39b7e45c21b0")
 DEEP_BATCH_DIGEST = (
     "869ac0512cdef2f0871ed00bf473c73f7ae4bb1044634c617b0a21caf32e9bc4")
+# train(harvested pairs, tiny hyperparameters, seed=5): losses of steps 0-29
+TRAIN_LOSSES = (
+    3.076649419853331, 3.057046830469994, 3.043246559246868,
+    3.0225738234245902, 3.003439360186675, 2.9695504865769826,
+    2.975345527363588, 2.965150567553734, 2.9334200924508953,
+    2.917024999800599, 2.9290937162030684, 2.898924611972746,
+    2.896040291974632, 2.90407574497386, 2.862825403056218,
+    2.873609642636938, 2.856859930374055, 2.847982681104157,
+    2.822375595185265, 2.810075815301692, 2.815630368595292,
+    2.80080285170597, 2.8082241274732445, 2.7507310642903926,
+    2.815610798543696, 2.8177739739697523, 2.7549099538444612,
+    2.7433698096343404, 2.746084316117382, 2.7312229470085985)
 
 
 def _sha(lines) -> str:
@@ -70,3 +87,11 @@ def test_operator_heavy_batch_tokens_pinned(operator_heavy_model, prims):
     tokens = seeded_batch(operator_heavy_model, prims)
     assert max(len(t) for t in tokens) > 50
     assert _sha(" ".join(t) for t in tokens) == DEEP_BATCH_DIGEST
+
+
+def test_seeded_training_losses_pinned(tiny_hyper, vocab, harvested):
+    _, pairs = harvested
+    _, curve = train(pairs, tiny_hyper, vocab, seed=5,
+                     max_steps=len(TRAIN_LOSSES))
+    np.testing.assert_allclose([loss for _, loss in curve], TRAIN_LOSSES,
+                               rtol=1e-9, atol=0)

@@ -9,13 +9,15 @@ from tsgp.corpus import TrainingPair
 from tsgp.model import (BadMagicError, Hyperparams, ManifestMismatchError,
                         TruncatedError, Vocabulary, load_checkpoint,
                         save_checkpoint, train)
+from tsgp.model import autodiff as ad
 from tsgp.model import checkpoint as ckpt
+from tsgp.model import training
 from tsgp.model import transformer as tfm
 from tsgp.model.autodiff import Tensor, no_grad
 from tsgp.model.training import (AdamWState, adamw_step, grad, make_batch,
                                  token_accuracy)
 from tsgp.model.transformer import SdTransformer, SequenceTooLongError
-from tsgp.model.vocab import BOS
+from tsgp.model.vocab import BOS, PAD
 from tsgp.verify import causality_probe, gradient_check, random_pairs
 
 
@@ -165,6 +167,91 @@ class TestGradients:
         assert row_err < 1e-6
 
 
+def _spread_batch(pairs, n: int) -> list:
+    """``n`` pairs evenly spaced over the length range, in seeded order."""
+    by_len = sorted(pairs, key=lambda p: (len(p.input_tokens)
+                                          + len(p.output_tokens)))
+    picks = np.linspace(len(by_len) - 1, 0, n).astype(int)
+    return [by_len[i] for i in np.random.default_rng(n).permutation(picks)]
+
+
+class TestGroupedGrad:
+    """``grad`` runs a batch as length groups; the oracle is one forward and
+    backward pass over the whole padded batch."""
+
+    @pytest.mark.parametrize("n", [1, 3, 32])
+    def test_matches_whole_batch(self, tiny_model, vocab, harvested, n):
+        batch = make_batch(_spread_batch(harvested[1], n), vocab, 100)
+        if n == 32:  # the rows span short and long ones
+            lengths = (batch[0] != PAD).sum(axis=1)
+            assert lengths.min() <= 2 and lengths.max() >= 60
+        loss, grads = grad(tiny_model, batch)
+        grads = {k: g.copy() for k, g in grads.items()}
+
+        tiny_model.zero_grad()
+        ref = tfm.loss(tiny_model.forward(*batch[:3]), batch[3])
+        ref.backward()
+        assert abs(loss - float(ref.data)) <= 1e-10 * float(ref.data)
+        scale = max(np.abs(t.grad).max() for t in tiny_model.params.values())
+        for name, t in tiny_model.params.items():
+            if name.endswith(".bk"):
+                # a bias shared by all keys shifts every score of a query
+                # alike, so its exact gradient is 0; both are rounding noise
+                assert np.abs(grads[name]).max() < 1e-15 * scale
+                assert np.abs(t.grad).max() < 1e-15 * scale
+                continue
+            err = np.linalg.norm(grads[name] - t.grad)
+            assert err <= 1e-10 * np.linalg.norm(t.grad), name
+        tiny_model.zero_grad()
+
+    def test_groups_cropped_to_own_length(self, tiny_model, vocab, harvested,
+                                          monkeypatch):
+        batch = make_batch(_spread_batch(harvested[1], 32), vocab, 100)
+        widths = []
+        forward = tiny_model.forward
+
+        def spy(enc_ids, sd, dec_ids, record=None):
+            widths.append((len(enc_ids), enc_ids.shape[1], dec_ids.shape[1]))
+            return forward(enc_ids, sd, dec_ids, record)
+        monkeypatch.setattr(tiny_model, "forward", spy)
+        grad(tiny_model, batch)
+        assert len(widths) == training.LENGTH_GROUPS
+        assert sum(rows for rows, _, _ in widths) == 32
+        # groups come shortest first, by the longer of input and target
+        keys = [max(enc_w, dec_w + 1) for _, enc_w, dec_w in widths]
+        assert keys == sorted(keys)
+        assert keys[0] < keys[-1] == max(batch[0].shape[1], batch[3].shape[1])
+
+
+class TestFlatMatmul:
+    """N-D @ 2-D runs as one 2-D GEMM; the oracle is the batched product
+    with the weight gradient summed over the batch axes."""
+
+    @pytest.mark.parametrize("shape", [(5, 7, 6), (3, 4, 7, 6)])
+    def test_matches_batched(self, shape):
+        rng = np.random.default_rng(len(shape))
+        a = Tensor(rng.standard_normal(shape), requires_grad=True)
+        b = Tensor(rng.standard_normal((6, 9)), requires_grad=True)
+        out = ad.matmul(a, b)
+        np.testing.assert_allclose(out.data, a.data @ b.data, rtol=1e-12)
+        g = rng.standard_normal(out.shape)
+        out._backward(g)
+        np.testing.assert_allclose(a.grad, g @ b.data.T, rtol=1e-12)
+        batched = np.swapaxes(a.data, -1, -2) @ g
+        np.testing.assert_allclose(
+            b.grad, batched.reshape(-1, 6, 9).sum(axis=0), rtol=1e-12)
+
+
+def test_shared_upstream_gradient_not_aliased():
+    """``add`` hands the same upstream gradient to both inputs; a later
+    contribution to one must not leak into the other."""
+    a, b = Tensor(np.zeros(3), True), Tensor(np.zeros(3), True)
+    ad.add(a, b)._backward(np.ones(3))
+    a._accumulate(np.ones(3))
+    np.testing.assert_array_equal(a.grad, 2.0)
+    np.testing.assert_array_equal(b.grad, 1.0)
+
+
 class TestAdamW:
     def test_decay_applies_to_matrices_only(self, tiny_model):
         model = SdTransformer(tiny_model.hyper, tiny_model.vocab,
@@ -255,6 +342,18 @@ class TestCheckpoint:
         self._with_header(path, lambda h: h.pop("vocabulary"))
         with pytest.raises(ManifestMismatchError, match="vocabulary"):
             load_checkpoint(path)
+
+    def test_legacy_dropout_key_ignored(self, tiny_model, tmp_path):
+        path = self._saved(tiny_model, tmp_path)
+        assert "dropout" not in tiny_model.hyper.to_json()
+        self._with_header(
+            path, lambda h: h["hyperparams"].update(dropout=0.0))
+        loaded = load_checkpoint(path)
+        assert loaded.hyper == tiny_model.hyper
+        for name, t in tiny_model.params.items():
+            np.testing.assert_array_equal(
+                loaded.params[name].data,
+                t.data.astype(np.float32).astype(np.float64))
 
     def test_unknown_hyperparameter(self, tiny_model, tmp_path):
         path = self._saved(tiny_model, tmp_path)
