@@ -7,6 +7,7 @@ import csv
 import gzip
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
@@ -74,19 +75,20 @@ class Dataset:
     def m(self) -> int:
         return self.X.shape[0]
 
-    @property
+    # the splits are taken once: the engines read them for every individual
+    @cached_property
     def X_train(self):
         return self.X[self.train_idx]
 
-    @property
+    @cached_property
     def y_train(self):
         return self.Y[self.train_idx]
 
-    @property
+    @cached_property
     def X_test(self):
         return self.X[self.test_idx]
 
-    @property
+    @cached_property
     def y_test(self):
         return self.Y[self.test_idx]
 
@@ -370,12 +372,13 @@ def variation_probe(model, dataset: Dataset, n_parents: int,
     """
     from . import expr as _expr
     from .sampler import primitives_from_vocab, sample_tokens_batch
-    from .stdgp import subtree_mutation
+    from .stdgp import Individual, subtree_mutation
 
     prims = primitives_from_vocab(model.vocab)
     rng = np.random.default_rng(seed)
-    parents = _expr.ramped_half_and_half(n_parents, 2, 5, prims, rng)
-    parent_tokens = [_expr.serialize_prefix(p) for p in parents]
+    parents = [Individual(t) for t in
+               _expr.ramped_half_and_half(n_parents, 2, 5, prims, rng)]
+    parent_tokens = [_expr.serialize_prefix(p.tree) for p in parents]
 
     rngs = [np.random.default_rng(s)
             for s in rng.integers(0, 2 ** 63, size=n_parents)]
@@ -384,14 +387,13 @@ def variation_probe(model, dataset: Dataset, n_parents: int,
     def sds(offspring_trees):
         out = []
         for p, c in zip(parents, offspring_trees):
-            sp = _expr.evaluate(p, dataset.X_test)
-            sc = _expr.evaluate(c, dataset.X_test)
-            if np.all(np.isfinite(sp)) and np.all(np.isfinite(sc)):
-                out.append(float(np.linalg.norm(sp - sc)))
+            sd = semantics.sd_on_test(p, Individual(c), dataset.X_test)
+            if not math.isnan(sd):
+                out.append(sd)
         return out
 
     tsgp_sd = sds([_expr.parse_prefix(t, prims) for t in tsgp_tokens])
-    mut_sd = sds([subtree_mutation(p, prims, rng) for p in parents])
+    mut_sd = sds([subtree_mutation(p.tree, prims, rng) for p in parents])
     p_value = wilcoxon_ranksum(tsgp_sd, mut_sd)
     return {
         "n_parents": n_parents,

@@ -92,10 +92,10 @@ def harvest_functions(problem: SyntheticProblem, gp_config: GPConfig,
     next_id = start_id
     for key, tree in seen.items():
         sem = semantics.semantics_of(tree, sem_points)
-        if not sem.finite:
+        if not np.isfinite(sem).all():
             continue
         entries.append(CorpusEntry(id=next_id, tokens=key.split(),
-                                   semantics=sem.values, problem_id=problem_id))
+                                   semantics=sem, problem_id=problem_id))
         next_id += 1
     return entries
 

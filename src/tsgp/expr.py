@@ -176,7 +176,9 @@ def evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
 
     Division with a denominator that is exactly zero yields 1 for that
     subexpression. Overflow is not clamped; non-finite outputs are the
-    caller's concern (fitness policy lives in :mod:`tsgp.semantics`).
+    caller's concern (fitness policy lives in :mod:`tsgp.semantics`). One
+    ``np.errstate`` covers the whole tree, so no floating-point warning
+    escapes.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
@@ -194,19 +196,19 @@ def evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
             return np.full(m, float(sym[1:]))
         a = rec(node.children[0])
         b = rec(node.children[1])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if sym == "ADD":
-                return a + b
-            if sym == "SUB":
-                return a - b
-            if sym == "MUL":
-                return a * b
-            # protected division: exact-zero denominator -> 1
-            out = np.ones(m)
-            np.divide(a, b, out=out, where=b != 0.0)
-            return out
+        if sym == "ADD":
+            return a + b
+        if sym == "SUB":
+            return a - b
+        if sym == "MUL":
+            return a * b
+        # protected division: exact-zero denominator -> 1
+        out = np.ones(m)
+        np.divide(a, b, out=out, where=b != 0.0)
+        return out
 
-    return rec(tree)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return rec(tree)
 
 
 def random_tree(method: str, depth_min: int, depth_max: int,

@@ -8,7 +8,6 @@ valid tree within the token budget and depth limit, for any parameters
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,13 +274,16 @@ def run_tsgp(model: SdTransformer, dataset, config: SearchConfig,
         offspring = []
         for i in range(config.pop_size):
             tokens = offspring_tokens[i]
-            child = evaluated(expr.parse_prefix(tokens, prims))
+            varied = tokens != parent_tokens[i]
+            # a token-identical child is its parent, evaluated already
+            child = (evaluated(expr.parse_prefix(tokens, prims)) if varied
+                     else parents[i])
             offspring.append(child)
             if log_variations:
                 trace.log_variation(
                     gen, parents[i].size, child.size,
-                    _sd_on_test(parents[i].tree, child.tree, dataset),
-                    tokens != parent_tokens[i])
+                    semantics.sd_on_test(parents[i], child, dataset.X_test),
+                    varied)
         pop = offspring
         gen_best = min(pop, key=lambda ind: ind.fitness)
         if gen_best.fitness < best.fitness:
@@ -289,14 +291,6 @@ def run_tsgp(model: SdTransformer, dataset, config: SearchConfig,
         trace.record(gen, best.fitness, best.size)
 
     trace.final_best_test_rmse = semantics.rmse(
-        dataset.y_test, expr.evaluate(best.tree, dataset.X_test))
+        dataset.y_test, best.semantics_on_test(dataset.X_test))
     trace.final_best_size = best.size
     return trace
-
-
-def _sd_on_test(parent: Node, child: Node, dataset) -> float:
-    sp = expr.evaluate(parent, dataset.X_test)
-    sc = expr.evaluate(child, dataset.X_test)
-    if not (np.all(np.isfinite(sp)) and np.all(np.isfinite(sc))):
-        return math.nan
-    return float(np.linalg.norm(sp - sc))

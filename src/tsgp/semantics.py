@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,22 +27,6 @@ class ConstantColumnError(SemanticsError):
 
 
 @dataclass(frozen=True)
-class SemanticVector:
-    """Output vector of a function on a fixed input sample."""
-
-    values: np.ndarray
-    finite: bool
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "SemanticVector":
-        values = np.asarray(values, dtype=np.float64)
-        return cls(values=values, finite=bool(np.all(np.isfinite(values))))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class StandardizationParams:
     """Per-column mean and population standard deviation."""
 
@@ -56,13 +41,13 @@ def sample_standard_inputs(m_sem: int, d: int, rng: np.random.Generator) -> np.n
     return rng.standard_normal((m_sem, d))
 
 
-def semantics_of(tree: expr.Node, points: np.ndarray) -> SemanticVector:
+def semantics_of(tree: expr.Node, points: np.ndarray) -> np.ndarray:
     """Semantics of a tree on the given input sample; never raises on overflow."""
-    return SemanticVector.of(expr.evaluate(tree, points))
+    return expr.evaluate(tree, points)
 
 
 def _vals(s) -> np.ndarray:
-    return s.values if isinstance(s, SemanticVector) else np.asarray(s, dtype=np.float64)
+    return np.asarray(s, dtype=np.float64)
 
 
 def semantic_distance(s1, s2) -> float:
@@ -73,6 +58,20 @@ def semantic_distance(s1, s2) -> float:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NonFiniteError("semantic distance requires finite vectors")
     return float(np.linalg.norm(a - b))
+
+
+def sd_on_test(parent, child, X_test) -> float:
+    """Parent-offspring semantic distance on the test inputs, as the engines
+    log it: NaN when either output is non-finite.
+
+    ``parent`` and ``child`` are engine individuals; ``semantics_on_test``
+    evaluates each at most once per run, however many children it has.
+    """
+    sp = parent.semantics_on_test(X_test)
+    sc = child.semantics_on_test(X_test)
+    if not (np.isfinite(sp).all() and np.isfinite(sc).all()):
+        return math.nan
+    return float(np.linalg.norm(sp - sc))
 
 
 def rmse(y, y_hat) -> float:

@@ -4,7 +4,12 @@ An individual is a base tree plus an ordered list of blocks; its output is
 
     evaluate(base) + sum_i ms_i * (sigmoid(evaluate(R1_i)) - sigmoid(evaluate(R2_i)))
 
-Train-set semantics are cached and updated incrementally by the operators.
+Train-set semantics are cached and updated incrementally by the operators;
+a block keeps its train contribution, so deflate subtracts it without
+evaluating the block again. Test-set semantics, needed only to log
+variations, are built from parts that are each evaluated once per run: the
+base tree's output, which children inherit, and each block's contribution,
+which the block keeps.
 No geometric crossover: variation is inflate (probability ``inflate_prob``)
 or deflate.
 """
@@ -13,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import expr, semantics
 from .expr import Node, PrimitiveSet
+from .stdgp import tournament_select
 from .trace import RunTrace
 
 
@@ -31,14 +38,28 @@ class Block:
     ms: float
     r1: Node
     r2: Node
+    train_semantics: np.ndarray = field(default=None, compare=False, repr=False)
+    test_semantics: np.ndarray = field(default=None, compare=False, repr=False)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return expr.size(self.r1) + expr.size(self.r2)
 
     def contribution(self, X: np.ndarray) -> np.ndarray:
         return self.ms * (sigmoid(expr.evaluate(self.r1, X))
                           - sigmoid(expr.evaluate(self.r2, X)))
+
+    def semantics_on_train(self, X_train) -> np.ndarray:
+        """Contribution on the run's train inputs, evaluated on first use."""
+        if self.train_semantics is None:
+            self.train_semantics = self.contribution(X_train)
+        return self.train_semantics
+
+    def semantics_on_test(self, X_test) -> np.ndarray:
+        """Contribution on the run's test inputs, evaluated on first use."""
+        if self.test_semantics is None:
+            self.test_semantics = self.contribution(X_test)
+        return self.test_semantics
 
 
 @dataclass
@@ -47,10 +68,25 @@ class SlimIndividual:
     blocks: list = field(default_factory=list)
     train_semantics: np.ndarray = None
     fitness: float = math.inf
+    # base tree's output on the test inputs, shared by all its descendants
+    base_test: np.ndarray = field(default=None, compare=False, repr=False)
+    test_semantics: np.ndarray = field(default=None, compare=False, repr=False)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return expr.size(self.base) + sum(b.size for b in self.blocks)
+
+    def semantics_on_test(self, X_test) -> np.ndarray:
+        """``slim_evaluate(self, X_test)`` from the cached parts, summed in
+        the same order, so the result is bit-identical."""
+        if self.test_semantics is None:
+            if self.base_test is None:
+                self.base_test = expr.evaluate(self.base, X_test)
+            out = self.base_test
+            for b in self.blocks:
+                out = out + b.semantics_on_test(X_test)
+            self.test_semantics = out
+        return self.test_semantics
 
 
 def slim_evaluate(ind: SlimIndividual, X: np.ndarray) -> np.ndarray:
@@ -80,7 +116,9 @@ def inflate(ind: SlimIndividual, prims: PrimitiveSet, rng: np.random.Generator,
     child = SlimIndividual(
         base=ind.base,
         blocks=ind.blocks + [block],
-        train_semantics=ind.train_semantics + block.contribution(X_train))
+        train_semantics=(ind.train_semantics
+                         + block.semantics_on_train(X_train)),
+        base_test=ind.base_test)
     return _with_fitness(child, y_train)
 
 
@@ -94,7 +132,9 @@ def deflate(ind: SlimIndividual, rng: np.random.Generator,
     child = SlimIndividual(
         base=ind.base,
         blocks=ind.blocks[:i] + ind.blocks[i + 1:],
-        train_semantics=ind.train_semantics - removed.contribution(X_train))
+        train_semantics=(ind.train_semantics
+                         - removed.semantics_on_train(X_train)),
+        base_test=ind.base_test)
     return _with_fitness(child, y_train)
 
 
@@ -108,18 +148,13 @@ class SlimConfig:
     init_depth_max: int = 5
 
 
-def _tournament(pop, k, rng) -> SlimIndividual:
-    best = pop[rng.integers(len(pop))]
-    for _ in range(k - 1):
-        cand = pop[rng.integers(len(pop))]
-        if cand.fitness < best.fitness:
-            best = cand
-    return best
-
-
 def run_slim(config: SlimConfig, dataset, rng: np.random.Generator,
              prims: PrimitiveSet = None, log_variations: bool = True) -> RunTrace:
-    """Generational loop; trace schema identical to the stdGP engine."""
+    """Generational loop; trace schema identical to the stdGP engine.
+
+    With ``log_variations`` a parent's test semantics are filled before it
+    is varied, so its child inherits the base tree's test output.
+    """
     prims = prims or PrimitiveSet(n_variables=dataset.X_train.shape[1])
     trace = RunTrace(method="slim", seed=getattr(dataset, "seed", -1))
     Xtr, ytr = dataset.X_train, dataset.y_train
@@ -132,7 +167,9 @@ def run_slim(config: SlimConfig, dataset, rng: np.random.Generator,
     for gen in range(1, config.generations + 1):
         offspring = []
         for _ in range(config.pop_size):
-            parent = _tournament(pop, config.tournament_size, rng)
+            parent = tournament_select(pop, config.tournament_size, rng)
+            if log_variations:
+                parent.semantics_on_test(dataset.X_test)
             if rng.random() < config.inflate_prob:
                 child = inflate(parent, prims, rng, Xtr, ytr)
             else:
@@ -140,7 +177,8 @@ def run_slim(config: SlimConfig, dataset, rng: np.random.Generator,
             offspring.append(child)
             if log_variations:
                 trace.log_variation(gen, parent.size, child.size,
-                                    _sd_on_test(parent, child, dataset),
+                                    semantics.sd_on_test(parent, child,
+                                                         dataset.X_test),
                                     child.size != parent.size)
         pop = offspring
         gen_best = min(pop, key=lambda ind: ind.fitness)
@@ -149,14 +187,6 @@ def run_slim(config: SlimConfig, dataset, rng: np.random.Generator,
         trace.record(gen, best.fitness, best.size)
 
     trace.final_best_test_rmse = semantics.rmse(
-        dataset.y_test, slim_evaluate(best, dataset.X_test))
+        dataset.y_test, best.semantics_on_test(dataset.X_test))
     trace.final_best_size = best.size
     return trace
-
-
-def _sd_on_test(parent: SlimIndividual, child: SlimIndividual, dataset) -> float:
-    sp = slim_evaluate(parent, dataset.X_test)
-    sc = slim_evaluate(child, dataset.X_test)
-    if not (np.all(np.isfinite(sp)) and np.all(np.isfinite(sc))):
-        return math.nan
-    return float(np.linalg.norm(sp - sc))

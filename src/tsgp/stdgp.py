@@ -7,7 +7,8 @@ per-generation population callback).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,10 +24,17 @@ DOUBLE_TOURNAMENT = "double_tournament"
 class Individual:
     tree: Node
     fitness: float = math.inf
+    test_semantics: np.ndarray = field(default=None, compare=False, repr=False)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return expr.size(self.tree)
+
+    def semantics_on_test(self, X_test) -> np.ndarray:
+        """Output on the run's test inputs, evaluated on first use."""
+        if self.test_semantics is None:
+            self.test_semantics = expr.evaluate(self.tree, X_test)
+        return self.test_semantics
 
 
 @dataclass
@@ -153,6 +161,10 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
     ``dataset`` needs X_train, y_train, X_test, y_test attributes.
     ``on_generation(generation, population)`` is called after evaluation of
     every generation (including the initial one); used by corpus harvesting.
+    A child that is a parent's whole tree (reproduction, a crossover or
+    mutation rejected for depth, or a crossover of both roots) is that
+    parent individual, so its fitness, size and test semantics are not
+    computed again.
     """
     prims = prims or PrimitiveSet(n_variables=dataset.X_train.shape[1])
     trace = RunTrace(method="stdgp", seed=getattr(dataset, "seed", -1))
@@ -172,7 +184,7 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
         offspring = []
         for _ in range(config.pop_size):
             r = rng.random()
-            p1 = _select(pop, config, rng)
+            p1 = p2 = _select(pop, config, rng)
             if r < config.crossover_prob:
                 p2 = _select(pop, config, rng)
                 child_tree = subtree_crossover(p1.tree, p2.tree,
@@ -185,13 +197,18 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
             else:
                 child_tree = p1.tree
                 varied = False
-            child = evaluated(child_tree)
+            if child_tree is p1.tree:
+                child = p1
+            elif child_tree is p2.tree:  # crossover of both roots
+                child = p2
+            else:
+                child = evaluated(child_tree)
             offspring.append(child)
             if varied and log_variations:
                 trace.log_variation(gen, p1.size, child.size,
-                                    _sd_on_test(p1.tree, child_tree, dataset),
-                                    expr.serialize_prefix(p1.tree)
-                                    != expr.serialize_prefix(child_tree))
+                                    semantics.sd_on_test(p1, child,
+                                                         dataset.X_test),
+                                    child_tree != p1.tree)
         pop = offspring
         gen_best = min(pop, key=lambda ind: ind.fitness)
         if gen_best.fitness < best.fitness:
@@ -201,14 +218,6 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
             on_generation(gen, pop)
 
     trace.final_best_test_rmse = semantics.rmse(
-        dataset.y_test, expr.evaluate(best.tree, dataset.X_test))
+        dataset.y_test, best.semantics_on_test(dataset.X_test))
     trace.final_best_size = best.size
     return trace
-
-
-def _sd_on_test(parent: Node, child: Node, dataset) -> float:
-    sp = expr.evaluate(parent, dataset.X_test)
-    sc = expr.evaluate(child, dataset.X_test)
-    if not (np.all(np.isfinite(sp)) and np.all(np.isfinite(sc))):
-        return math.nan
-    return float(np.linalg.norm(sp - sc))

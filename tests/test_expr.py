@@ -1,9 +1,14 @@
+import warnings
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsgp import expr
-from tsgp.expr import (FULL, GROW, IncompleteSequenceError, Node,
-                       StructureError, TrailingTokensError, UnknownTokenError)
+from tsgp.expr import (FULL, GROW, OPERATORS, IncompleteSequenceError, Node,
+                       PrimitiveSet, StructureError, TrailingTokensError,
+                       UnknownTokenError)
 
 
 class TestPrimitiveSet:
@@ -118,3 +123,69 @@ class TestSizeDepth:
         t = expr.from_string("ADD v1 v2")
         assert expr.size(t) == 3
         assert expr.depth(t) == 1
+
+
+def _reference_evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
+    """The evaluator as first written: one ``np.errstate`` per operator node."""
+    m = inputs.shape[0]
+
+    def rec(node: Node) -> np.ndarray:
+        if node.is_leaf:
+            if node.symbol.startswith("v"):
+                return inputs[:, int(node.symbol[1:]) - 1]
+            return np.full(m, float(node.symbol[1:]))
+        a, b = rec(node.children[0]), rec(node.children[1])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if node.symbol == "ADD":
+                return a + b
+            if node.symbol == "SUB":
+                return a - b
+            if node.symbol == "MUL":
+                return a * b
+            out = np.ones(m)
+            np.divide(a, b, out=out, where=b != 0.0)
+            return out
+
+    return rec(tree)
+
+
+_TREES = st.recursive(
+    st.sampled_from(PrimitiveSet().terminals).map(Node),
+    lambda kids: st.builds(lambda op, a, b: Node(op, (a, b)),
+                           st.sampled_from(OPERATORS), kids, kids),
+    max_leaves=40)
+# magnitudes whose products, sums and quotients overflow, underflow or
+# produce inf - inf and 0 * inf
+_INPUTS = hnp.arrays(np.float64, (6, 4), elements=st.sampled_from(
+    [0.0, -0.0, 1.0, -2.5, 1e-300, 1e200, -1e300, 3.0]))
+
+
+class TestEvaluateOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_TREES, X=_INPUTS)
+    def test_matches_per_node_errstate(self, tree, X):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expr.evaluate(tree, X)
+            ref = _reference_evaluate(tree, X)
+        assert np.array_equal(out, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("text", [
+        "PDIV v1 C+0.0", "MUL v2 MUL v2 v2", "SUB MUL v2 v2 MUL v3 v3",
+        "MUL PDIV v1 v4 v2", "PDIV v1 SUB v1 v1", "ADD MUL v1 v1 MUL v3 v3"])
+    def test_edge_trees_silent_and_equal(self, text):
+        X = np.array([[1e200, 1e200, -1e300, 1e-300],
+                      [0.0, -1e300, 1e200, 0.0],
+                      [-2.5, 3.0, 1.0, -0.0]])
+        tree = expr.from_string(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expr.evaluate(tree, X)
+        assert np.array_equal(out, _reference_evaluate(tree, X),
+                              equal_nan=True)
+
+    def test_error_state_restored(self):
+        before = np.geterr()
+        expr.evaluate(expr.from_string("PDIV MUL v1 v1 v2"),
+                      np.array([[1e200, 0.0]]))
+        assert np.geterr() == before

@@ -1,8 +1,12 @@
-"""Golden pins for the sampler and for training.
+"""Golden pins for the sampler, the baseline engines, harvesting and training.
 
 The sampler digests were recorded with the uncached reference sampler, which
 re-ran the whole decoder over the prefix for every token. Any change to how
 offspring are sampled must keep them byte-identical.
+
+The stdgp, slim and corpus digests were recorded when every logged variation
+re-evaluated parent and child on the test inputs (slim through
+``slim_evaluate``). Caching semantics must keep them byte-identical.
 
 The training losses were recorded when a step ran as one forward/backward
 pass over the whole padded batch. A change to how a step is computed may
@@ -17,6 +21,7 @@ import pytest
 from tsgp import bench, corpus, expr
 from tsgp.model import train
 from tsgp.sampler import SearchConfig, run_tsgp, sample_tokens_batch
+from tsgp.stdgp import DOUBLE_TOURNAMENT, GPConfig, run_stdgp
 
 TRACE_DIGESTS = {
     0: "989687d4ab64b6a164a18a90bca8cd7a10e7a5d9e2e6eec0e4da4c79a6b59cda",
@@ -26,6 +31,17 @@ BATCH_DIGEST = (
     "bc953744660efa4d932e69e62de79fe2e46f22757324624d2c8d39b7e45c21b0")
 DEEP_BATCH_DIGEST = (
     "869ac0512cdef2f0871ed00bf473c73f7ae4bb1044634c617b0a21caf32e9bc4")
+# bench.run_method(method, golden dataset, seed 7, 6 generations, pop 40)
+ENGINE_DIGESTS = {
+    "stdgp": "aa7d9b7916164590dbbf113b39cbe2eda94437902c880411982aadd6891f2d6c",
+    "slim": "84a7a909869baa90ded421497a41a5d72bdd4781b911844d47c89cd6abd44141",
+}
+# run_stdgp with reproduction and a depth cap that rejects crossovers
+REPRODUCTION_DIGEST = (
+    "f1df3defa1327d387010ffabefec81359c3005ee4669b1998b915ccac72dffbb")
+# build_corpus(2 problems, double tournament pop 60 x 6 generations, seed 12)
+CORPUS_DIGEST = (
+    "8b867d8e8b30536e10ad4d0c852a7a7bbc400105db4514676c750752b5ee7a1a")
 # train(harvested pairs, tiny hyperparameters, seed=5): losses of steps 0-29
 TRAIN_LOSSES = (
     3.076649419853331, 3.057046830469994, 3.043246559246868,
@@ -55,12 +71,29 @@ def trace_lines(tr) -> list:
     return lines
 
 
-def seeded_search(model, problem: int):
+def golden_dataset(problem: int):
     prob = corpus.gen_synthetic_problem(4, 60, 0.1,
                                         np.random.default_rng(50 + problem))
-    ds = bench.make_dataset("golden", prob.X, prob.y, problem)
+    return bench.make_dataset("golden", prob.X, prob.y, problem)
+
+
+def seeded_search(model, problem: int):
     cfg = SearchConfig(pop_size=20, generations=5)
-    return run_tsgp(model, ds, cfg, np.random.default_rng(problem))
+    return run_tsgp(model, golden_dataset(problem), cfg,
+                    np.random.default_rng(problem))
+
+
+def corpus_lines(entries) -> list:
+    return [f"{e.id} {e.problem_id} {' '.join(e.tokens)} "
+            + " ".join(float(x).hex() for x in e.semantics) for e in entries]
+
+
+def seeded_corpus():
+    cfg = GPConfig(pop_size=60, generations=6, selection=DOUBLE_TOURNAMENT)
+    entries, points = corpus.build_corpus(2, cfg,
+                                          rng=np.random.default_rng(12))
+    return corpus_lines(entries) + [" ".join(float(x).hex()
+                                             for x in points.ravel())]
 
 
 def seeded_batch(model, prims) -> list:
@@ -76,6 +109,27 @@ def seeded_batch(model, prims) -> list:
 def test_seeded_trace_pinned(tiny_model, problem):
     tr = seeded_search(tiny_model, problem)
     assert _sha(trace_lines(tr)) == TRACE_DIGESTS[problem]
+
+
+@pytest.mark.parametrize("method", sorted(ENGINE_DIGESTS))
+def test_seeded_engine_trace_pinned(method):
+    tr = bench.run_method(method, golden_dataset(1), 7, generations=6,
+                          pop_size=40)
+    assert sum(v.structurally_different for v in tr.variations) > 0
+    assert _sha(trace_lines(tr)) == ENGINE_DIGESTS[method]
+
+
+def test_stdgp_reproduction_trace_pinned():
+    cfg = GPConfig(pop_size=40, generations=6, crossover_prob=0.6,
+                   mutation_prob=0.2, max_depth=6)
+    tr = run_stdgp(cfg, golden_dataset(0), np.random.default_rng(3))
+    assert len(tr.variations) < 6 * 40  # some children were reproduced
+    assert any(not v.structurally_different for v in tr.variations)
+    assert _sha(trace_lines(tr)) == REPRODUCTION_DIGEST
+
+
+def test_harvested_corpus_pinned():
+    assert _sha(seeded_corpus()) == CORPUS_DIGEST
 
 
 def test_seeded_batch_tokens_pinned(tiny_model, prims):

@@ -3,7 +3,7 @@ import pytest
 
 from tsgp import expr, semantics
 from tsgp.semantics import (ConstantColumnError, LengthMismatchError,
-                            NonFiniteError, SemanticVector)
+                            NonFiniteError)
 
 
 class TestSampleInputs:
@@ -28,19 +28,19 @@ class TestSemanticsOf:
     def test_identity_tree(self):
         pts = np.array([[1.0], [2.0], [3.0]])
         s = semantics.semantics_of(expr.from_string("v1"), pts)
-        np.testing.assert_array_equal(s.values, [1.0, 2.0, 3.0])
-        assert s.finite
+        np.testing.assert_array_equal(s, [1.0, 2.0, 3.0])
+        assert np.isfinite(s).all()
 
     def test_constant_tree(self):
         pts = np.zeros((5, 4))
         s = semantics.semantics_of(expr.from_string("C+0.5"), pts)
-        np.testing.assert_array_equal(s.values, np.full(5, 0.5))
+        np.testing.assert_array_equal(s, np.full(5, 0.5))
 
     def test_protected_division_all_ones(self):
         pts = np.random.default_rng(0).standard_normal((10, 4))
         s = semantics.semantics_of(expr.from_string("PDIV v1 C+0.0"), pts)
-        np.testing.assert_array_equal(s.values, np.ones(10))
-        assert s.finite
+        np.testing.assert_array_equal(s, np.ones(10))
+        assert np.isfinite(s).all()
 
 
 class TestSemanticDistance:
@@ -65,8 +65,10 @@ class TestSemanticDistance:
             semantics.semantic_distance(np.array([np.inf]), np.array([0.0]))
 
     def test_accepts_semantic_vectors(self):
-        a = SemanticVector.of([0.0, 0.0])
-        b = SemanticVector.of([3.0, 4.0])
+        # the arrays semantics_of returns
+        pts = np.array([[3.0], [4.0]])
+        a = semantics.semantics_of(expr.from_string("C+0.0"), pts)
+        b = semantics.semantics_of(expr.from_string("v1"), pts)
         assert semantics.semantic_distance(a, b) == pytest.approx(5.0)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsgp import expr, semantics, slim
 from tsgp.slim import (Block, SlimConfig, deflate, inflate, make_individual,
@@ -101,3 +102,74 @@ class TestRunSlim:
         cfg = SlimConfig(pop_size=5, generations=1)
         trace = run_slim(cfg, ds, np.random.default_rng(2))
         assert trace.method == "slim"
+
+
+class TestSemanticsCache:
+    """Cached test semantics are ``slim_evaluate``'s, bit for bit, and no
+    tree is evaluated twice."""
+
+    def test_deflate_evaluates_no_tree(self, ds, prims, monkeypatch):
+        rng = np.random.default_rng(6)
+        ind = make_individual(expr.from_string("SUB v3 v1"),
+                              ds.X_train, ds.y_train)
+        for _ in range(4):
+            ind = inflate(ind, prims, rng, ds.X_train, ds.y_train)
+        real = expr.evaluate
+        with monkeypatch.context() as m:
+            m.setattr(expr, "evaluate", None)  # any evaluation fails
+            smaller = deflate(ind, rng, ds.X_train, ds.y_train)
+        assert expr.evaluate is real
+        np.testing.assert_allclose(smaller.train_semantics,
+                                   slim_evaluate(smaller, ds.X_train),
+                                   atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           steps=st.lists(st.tuples(st.booleans(), st.booleans()),
+                          min_size=1, max_size=25))
+    def test_matches_slim_evaluate_bitwise(self, seed, steps):
+        ds = _ToyDataset(seed=seed % 7)
+        prims = expr.PrimitiveSet()
+        rng = np.random.default_rng(seed)
+        ind = make_individual(expr.random_tree(expr.GROW, 1, 4, prims, rng),
+                              ds.X_train, ds.y_train)
+        lineage = [ind]
+        for grow, fill_parent in steps:
+            if fill_parent:  # as run_slim does before logging a variation
+                ind.semantics_on_test(ds.X_test)
+            ind = (inflate(ind, prims, rng, ds.X_train, ds.y_train) if grow
+                   else deflate(ind, rng, ds.X_train, ds.y_train))
+            lineage.append(ind)
+        for member in lineage:
+            assert (member.semantics_on_test(ds.X_test).tobytes()
+                    == slim_evaluate(member, ds.X_test).tobytes())
+
+    def test_child_evaluates_only_its_new_block(self, ds, prims, monkeypatch):
+        rng = np.random.default_rng(4)
+        parent = make_individual(expr.from_string("MUL v1 v2"),
+                                 ds.X_train, ds.y_train)
+        for _ in range(3):
+            parent = inflate(parent, prims, rng, ds.X_train, ds.y_train)
+        parent.semantics_on_test(ds.X_test)
+        child = inflate(parent, prims, rng, ds.X_train, ds.y_train)
+        smaller = deflate(parent, rng, ds.X_train, ds.y_train)
+        seen = []
+        real = expr.evaluate
+        monkeypatch.setattr(expr, "evaluate",
+                            lambda tree, X: seen.append(tree) or real(tree, X))
+        child.semantics_on_test(ds.X_test)
+        smaller.semantics_on_test(ds.X_test)
+        new = child.blocks[-1]
+        assert len(seen) == 2 and seen[0] is new.r1 and seen[1] is new.r2
+        assert child.base_test is parent.base_test
+
+    def test_unlogged_run_computes_no_test_semantics(self, ds, monkeypatch):
+        seen = []
+        real = expr.evaluate
+        monkeypatch.setattr(
+            expr, "evaluate",
+            lambda tree, X: seen.append(X is ds.X_test) or real(tree, X))
+        run_slim(SlimConfig(pop_size=10, generations=3), ds,
+                 np.random.default_rng(5), log_variations=False)
+        # the final best individual alone is evaluated on the test inputs
+        assert 0 < seen.count(True) <= 1 + 2 * 3

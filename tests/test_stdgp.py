@@ -115,3 +115,47 @@ class TestRunStdgp:
         cfg = GPConfig(pop_size=10, generations=2, selection=DOUBLE_TOURNAMENT)
         trace = run_stdgp(cfg, _ToyDataset(), np.random.default_rng(1))
         assert len(trace.generations) == 3
+
+
+class TestEvaluatedOnce:
+    def test_reproduced_child_is_its_parent(self):
+        pops = []
+        cfg = GPConfig(pop_size=12, generations=3, crossover_prob=0.0,
+                       mutation_prob=0.0)
+        run_stdgp(cfg, _ToyDataset(), np.random.default_rng(2),
+                  on_generation=lambda g, pop: pops.append(list(pop)))
+        for before, after in zip(pops, pops[1:]):
+            assert all(any(c is p for p in before) for c in after)
+
+    def test_depth_rejected_child_shares_semantics_and_size(self):
+        ds = _ToyDataset()
+        pops = []
+        cfg = GPConfig(pop_size=16, generations=2, crossover_prob=1.0,
+                       mutation_prob=0.0, init_depth_min=3,
+                       init_depth_max=3, max_depth=3)
+        trace = run_stdgp(cfg, ds, np.random.default_rng(3),
+                          on_generation=lambda g, pop: pops.append(list(pop)))
+        rejected = [c for c in pops[1] if any(c is p for p in pops[0])]
+        assert rejected
+        for child in rejected:  # logged as a parent: semantics cached
+            assert child.test_semantics is not None
+            np.testing.assert_array_equal(child.test_semantics,
+                                          expr.evaluate(child.tree, ds.X_test))
+            assert child.__dict__["size"] == expr.size(child.tree)
+        same = [v for v in trace.variations if not v.structurally_different]
+        assert same and all(v.sd_test == 0.0 for v in same)
+
+    def test_each_parent_evaluated_once_on_test(self, monkeypatch):
+        ds = _ToyDataset()
+        seen = []
+        real = expr.evaluate
+        monkeypatch.setattr(
+            expr, "evaluate",
+            lambda tree, X: (seen.append(tree) if X is ds.X_test
+                             else None) or real(tree, X))
+        cfg = GPConfig(pop_size=20, generations=3)
+        trace = run_stdgp(cfg, ds, np.random.default_rng(4))
+        assert len(trace.variations) == 60
+        # one evaluation per individual, not two per logged variation
+        assert len(seen) < 2 * len(trace.variations)
+        assert len(seen) == len({id(t) for t in seen})
