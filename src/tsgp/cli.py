@@ -66,6 +66,16 @@ def _resolved(ctx, **values) -> dict:
     return out
 
 
+def _check_run_sizes(cfg: dict, rows_used: bool = True):
+    """Reject population, generation and row counts no run can use."""
+    if cfg["pop"] < 1:
+        raise click.UsageError("--pop must be >= 1")
+    if cfg["gens"] < 0:
+        raise click.UsageError("--gens must be >= 0")
+    if rows_used and cfg["rows"] < 10:
+        raise click.UsageError("--rows must be >= 10")
+
+
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Master seed for all randomness.")
@@ -110,6 +120,7 @@ def gen_corpus(ctx, problems, pop, gens, features, rows, noise, m_sem, out):
                     features=features, rows=rows, noise=noise, m_sem=m_sem)
     if cfg["problems"] < 1:
         raise click.UsageError("--problems must be >= 1")
+    _check_run_sizes(cfg)
     gp_config = GPConfig(pop_size=cfg["pop"], generations=cfg["gens"],
                          selection=DOUBLE_TOURNAMENT)
     rng = np.random.default_rng(ctx.obj["seed"])
@@ -247,6 +258,7 @@ def search_cmd(ctx, method, model_path, data, target, synthetic, rows, noise,
     cfg = _resolved(ctx, method=method, data=data, target=target,
                     synthetic=synthetic, rows=rows, noise=noise,
                     features=features, sdd=sdd, pop=pop, gens=gens)
+    _check_run_sizes(cfg, rows_used=cfg["synthetic"])
     model = None
     inputs = []
     if cfg["method"] == "tsgp":
@@ -306,6 +318,7 @@ def bench_cmd(ctx, methods, model_path, data, target, synthetic, rows, noise,
                     features=features, runs=runs, sdd=sdd, pop=pop, gens=gens)
     if cfg["runs"] < 1:
         raise click.UsageError("--runs must be >= 1")
+    _check_run_sizes(cfg, rows_used=cfg["synthetic"])
     model = None
     inputs = [p for p in (model_path, data) if p]
     if "tsgp" in method_list:

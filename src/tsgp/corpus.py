@@ -104,6 +104,15 @@ def _semantics_matrix(corpus: list) -> np.ndarray:
     return np.stack([e.semantics for e in corpus])
 
 
+def _nearest(ids: np.ndarray, sd: np.ndarray, query_id: int, k: int) -> list:
+    """The exclude-and-order rule of every k-NN path: drop the query and any
+    zero-distance candidate, order by (sd, id), keep the first k (id, sd)."""
+    keep = (ids != query_id) & (sd > 0.0)
+    ids, sd = ids[keep], sd[keep]
+    order = np.lexsort((ids, sd))[:k]
+    return [(int(i), float(s)) for i, s in zip(ids[order], sd[order])]
+
+
 def knn_neighbors(corpus: list, query_id: int, k: int) -> list:
     """Brute-force k nearest entries by semantic distance.
 
@@ -117,10 +126,7 @@ def knn_neighbors(corpus: list, query_id: int, k: int) -> list:
     ids = np.array([e.id for e in corpus])
     S = _semantics_matrix(corpus)
     q = S[int(np.flatnonzero(ids == query_id)[0])]
-    sd = np.linalg.norm(S - q, axis=1)
-    keep = (ids != query_id) & (sd > 0.0)
-    order = np.lexsort((ids[keep], sd[keep]))[:k]
-    return [(int(i), float(s)) for i, s in zip(ids[keep][order], sd[keep][order])]
+    return _nearest(ids, np.linalg.norm(S - q, axis=1), query_id, k)
 
 
 @dataclass
@@ -165,11 +171,8 @@ def query_ivf(index: IvfIndex, query_id: int, k: int, n_probe: int) -> list:
     cdist = np.linalg.norm(index.centroids - q, axis=1)
     probe = np.argsort(cdist, kind="stable")[:max(1, n_probe)]
     members = np.concatenate([index.clusters[c] for c in probe])
-    ids = index.ids[members]
     sd = np.linalg.norm(index.semantics[members] - q, axis=1)
-    keep = (ids != query_id) & (sd > 0.0)
-    order = np.lexsort((ids[keep], sd[keep]))[:k]
-    return [(int(i), float(s)) for i, s in zip(ids[keep][order], sd[keep][order])]
+    return _nearest(index.ids[members], sd, query_id, k)
 
 
 def _knn_all(corpus: list, k: int, block: int = 512) -> dict:
@@ -187,11 +190,7 @@ def _knn_all(corpus: list, k: int, block: int = 512) -> dict:
             n_cand = min(shortlist, len(row))
             cand = np.argpartition(row, n_cand - 1)[:n_cand]
             sd = np.linalg.norm(S[cand] - S[r], axis=1)
-            keep = (ids[cand] != ids[r]) & (sd > 0.0)
-            order = np.lexsort((ids[cand][keep], sd[keep]))[:k]
-            out[int(ids[r])] = [
-                (int(i), float(s))
-                for i, s in zip(ids[cand][keep][order], sd[keep][order])]
+            out[int(ids[r])] = _nearest(ids[cand], sd, ids[r], k)
     return out
 
 

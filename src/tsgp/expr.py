@@ -78,10 +78,17 @@ class PrimitiveSet:
 
 @dataclass(frozen=True)
 class Node:
-    """One tree node; operators have exactly two children, terminals none."""
+    """One tree node; operators have exactly two children, terminals none.
+
+    ``n_nodes`` and ``height`` (edges on the longest downward path) are set
+    when the node is built, from its children's, so they cost O(1) to read.
+    """
 
     symbol: str
     children: tuple = field(default_factory=tuple)
+    # a terminal reads these class values; an operator stores its own
+    n_nodes = 1
+    height = 0
 
     def __post_init__(self):
         if self.symbol in OPERATORS:
@@ -89,12 +96,12 @@ class Node:
                 raise StructureError(
                     f"operator {self.symbol} needs 2 children, got {len(self.children)}"
                 )
+            left, right = self.children
+            # the dataclass is frozen: store past its __setattr__
+            self.__dict__["n_nodes"] = 1 + left.n_nodes + right.n_nodes
+            self.__dict__["height"] = 1 + max(left.height, right.height)
         elif self.children:
             raise StructureError(f"terminal {self.symbol} cannot have children")
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 # A tree is just its root node.
@@ -103,27 +110,12 @@ ExprTree = Node
 
 def size(tree: Node) -> int:
     """Number of nodes."""
-    n = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        n += 1
-        stack.extend(node.children)
-    return n
+    return tree.n_nodes
 
 
 def depth(tree: Node) -> int:
     """Edges on the longest root-to-leaf path; a single node has depth 0."""
-    best = 0
-    stack = [(tree, 0)]
-    while stack:
-        node, d = stack.pop()
-        if node.is_leaf:
-            best = max(best, d)
-        else:
-            for child in node.children:
-                stack.append((child, d + 1))
-    return best
+    return tree.height
 
 
 def serialize_prefix(tree: Node) -> list:
@@ -172,8 +164,10 @@ def from_string(text: str, prims: PrimitiveSet = None) -> Node:
 
 
 def evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate the tree row-wise on an (m, d) input matrix.
+    """Evaluate the tree row-wise on an (m, d) input matrix; returns shape (m,).
 
+    Constant leaves, and subtrees made of constants only, stay ``np.float64``
+    scalars; they are broadcast to (m,) only if the whole tree is constant.
     Division with a denominator that is exactly zero yields 1 for that
     subexpression. Overflow is not clamped; non-finite outputs are the
     caller's concern (fitness policy lives in :mod:`tsgp.semantics`). One
@@ -185,17 +179,18 @@ def evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
         raise ValueError("inputs must be a 2-D matrix")
     m, d = inputs.shape
 
-    def rec(node: Node) -> np.ndarray:
+    def rec(node: Node):
         sym = node.symbol
-        if node.is_leaf:
-            if sym.startswith("v"):
+        children = node.children
+        if not children:
+            if sym[0] == "v":
                 idx = int(sym[1:])
                 if not 1 <= idx <= d:
                     raise StructureError(f"variable {sym} out of range for d={d}")
                 return inputs[:, idx - 1]
-            return np.full(m, float(sym[1:]))
-        a = rec(node.children[0])
-        b = rec(node.children[1])
+            return np.float64(sym[1:])
+        a = rec(children[0])
+        b = rec(children[1])
         if sym == "ADD":
             return a + b
         if sym == "SUB":
@@ -203,12 +198,17 @@ def evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
         if sym == "MUL":
             return a * b
         # protected division: exact-zero denominator -> 1
+        if b.ndim == 0:
+            if b == 0.0:
+                return np.ones(m) if a.ndim else np.float64(1.0)
+            return a / b
         out = np.ones(m)
         np.divide(a, b, out=out, where=b != 0.0)
         return out
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return rec(tree)
+        out = rec(tree)
+    return np.full(m, out) if out.ndim == 0 else out
 
 
 def random_tree(method: str, depth_min: int, depth_max: int,

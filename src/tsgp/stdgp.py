@@ -80,70 +80,70 @@ def double_tournament_select(pop: list, fitness_size: int, parsimony_prob: float
     return smaller if rng.random() < parsimony_prob else larger
 
 
-def _nodes_with_depth(tree: Node) -> list:
-    """Preorder list of (index, node, depth)."""
-    out = []
-    stack = [(tree, 0)]
-    while stack:
-        node, d = stack.pop()
-        out.append((len(out), node, d))
-        for child in reversed(node.children):
-            stack.append((child, d + 1))
-    return out
+def _nth_node(tree: Node, j: int, leaves: bool, internals: bool) -> tuple:
+    """The j-th node in preorder among the counted kind (leaves, internal
+    nodes or both), found by walking down from the root by subtree counts.
+
+    Returns (path, node): path lists (ancestor, went_right) from the root.
+    """
+    path = []
+    node = tree
+    while node.children:
+        if internals:
+            if j == 0:
+                break
+            j -= 1
+        left, right = node.children
+        n = left.n_nodes  # a binary tree of n nodes has (n + 1) // 2 leaves
+        in_left = leaves * ((n + 1) // 2) + internals * ((n - 1) // 2)
+        if j < in_left:
+            path.append((node, False))
+            node = left
+        else:
+            j -= in_left
+            path.append((node, True))
+            node = right
+    return path, node
 
 
-def _replace_subtree(root: Node, target: int, new: Node) -> Node:
-    """Return a copy of root with the subtree at preorder index ``target`` swapped."""
-    i = -1
-
-    def rec(node: Node) -> Node:
-        nonlocal i
-        i += 1
-        if i == target:
-            return new
-        if node.is_leaf:
-            return node
-        return Node(node.symbol, tuple(rec(c) for c in node.children))
-
-    return rec(root)
+def _graft(path: list, new: Node) -> Node:
+    """Rebuild only the root-to-slot ``path`` around ``new``; every subtree
+    off the path is shared with the parent. An empty path returns ``new``."""
+    for parent, went_right in reversed(path):
+        left, right = parent.children
+        new = Node(parent.symbol, (left, new) if went_right else (new, right))
+    return new
 
 
 def _pick_node(tree: Node, terminal_bias: float, rng: np.random.Generator):
-    """Pick a node index: terminal with probability ``terminal_bias``, else internal.
+    """Pick a node: terminal with probability ``terminal_bias``, else internal.
 
-    Falls back to whichever class exists when the other is absent.
+    Falls back to a terminal when the tree has no internal node. Draws the
+    index uniformly within the chosen class; returns (path, node).
     """
-    nodes = _nodes_with_depth(tree)
-    terms = [i for i, n, _ in nodes if n.is_leaf]
-    internals = [i for i, n, _ in nodes if not n.is_leaf]
-    pool = terms if rng.random() < terminal_bias else internals
-    if not pool:
-        pool = terms or internals
-    return pool[rng.integers(len(pool))], nodes
+    n_leaves = (tree.n_nodes + 1) // 2
+    if rng.random() < terminal_bias or not tree.children:
+        return _nth_node(tree, int(rng.integers(n_leaves)), True, False)
+    return _nth_node(tree, int(rng.integers(tree.n_nodes - n_leaves)),
+                     False, True)
 
 
 def subtree_crossover(p1: Node, p2: Node, terminal_bias: float,
                       rng: np.random.Generator, max_depth: int = 17) -> Node:
     """Graft a biased-chosen subtree of p2 into a biased-chosen slot of p1."""
-    slot, _ = _pick_node(p1, terminal_bias, rng)
-    donor_idx, donor_nodes = _pick_node(p2, terminal_bias, rng)
-    donor = donor_nodes[donor_idx][1]
-    child = _replace_subtree(p1, slot, donor)
-    if expr.depth(child) > max_depth:
-        return p1
-    return child
+    slot_path, _ = _pick_node(p1, terminal_bias, rng)
+    _, donor = _pick_node(p2, terminal_bias, rng)
+    child = _graft(slot_path, donor)
+    return p1 if child.height > max_depth else child
 
 
 def subtree_mutation(p: Node, prims: PrimitiveSet, rng: np.random.Generator,
                      max_depth: int = 17) -> Node:
     """Replace a uniformly chosen subtree with a FULL tree of depth in {0, 1, 2}."""
-    nodes = _nodes_with_depth(p)
-    slot = int(rng.integers(len(nodes)))
+    slot_path, _ = _nth_node(p, int(rng.integers(p.n_nodes)), True, True)
     new = expr.random_tree(expr.FULL, 0, 2, prims, rng)
-    child = _replace_subtree(p, slot, new)
-    if expr.depth(child) > max_depth:
-        return p
-    return child
+    child = _graft(slot_path, new)
+    return p if child.height > max_depth else child
 
 
 def _select(pop, config: GPConfig, rng) -> Individual:

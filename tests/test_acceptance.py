@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the report lines.
+The criteria that train a model (07, and 12-14 on the desk fixture) are
+marked ``slow``; ``-m "not slow"`` leaves them out for a quick loop.
 The desk-scale pipeline artifacts (corpus, mined pairs, trained model) are
 built once per session and shared by the end-to-end criteria.
 """
@@ -123,6 +125,7 @@ def test_criterion_06_causality_and_attention(vocab):
             f"max leakage {leak:.1e}, attention row-sum error {row_err:.1e}")
 
 
+@pytest.mark.slow
 def test_criterion_07_overfit(vocab):
     t0 = time.time()
     rng = np.random.default_rng(8)
@@ -229,6 +232,7 @@ def test_criterion_11_stdgp_sanity():
             f"median final train RMSE {med:.4f} over 10 seeds, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_12_end_to_end_pipeline(desk):
     t0 = time.time()
     model = desk["model"]
@@ -252,6 +256,7 @@ def test_criterion_12_end_to_end_pipeline(desk):
             f"search {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_13_reporting_fidelity(desk, tmp_path):
     import csv
 
@@ -292,6 +297,7 @@ def test_criterion_13_reporting_fidelity(desk, tmp_path):
             "; ".join(details) + "; dual-path medians match exactly")
 
 
+@pytest.mark.slow
 def test_criterion_14_replication_probe(desk):
     """Non-gating: the directional expectation is reported, not asserted."""
     prob = gen_synthetic_problem(4, 200, 0.1, np.random.default_rng(21))

@@ -102,6 +102,25 @@ class TestExitCodes:
     def test_usage_error_tsgp_needs_model(self):
         assert main(["search", "--method", "tsgp", "--synthetic"]) == 1
 
+    @pytest.mark.parametrize("args", [
+        ["gen-corpus", "--pop", "0"],
+        ["gen-corpus", "--gens", "-1"],
+        ["gen-corpus", "--rows", "9"],
+        ["search", "--method", "stdgp", "--synthetic", "--pop", "0"],
+        ["search", "--method", "stdgp", "--synthetic", "--gens", "-1"],
+        ["search", "--method", "stdgp", "--synthetic", "--rows", "9"],
+        ["bench", "--methods", "stdgp", "--synthetic", "--pop", "0"],
+        ["bench", "--methods", "stdgp", "--synthetic", "--gens", "-1"],
+        ["bench", "--methods", "stdgp", "--synthetic", "--rows", "9"],
+    ], ids=lambda a: " ".join(a))
+    def test_usage_error_bad_run_size(self, workdir, capsys, args):
+        out = workdir / "bad_size"
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {args[-2]} must be >= ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_data_error_corrupt_pairs(self, workdir):
         bad = workdir / "bad.jsonl"
         bad.write_text("{not json\n")

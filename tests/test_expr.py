@@ -130,7 +130,7 @@ def _reference_evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
     m = inputs.shape[0]
 
     def rec(node: Node) -> np.ndarray:
-        if node.is_leaf:
+        if not node.children:
             if node.symbol.startswith("v"):
                 return inputs[:, int(node.symbol[1:]) - 1]
             return np.full(m, float(node.symbol[1:]))

@@ -8,6 +8,10 @@ The stdgp, slim and corpus digests were recorded when every logged variation
 re-evaluated parent and child on the test inputs (slim through
 ``slim_evaluate``). Caching semantics must keep them byte-identical.
 
+The variation-probe report and the brute-force mined pairs were recorded
+when subtree variation rebuilt each parent's whole node list and child tree
+and the three k-NN paths each had their own exclude-and-order code.
+
 The training losses were recorded when a step ran as one forward/backward
 pass over the whole padded batch. A change to how a step is computed may
 move them by float summation order only.
@@ -42,6 +46,12 @@ REPRODUCTION_DIGEST = (
 # build_corpus(2 problems, double tournament pop 60 x 6 generations, seed 12)
 CORPUS_DIGEST = (
     "8b867d8e8b30536e10ad4d0c852a7a7bbc400105db4514676c750752b5ee7a1a")
+# bench.variation_probe(tiny model, golden dataset 2, 48 parents, seed 9)
+PROBE_DIGEST = (
+    "415065b1a68f676e5c0a19e2d89e2edf3f0ecf7518eeecc9377cfb00631c7433")
+# mine_pairs(harvested entries, k=3), brute force
+MINED_PAIRS_DIGEST = (
+    "cca04db1c39fd2a7d10c917e47a25b9fe199eb0f8f2f82da2002b0744e16f17a")
 # train(harvested pairs, tiny hyperparameters, seed=5): losses of steps 0-29
 TRAIN_LOSSES = (
     3.076649419853331, 3.057046830469994, 3.043246559246868,
@@ -96,6 +106,16 @@ def seeded_corpus():
                                              for x in points.ravel())]
 
 
+def probe_lines(report) -> list:
+    return [f"{key} {float(value).hex()}" for key, value
+            in sorted(report.items())]
+
+
+def pair_lines(pairs, dropped) -> list:
+    return [f"{' '.join(p.input_tokens)} > {' '.join(p.output_tokens)} "
+            f"{float(p.sd).hex()}" for p in pairs] + [f"dropped {dropped}"]
+
+
 def seeded_batch(model, prims) -> list:
     rng = np.random.default_rng(2024)
     parents = expr.ramped_half_and_half(64, 2, 6, prims, rng)
@@ -130,6 +150,19 @@ def test_stdgp_reproduction_trace_pinned():
 
 def test_harvested_corpus_pinned():
     assert _sha(seeded_corpus()) == CORPUS_DIGEST
+
+
+def test_variation_probe_pinned(tiny_model):
+    report = bench.variation_probe(tiny_model, golden_dataset(2), 48, seed=9)
+    assert report["n_parents"] == 48
+    assert _sha(probe_lines(report)) == PROBE_DIGEST
+
+
+def test_brute_force_mined_pairs_pinned(harvested):
+    entries, _ = harvested
+    pairs, dropped = corpus.mine_pairs(entries, k=3)
+    assert len(pairs) > 500
+    assert _sha(pair_lines(pairs, dropped)) == MINED_PAIRS_DIGEST
 
 
 def test_seeded_batch_tokens_pinned(tiny_model, prims):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsgp import expr, semantics, stdgp
+from tsgp.expr import OPERATORS, Node, PrimitiveSet
 from tsgp.stdgp import (DOUBLE_TOURNAMENT, GPConfig, Individual,
                         double_tournament_select, run_stdgp, subtree_crossover,
                         subtree_mutation, tournament_select)
@@ -159,3 +161,167 @@ class TestEvaluatedOnce:
         # one evaluation per individual, not two per logged variation
         assert len(seen) < 2 * len(trace.variations)
         assert len(seen) == len({id(t) for t in seen})
+
+
+# --- reference variation: the whole-tree versions the engine first used ------
+
+def _ref_nodes_with_depth(tree: Node) -> list:
+    """Preorder list of (index, node, depth)."""
+    out = []
+    stack = [(tree, 0)]
+    while stack:
+        node, d = stack.pop()
+        out.append((len(out), node, d))
+        for child in reversed(node.children):
+            stack.append((child, d + 1))
+    return out
+
+
+def _ref_replace_subtree(root: Node, target: int, new: Node) -> Node:
+    """Copy of root with the subtree at preorder index ``target`` swapped."""
+    i = -1
+
+    def rec(node: Node) -> Node:
+        nonlocal i
+        i += 1
+        if i == target:
+            return new
+        if not node.children:
+            return node
+        return Node(node.symbol, tuple(rec(c) for c in node.children))
+
+    return rec(root)
+
+
+def _ref_depth(tree: Node) -> int:
+    return max(d for _, _, d in _ref_nodes_with_depth(tree))
+
+
+def _ref_pick_node(tree: Node, terminal_bias: float, rng):
+    nodes = _ref_nodes_with_depth(tree)
+    terms = [i for i, n, _ in nodes if not n.children]
+    internals = [i for i, n, _ in nodes if n.children]
+    pool = terms if rng.random() < terminal_bias else internals
+    if not pool:
+        pool = terms or internals
+    return pool[rng.integers(len(pool))], nodes
+
+
+def ref_crossover(p1, p2, terminal_bias, rng, max_depth=17):
+    slot, _ = _ref_pick_node(p1, terminal_bias, rng)
+    donor_idx, donor_nodes = _ref_pick_node(p2, terminal_bias, rng)
+    child = _ref_replace_subtree(p1, slot, donor_nodes[donor_idx][1])
+    return p1 if _ref_depth(child) > max_depth else child
+
+
+def ref_mutation(p, prims, rng, max_depth=17):
+    slot = int(rng.integers(len(_ref_nodes_with_depth(p))))
+    new = expr.random_tree(expr.FULL, 0, 2, prims, rng)
+    child = _ref_replace_subtree(p, slot, new)
+    return p if _ref_depth(child) > max_depth else child
+
+
+_PRIMS = PrimitiveSet()
+_TREES = st.recursive(
+    st.sampled_from(_PRIMS.terminals).map(Node),
+    lambda kids: st.builds(lambda op, a, b: Node(op, (a, b)),
+                           st.sampled_from(OPERATORS), kids, kids),
+    max_leaves=48)
+_BIASES = st.sampled_from([0.0, 0.1, 0.9, 1.0]) | st.floats(0.0, 1.0)
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def _same_outcome(got, want, p1, p2, rng_got, rng_want):
+    assert got == want
+    assert (got is p1) == (want is p1)
+    assert (got is p2) == (want is p2)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+def _all_nodes(tree: Node) -> list:
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.children)
+    return out
+
+
+def _walked_size_height(tree: Node) -> tuple:
+    n, height, stack = 0, 0, [(tree, 0)]
+    while stack:
+        node, d = stack.pop()
+        n += 1
+        height = max(height, d)
+        stack.extend((c, d + 1) for c in node.children)
+    return n, height
+
+
+class TestVariationOracle:
+    """Path-only variation against the whole-tree reference: the same child
+    trees, the same identity cases and the same rng draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(p1=_TREES, p2=_TREES, same_parent=st.booleans(), bias=_BIASES,
+           seed=_SEEDS, max_depth=st.integers(0, 12))
+    def test_crossover_matches_reference(self, p1, p2, same_parent, bias,
+                                         seed, max_depth):
+        if same_parent:
+            p2 = p1
+        rng_got = np.random.default_rng(seed)
+        rng_want = np.random.default_rng(seed)
+        for _ in range(4):
+            got = subtree_crossover(p1, p2, bias, rng_got, max_depth)
+            want = ref_crossover(p1, p2, bias, rng_want, max_depth)
+            _same_outcome(got, want, p1, p2, rng_got, rng_want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=_TREES, seed=_SEEDS, max_depth=st.integers(0, 12))
+    def test_mutation_matches_reference(self, p, seed, max_depth):
+        rng_got = np.random.default_rng(seed)
+        rng_want = np.random.default_rng(seed)
+        for _ in range(4):
+            got = subtree_mutation(p, _PRIMS, rng_got, max_depth)
+            want = ref_mutation(p, _PRIMS, rng_want, max_depth)
+            _same_outcome(got, want, p, p, rng_got, rng_want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_SEEDS, bias=_BIASES, init_depth=st.integers(0, 9),
+           max_depth=st.integers(1, 10))
+    def test_evolved_parents_match_reference(self, seed, bias, init_depth,
+                                             max_depth):
+        """Children of children share subtrees with their parents; parents
+        may start deeper than the cap."""
+        rng = np.random.default_rng(seed)
+        pool = expr.ramped_half_and_half(12, 0, init_depth, _PRIMS, rng)
+        rng_got = np.random.default_rng(seed + 1)
+        rng_want = np.random.default_rng(seed + 1)
+        for _ in range(150):
+            p1 = pool[rng.integers(len(pool))]
+            p2 = pool[rng.integers(len(pool))]
+            if rng.random() < 0.7:
+                got = subtree_crossover(p1, p2, bias, rng_got, max_depth)
+                want = ref_crossover(p1, p2, bias, rng_want, max_depth)
+            else:
+                p2 = p1
+                got = subtree_mutation(p1, _PRIMS, rng_got, max_depth)
+                want = ref_mutation(p1, _PRIMS, rng_want, max_depth)
+            _same_outcome(got, want, p1, p2, rng_got, rng_want)
+            pool.append(got)
+        for tree in pool:
+            for node in _all_nodes(tree):
+                assert (node.n_nodes, node.height) == _walked_size_height(node)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree=_TREES)
+    def test_node_counts_match_walks(self, tree):
+        for node in _all_nodes(tree):
+            assert (node.n_nodes, node.height) == _walked_size_height(node)
+        assert (expr.size(tree), expr.depth(tree)) == _walked_size_height(tree)
+
+    def test_deep_chain_size_and_depth(self):
+        tree = Node("v1")
+        for i in range(5000):
+            tree = Node(OPERATORS[i % 4], (tree, Node("C+0.1")))
+        assert expr.size(tree) == 10001
+        assert expr.depth(tree) == 5000
