@@ -12,6 +12,10 @@ The variation-probe report and the brute-force mined pairs were recorded
 when subtree variation rebuilt each parent's whole node list and child tree
 and the three k-NN paths each had their own exclude-and-order code.
 
+The rng states after seeded stdgp, slim and tsgp runs, and the unlogged
+slim and tsgp traces, were recorded when each engine ran its own
+generational loop.
+
 The training losses were recorded when a step ran as one forward/backward
 pass over the whole padded batch. A change to how a step is computed may
 move them by float summation order only.
@@ -25,6 +29,7 @@ import pytest
 from tsgp import bench, corpus, expr
 from tsgp.model import train
 from tsgp.sampler import SearchConfig, run_tsgp, sample_tokens_batch
+from tsgp.slim import SlimConfig, run_slim
 from tsgp.stdgp import DOUBLE_TOURNAMENT, GPConfig, run_stdgp
 
 TRACE_DIGESTS = {
@@ -43,6 +48,8 @@ ENGINE_DIGESTS = {
 # run_stdgp with reproduction and a depth cap that rejects crossovers
 REPRODUCTION_DIGEST = (
     "f1df3defa1327d387010ffabefec81359c3005ee4669b1998b915ccac72dffbb")
+REPRODUCTION_RNG_STATE = (
+    "ca726b0964ddb3d5ab425b11f3d02317 a7043c160277735a2ed88b8bc66abe1f")
 # build_corpus(2 problems, double tournament pop 60 x 6 generations, seed 12)
 CORPUS_DIGEST = (
     "8b867d8e8b30536e10ad4d0c852a7a7bbc400105db4514676c750752b5ee7a1a")
@@ -52,6 +59,17 @@ PROBE_DIGEST = (
 # mine_pairs(harvested entries, k=3), brute force
 MINED_PAIRS_DIGEST = (
     "cca04db1c39fd2a7d10c917e47a25b9fe199eb0f8f2f82da2002b0744e16f17a")
+# rng state after seeded_run(method, ...), logged or not
+RNG_STATES = {
+    method: f"{state} c4751896ce8acebf66887f5ac070d959"
+    for method, state in (("slim", "b097f5b50a47c42234d52edcd05787a4"),
+                          ("stdgp", "afae484d3637324452f56a6f8983cb27"),
+                          ("tsgp", "cf18791421bf2650b5c57eeae06b8fb2"))}
+# seeded_run(method, log_variations=False): generation and final rows
+UNLOGGED_DIGESTS = {
+    "slim": "7618613632890f3510b2cd903ffbeeec67910257d4b56cf9e9275406948626c9",
+    "tsgp": "b635c027b8fdfbfa116baabf4d12786a005d60792e95ac590829889890515d52",
+}
 # train(harvested pairs, tiny hyperparameters, seed=5): losses of steps 0-29
 TRAIN_LOSSES = (
     3.076649419853331, 3.057046830469994, 3.043246559246868,
@@ -91,6 +109,27 @@ def seeded_search(model, problem: int):
     cfg = SearchConfig(pop_size=20, generations=5)
     return run_tsgp(model, golden_dataset(problem), cfg,
                     np.random.default_rng(problem))
+
+
+def seeded_run(method: str, model, log_variations: bool):
+    """One seeded run of an engine on golden problem 1: (trace, rng)."""
+    rng = np.random.default_rng(7)
+    dataset = golden_dataset(1)
+    if method == "stdgp":
+        tr = run_stdgp(GPConfig(pop_size=40, generations=6), dataset, rng,
+                       log_variations=log_variations)
+    elif method == "slim":
+        tr = run_slim(SlimConfig(pop_size=40, generations=6), dataset, rng,
+                      log_variations=log_variations)
+    else:
+        tr = run_tsgp(model, dataset, SearchConfig(pop_size=20, generations=5),
+                      rng, log_variations=log_variations)
+    return tr, rng
+
+
+def rng_state(rng) -> str:
+    state = rng.bit_generator.state["state"]
+    return f"{state['state']:x} {state['inc']:x}"
 
 
 def corpus_lines(entries) -> list:
@@ -142,10 +181,29 @@ def test_seeded_engine_trace_pinned(method):
 def test_stdgp_reproduction_trace_pinned():
     cfg = GPConfig(pop_size=40, generations=6, crossover_prob=0.6,
                    mutation_prob=0.2, max_depth=6)
-    tr = run_stdgp(cfg, golden_dataset(0), np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    tr = run_stdgp(cfg, golden_dataset(0), rng)
     assert len(tr.variations) < 6 * 40  # some children were reproduced
     assert any(not v.structurally_different for v in tr.variations)
     assert _sha(trace_lines(tr)) == REPRODUCTION_DIGEST
+    assert rng_state(rng) == REPRODUCTION_RNG_STATE
+
+
+@pytest.mark.parametrize("logged", [True, False])
+@pytest.mark.parametrize("method", sorted(RNG_STATES))
+def test_rng_state_after_run_pinned(tiny_model, method, logged):
+    _, rng = seeded_run(method, tiny_model, logged)
+    assert rng_state(rng) == RNG_STATES[method]
+
+
+@pytest.mark.parametrize("method", sorted(UNLOGGED_DIGESTS))
+def test_unlogged_trace_pinned(tiny_model, method):
+    tr, _ = seeded_run(method, tiny_model, False)
+    assert tr.variations == []
+    logged, _ = seeded_run(method, tiny_model, True)
+    assert trace_lines(tr) == [line for line in trace_lines(logged)
+                               if not line.startswith("v ")]
+    assert _sha(trace_lines(tr)) == UNLOGGED_DIGESTS[method]
 
 
 def test_harvested_corpus_pinned():
