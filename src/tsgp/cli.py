@@ -66,14 +66,20 @@ def _resolved(ctx, **values) -> dict:
     return out
 
 
+def _check_min(cfg: dict, **minimums):
+    """Reject option values below their minimum as usage errors."""
+    for name, low in minimums.items():
+        if cfg[name] < low:
+            raise click.UsageError(
+                f"--{name.replace('_', '-')} must be >= {low}")
+
+
 def _check_run_sizes(cfg: dict, rows_used: bool = True):
-    """Reject population, generation and row counts no run can use."""
-    if cfg["pop"] < 1:
-        raise click.UsageError("--pop must be >= 1")
-    if cfg["gens"] < 0:
-        raise click.UsageError("--gens must be >= 0")
-    if rows_used and cfg["rows"] < 10:
-        raise click.UsageError("--rows must be >= 10")
+    """Reject population, generation, row and feature counts no run can
+    use; rows and features only where the problem is generated."""
+    _check_min(cfg, pop=1, gens=0)
+    if rows_used:
+        _check_min(cfg, rows=10, features=1)
 
 
 @click.group()
@@ -118,8 +124,7 @@ def gen_corpus(ctx, problems, pop, gens, features, rows, noise, m_sem, out):
 
     cfg = _resolved(ctx, problems=problems, pop=pop, gens=gens,
                     features=features, rows=rows, noise=noise, m_sem=m_sem)
-    if cfg["problems"] < 1:
-        raise click.UsageError("--problems must be >= 1")
+    _check_min(cfg, problems=1, m_sem=2)
     _check_run_sizes(cfg)
     gp_config = GPConfig(pop_size=cfg["pop"], generations=cfg["gens"],
                          selection=DOUBLE_TOURNAMENT)
@@ -153,7 +158,13 @@ def mine_pairs_cmd(ctx, corpus_path, k, sd_max, max_len, ivf_clusters,
 
     cfg = _resolved(ctx, k=k, sd_max=sd_max, max_len=max_len,
                     ivf_clusters=ivf_clusters, n_probe=n_probe)
+    _check_min(cfg, k=1)
+    if cfg["n_probe"] is not None:
+        _check_min(cfg, n_probe=1)
     entries = read_corpus_jsonl(corpus_path)
+    if not 0 <= cfg["ivf_clusters"] <= len(entries):
+        raise click.UsageError(f"--ivf-clusters must be in 0..{len(entries)} "
+                               "(the corpus size)")
     index = None
     if cfg["ivf_clusters"]:
         index = build_ivf_index(entries, cfg["ivf_clusters"],
@@ -196,6 +207,10 @@ def train_cmd(ctx, pairs_path, epochs, lr, d_model, n_heads, layers,
     cfg = _resolved(ctx, epochs=epochs, lr=lr, d_model=d_model,
                     n_heads=n_heads, layers=layers, batch_size=batch_size,
                     weight_decay=weight_decay, features=features)
+    _check_min(cfg, epochs=1, batch_size=1, d_model=1, n_heads=1)
+    if cfg["d_model"] % cfg["n_heads"] or cfg["d_model"] % 2:
+        raise click.UsageError("--d-model must be even and a multiple of "
+                               f"--n-heads ({cfg['n_heads']})")
     pairs = read_pairs_jsonl(pairs_path)
     hyper = Hyperparams(d_model=cfg["d_model"], n_heads=cfg["n_heads"],
                         n_encoder_layers=cfg["layers"],

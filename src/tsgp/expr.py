@@ -104,10 +104,6 @@ class Node:
             raise StructureError(f"terminal {self.symbol} cannot have children")
 
 
-# A tree is just its root node.
-ExprTree = Node
-
-
 def size(tree: Node) -> int:
     """Number of nodes."""
     return tree.n_nodes

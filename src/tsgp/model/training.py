@@ -115,7 +115,7 @@ def adamw_step(model: SdTransformer, grads: dict, state: AdamWState,
 
 
 def train(pairs, hyper: Hyperparams, vocab: Vocabulary = None, seed: int = 0,
-          max_steps: int = None, debug_checks: bool = False):
+          max_steps: int = None):
     """Train a fresh model on the given pairs.
 
     Each epoch shuffles the pairs; each step pads the next ``batch_size``
@@ -144,8 +144,6 @@ def train(pairs, hyper: Hyperparams, vocab: Vocabulary = None, seed: int = 0,
                 raise NonFiniteLossError(
                     f"loss {loss_val} at step {step} (epoch {epoch})")
             adamw_step(model, grads, state, hyper.lr, hyper.weight_decay)
-            if debug_checks:
-                _assert_finite(model, state, step)
             curve.append((step, loss_val))
             step += 1
             if max_steps is not None and step >= max_steps:
@@ -153,13 +151,6 @@ def train(pairs, hyper: Hyperparams, vocab: Vocabulary = None, seed: int = 0,
         epoch += 1
         if max_steps is None and epoch >= hyper.epochs:
             return model, curve
-
-
-def _assert_finite(model, state: AdamWState, step: int):
-    for k, t in model.params.items():
-        if not (np.all(np.isfinite(t.data)) and np.all(np.isfinite(state.m[k]))
-                and np.all(np.isfinite(state.v[k]))):
-            raise NonFiniteLossError(f"non-finite parameter state {k} at step {step}")
 
 
 def token_accuracy(model: SdTransformer, pairs, vocab: Vocabulary = None) -> float:

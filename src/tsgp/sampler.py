@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr, semantics
-from .expr import Node, PrimitiveSet
+from . import expr
+from .expr import PrimitiveSet
 from .model.autodiff import no_grad, Tensor
 from .model.transformer import SdTransformer
 from .model.vocab import Vocabulary, PAD, BOS, EOS
-from .stdgp import Individual, tournament_select
+from .stdgp import evaluated, evolve, tournament_select
 from .trace import RunTrace
 
 
@@ -206,17 +206,6 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
     return [vocab.decode(seqs[i, :emitted[i]]) for i in range(B)]
 
 
-def sample_offspring(model: SdTransformer, parent: Node, sd_desired: float,
-                     rng: np.random.Generator, temperature: float = 1.0,
-                     max_depth: int = 17,
-                     prims: PrimitiveSet = None) -> Node:
-    """Sample a single offspring tree; always parses, depth <= max_depth."""
-    prims = prims or primitives_from_vocab(model.vocab)
-    tokens = sample_tokens_batch(model, [expr.serialize_prefix(parent)],
-                                 sd_desired, [rng], temperature, max_depth)[0]
-    return expr.parse_prefix(tokens, prims)
-
-
 @dataclass
 class SearchConfig:
     sd_desired: float = 0.1
@@ -240,16 +229,7 @@ def run_tsgp(model: SdTransformer, dataset, config: SearchConfig,
     prims = primitives_from_vocab(model.vocab)
     trace = RunTrace(method="tsgp", seed=getattr(dataset, "seed", -1))
 
-    def evaluated(tree: Node) -> Individual:
-        pred = expr.evaluate(tree, dataset.X_train)
-        return Individual(tree, semantics.rmse(dataset.y_train, pred))
-
-    pop = [evaluated(t) for t in expr.ramped_half_and_half(
-        config.pop_size, config.init_depth_min, config.init_depth_max, prims, rng)]
-    best = min(pop, key=lambda ind: ind.fitness)
-    trace.record(0, best.fitness, best.size)
-
-    for gen in range(1, config.generations + 1):
+    def vary(pop):
         parents = [tournament_select(pop, config.tournament_size, rng)
                    for _ in range(config.pop_size)]
         parent_tokens = [expr.serialize_prefix(p.tree) for p in parents]
@@ -271,26 +251,17 @@ def run_tsgp(model: SdTransformer, dataset, config: SearchConfig,
             for i, toks in zip(stuck, redo):
                 offspring_tokens[i] = toks
 
-        offspring = []
-        for i in range(config.pop_size):
-            tokens = offspring_tokens[i]
-            varied = tokens != parent_tokens[i]
+        offspring, variations = [], []
+        for parent, before, tokens in zip(parents, parent_tokens,
+                                          offspring_tokens):
+            varied = tokens != before
             # a token-identical child is its parent, evaluated already
-            child = (evaluated(expr.parse_prefix(tokens, prims)) if varied
-                     else parents[i])
+            child = (evaluated(expr.parse_prefix(tokens, prims), dataset)
+                     if varied else parent)
             offspring.append(child)
             if log_variations:
-                trace.log_variation(
-                    gen, parents[i].size, child.size,
-                    semantics.sd_on_test(parents[i], child, dataset.X_test),
-                    varied)
-        pop = offspring
-        gen_best = min(pop, key=lambda ind: ind.fitness)
-        if gen_best.fitness < best.fitness:
-            best = gen_best
-        trace.record(gen, best.fitness, best.size)
+                variations.append((parent, child, varied))
+        return offspring, variations
 
-    trace.final_best_test_rmse = semantics.rmse(
-        dataset.y_test, best.semantics_on_test(dataset.X_test))
-    trace.final_best_size = best.size
-    return trace
+    return evolve(trace, config, dataset, rng, prims,
+                  lambda tree: evaluated(tree, dataset), vary)

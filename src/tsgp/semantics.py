@@ -18,10 +18,6 @@ class LengthMismatchError(SemanticsError):
     pass
 
 
-class NonFiniteError(SemanticsError):
-    pass
-
-
 class ConstantColumnError(SemanticsError):
     pass
 
@@ -48,16 +44,6 @@ def semantics_of(tree: expr.Node, points: np.ndarray) -> np.ndarray:
 
 def _vals(s) -> np.ndarray:
     return np.asarray(s, dtype=np.float64)
-
-
-def semantic_distance(s1, s2) -> float:
-    """Euclidean distance between two semantic vectors."""
-    a, b = _vals(s1), _vals(s2)
-    if a.shape != b.shape:
-        raise LengthMismatchError(f"lengths {a.shape} vs {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NonFiniteError("semantic distance requires finite vectors")
-    return float(np.linalg.norm(a - b))
 
 
 def sd_on_test(parent, child, X_test) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import expr, semantics
 from .expr import Node, PrimitiveSet
-from .stdgp import tournament_select
+from .stdgp import evolve, tournament_select
 from .trace import RunTrace
 
 
@@ -156,16 +156,11 @@ def run_slim(config: SlimConfig, dataset, rng: np.random.Generator,
     is varied, so its child inherits the base tree's test output.
     """
     prims = prims or PrimitiveSet(n_variables=dataset.X_train.shape[1])
-    trace = RunTrace(method="slim", seed=getattr(dataset, "seed", -1))
     Xtr, ytr = dataset.X_train, dataset.y_train
+    trace = RunTrace(method="slim", seed=getattr(dataset, "seed", -1))
 
-    pop = [make_individual(t, Xtr, ytr) for t in expr.ramped_half_and_half(
-        config.pop_size, config.init_depth_min, config.init_depth_max, prims, rng)]
-    best = min(pop, key=lambda ind: ind.fitness)
-    trace.record(0, best.fitness, best.size)
-
-    for gen in range(1, config.generations + 1):
-        offspring = []
+    def vary(pop):
+        offspring, variations = [], []
         for _ in range(config.pop_size):
             parent = tournament_select(pop, config.tournament_size, rng)
             if log_variations:
@@ -176,17 +171,8 @@ def run_slim(config: SlimConfig, dataset, rng: np.random.Generator,
                 child = deflate(parent, rng, Xtr, ytr)
             offspring.append(child)
             if log_variations:
-                trace.log_variation(gen, parent.size, child.size,
-                                    semantics.sd_on_test(parent, child,
-                                                         dataset.X_test),
-                                    child.size != parent.size)
-        pop = offspring
-        gen_best = min(pop, key=lambda ind: ind.fitness)
-        if gen_best.fitness < best.fitness:
-            best = gen_best
-        trace.record(gen, best.fitness, best.size)
+                variations.append((parent, child, child.size != parent.size))
+        return offspring, variations
 
-    trace.final_best_test_rmse = semantics.rmse(
-        dataset.y_test, best.semantics_on_test(dataset.X_test))
-    trace.final_best_size = best.size
-    return trace
+    return evolve(trace, config, dataset, rng, prims,
+                  lambda tree: make_individual(tree, Xtr, ytr), vary)

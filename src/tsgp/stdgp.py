@@ -1,4 +1,5 @@
-"""Standard GP engine: tournaments, subtree crossover/mutation, generational loop.
+"""Standard GP engine: tournaments, subtree crossover/mutation, and the
+generational loop (``evolve``) that the slim and tsgp engines share.
 
 Doubles as the corpus-generation driver (double tournament selection plus a
 per-generation population callback).
@@ -153,6 +154,56 @@ def _select(pop, config: GPConfig, rng) -> Individual:
     return tournament_select(pop, config.tournament_size, rng)
 
 
+def evaluated(tree: Node, dataset) -> Individual:
+    """An individual for ``tree`` with its fitness on the train split."""
+    pred = expr.evaluate(tree, dataset.X_train)
+    return Individual(tree, semantics.rmse(dataset.y_train, pred))
+
+
+def evolve(trace: RunTrace, config, dataset, rng: np.random.Generator,
+           prims: PrimitiveSet, make, vary, on_generation=None) -> RunTrace:
+    """The generational loop every engine runs; only ``vary`` differs.
+
+    ``make(tree)`` builds an evaluated individual for each tree of the
+    ramped half-and-half initial population. ``vary(pop)`` makes one
+    generation and returns ``(offspring, variations)``, where
+    ``variations`` lists ``(parent, child, structurally_different)`` for
+    each row to log (none when the run does not log). ``config`` supplies
+    pop_size, generations and the init depths. ``on_generation(generation,
+    population)`` is called after every generation, the initial one
+    included.
+
+    Fills and returns ``trace``. Each engine builds it from its own
+    module's ``RunTrace``, which ``perfbench`` replaces per module to time
+    generations.
+    """
+    pop = [make(t) for t in expr.ramped_half_and_half(
+        config.pop_size, config.init_depth_min, config.init_depth_max, prims, rng)]
+    best = min(pop, key=lambda ind: ind.fitness)
+    trace.record(0, best.fitness, best.size)
+    if on_generation is not None:
+        on_generation(0, pop)
+
+    for gen in range(1, config.generations + 1):
+        pop, variations = vary(pop)
+        for parent, child, different in variations:
+            trace.log_variation(gen, parent.size, child.size,
+                                semantics.sd_on_test(parent, child,
+                                                     dataset.X_test),
+                                different)
+        gen_best = min(pop, key=lambda ind: ind.fitness)
+        if gen_best.fitness < best.fitness:
+            best = gen_best
+        trace.record(gen, best.fitness, best.size)
+        if on_generation is not None:
+            on_generation(gen, pop)
+
+    trace.final_best_test_rmse = semantics.rmse(
+        dataset.y_test, best.semantics_on_test(dataset.X_test))
+    trace.final_best_size = best.size
+    return trace
+
+
 def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
               prims: PrimitiveSet = None, on_generation=None,
               log_variations: bool = True) -> RunTrace:
@@ -169,19 +220,8 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
     prims = prims or PrimitiveSet(n_variables=dataset.X_train.shape[1])
     trace = RunTrace(method="stdgp", seed=getattr(dataset, "seed", -1))
 
-    def evaluated(tree: Node) -> Individual:
-        pred = expr.evaluate(tree, dataset.X_train)
-        return Individual(tree, semantics.rmse(dataset.y_train, pred))
-
-    pop = [evaluated(t) for t in expr.ramped_half_and_half(
-        config.pop_size, config.init_depth_min, config.init_depth_max, prims, rng)]
-    best = min(pop, key=lambda ind: ind.fitness)
-    trace.record(0, best.fitness, best.size)
-    if on_generation is not None:
-        on_generation(0, pop)
-
-    for gen in range(1, config.generations + 1):
-        offspring = []
+    def vary(pop):
+        offspring, variations = [], []
         for _ in range(config.pop_size):
             r = rng.random()
             p1 = p2 = _select(pop, config, rng)
@@ -190,34 +230,22 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
                 child_tree = subtree_crossover(p1.tree, p2.tree,
                                                config.terminal_bias, rng,
                                                config.max_depth)
-                varied = True
             elif r < config.crossover_prob + config.mutation_prob:
-                child_tree = subtree_mutation(p1.tree, prims, rng, config.max_depth)
-                varied = True
-            else:
-                child_tree = p1.tree
-                varied = False
+                child_tree = subtree_mutation(p1.tree, prims, rng,
+                                              config.max_depth)
+            else:  # reproduction: not a variation, so never logged
+                offspring.append(p1)
+                continue
             if child_tree is p1.tree:
                 child = p1
             elif child_tree is p2.tree:  # crossover of both roots
                 child = p2
             else:
-                child = evaluated(child_tree)
+                child = evaluated(child_tree, dataset)
             offspring.append(child)
-            if varied and log_variations:
-                trace.log_variation(gen, p1.size, child.size,
-                                    semantics.sd_on_test(p1, child,
-                                                         dataset.X_test),
-                                    child_tree != p1.tree)
-        pop = offspring
-        gen_best = min(pop, key=lambda ind: ind.fitness)
-        if gen_best.fitness < best.fitness:
-            best = gen_best
-        trace.record(gen, best.fitness, best.size)
-        if on_generation is not None:
-            on_generation(gen, pop)
+            if log_variations:
+                variations.append((p1, child, child_tree != p1.tree))
+        return offspring, variations
 
-    trace.final_best_test_rmse = semantics.rmse(
-        dataset.y_test, best.semantics_on_test(dataset.X_test))
-    trace.final_best_size = best.size
-    return trace
+    return evolve(trace, config, dataset, rng, prims,
+                  lambda tree: evaluated(tree, dataset), vary, on_generation)

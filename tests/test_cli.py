@@ -121,6 +121,32 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["gen-corpus", "--m-sem", "0"],
+        ["gen-corpus", "--features", "0"],
+        ["mine-pairs", "--corpus", "CORPUS", "--k", "0"],
+        ["mine-pairs", "--corpus", "CORPUS", "--ivf-clusters", "5000"],
+        ["mine-pairs", "--corpus", "CORPUS", "--ivf-clusters", "-1"],
+        ["mine-pairs", "--corpus", "CORPUS", "--ivf-clusters", "4",
+         "--n-probe", "0"],
+        ["train", "--pairs", "PAIRS", "--epochs", "0"],
+        ["train", "--pairs", "PAIRS", "--batch-size", "0"],
+        ["train", "--pairs", "PAIRS", "--n-heads", "8", "--d-model", "30"],
+        ["train", "--pairs", "PAIRS", "--n-heads", "0"],
+        ["search", "--method", "stdgp", "--synthetic", "--features", "0"],
+        ["bench", "--methods", "stdgp", "--synthetic", "--features", "0"],
+    ], ids=lambda a: " ".join(a))
+    def test_usage_error_bad_size(self, workdir, capsys, corpus_file,
+                                  pairs_file, args):
+        paths = {"CORPUS": str(corpus_file), "PAIRS": str(pairs_file)}
+        out = workdir / "bad_input"
+        assert main([paths.get(a, a) for a in args]
+                    + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {args[-2]} must be ")
+        assert "Traceback" not in err
+        assert not list(workdir.glob("bad_input*"))
+
     def test_data_error_corrupt_pairs(self, workdir):
         bad = workdir / "bad.jsonl"
         bad.write_text("{not json\n")

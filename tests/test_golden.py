@@ -12,9 +12,9 @@ The variation-probe report and the brute-force mined pairs were recorded
 when subtree variation rebuilt each parent's whole node list and child tree
 and the three k-NN paths each had their own exclude-and-order code.
 
-The rng states after seeded stdgp, slim and tsgp runs, and the unlogged
-slim and tsgp traces, were recorded when each engine ran its own
-generational loop.
+The rng states after seeded stdgp, slim and tsgp runs, the unlogged slim
+and tsgp traces and the resampling tsgp traces were recorded when each
+engine ran its own generational loop.
 
 The training losses were recorded when a step ran as one forward/backward
 pass over the whole padded batch. A change to how a step is computed may
@@ -28,6 +28,7 @@ import pytest
 
 from tsgp import bench, corpus, expr
 from tsgp.model import train
+from tsgp.model.transformer import SdTransformer
 from tsgp.sampler import SearchConfig, run_tsgp, sample_tokens_batch
 from tsgp.slim import SlimConfig, run_slim
 from tsgp.stdgp import DOUBLE_TOURNAMENT, GPConfig, run_stdgp
@@ -70,6 +71,12 @@ UNLOGGED_DIGESTS = {
     "slim": "7618613632890f3510b2cd903ffbeeec67910257d4b56cf9e9275406948626c9",
     "tsgp": "b635c027b8fdfbfa116baabf4d12786a005d60792e95ac590829889890515d52",
 }
+# seeded_run("tsgp", v1_biased_model, logged): rows resampled, some children
+# still token-identical to their parents
+RESAMPLED_DIGESTS = {
+    True: "6fae45fc34a2b13cdcaaffdf46fae12fc0b83fa90be52cef0e2e6bd77c3fe93d",
+    False: "c15b461cf527ae642bb6f6b6b083f01ace4b441bdd1600162f76771e40fde72f",
+}
 # train(harvested pairs, tiny hyperparameters, seed=5): losses of steps 0-29
 TRAIN_LOSSES = (
     3.076649419853331, 3.057046830469994, 3.043246559246868,
@@ -82,6 +89,15 @@ TRAIN_LOSSES = (
     2.80080285170597, 2.8082241274732445, 2.7507310642903926,
     2.815610798543696, 2.8177739739697523, 2.7549099538444612,
     2.7433698096343404, 2.746084316117382, 2.7312229470085985)
+
+
+@pytest.fixture(scope="module")
+def v1_biased_model(tiny_hyper, vocab):
+    """``tiny_model`` with an output bias towards ``v1``: once parents are
+    ``v1``, offspring come back token-identical and are resampled."""
+    model = SdTransformer(tiny_hyper, vocab, rng=np.random.default_rng(11))
+    model.params["out.b"].data[vocab.symbols.index("v1")] += 6.0
+    return model
 
 
 def _sha(lines) -> str:
@@ -204,6 +220,15 @@ def test_unlogged_trace_pinned(tiny_model, method):
     assert trace_lines(tr) == [line for line in trace_lines(logged)
                                if not line.startswith("v ")]
     assert _sha(trace_lines(tr)) == UNLOGGED_DIGESTS[method]
+
+
+@pytest.mark.parametrize("logged", [True, False])
+def test_resampled_search_pinned(v1_biased_model, logged):
+    tr, rng = seeded_run("tsgp", v1_biased_model, logged)
+    unvaried = sum(not v.structurally_different for v in tr.variations)
+    assert unvaried == (35 if logged else 0)
+    assert _sha(trace_lines(tr)) == RESAMPLED_DIGESTS[logged]
+    assert rng_state(rng) == RNG_STATES["tsgp"]
 
 
 def test_harvested_corpus_pinned():

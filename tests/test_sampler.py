@@ -5,8 +5,7 @@ from tsgp import expr, semantics
 from tsgp.model.vocab import BOS, EOS, PAD
 from tsgp.sampler import (SamplerState, SearchConfig, _draw_batch,
                           batch_legal_mask, legal_mask, operator_ids,
-                          primitives_from_vocab, run_tsgp, sample_offspring,
-                          sample_tokens_batch)
+                          primitives_from_vocab, run_tsgp, sample_tokens_batch)
 
 
 class TestSamplerState:
@@ -203,12 +202,13 @@ class TestSampling:
             assert solo == batched[i]
 
     def test_single_offspring_deterministic(self, tiny_model, prims):
-        parent = expr.from_string("ADD v1 v2")
-        a = sample_offspring(tiny_model, parent, 0.1,
-                             np.random.default_rng(5))
-        b = sample_offspring(tiny_model, parent, 0.1,
-                             np.random.default_rng(5))
+        parent = expr.serialize_prefix(expr.from_string("ADD v1 v2"))
+        a, = sample_tokens_batch(tiny_model, [parent], 0.1,
+                                 [np.random.default_rng(5)])
+        b, = sample_tokens_batch(tiny_model, [parent], 0.1,
+                                 [np.random.default_rng(5)])
         assert a == b
+        assert expr.depth(expr.parse_prefix(a, prims)) <= 17
 
 
 class _ToyDataset:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tsgp import expr, semantics
-from tsgp.semantics import (ConstantColumnError, LengthMismatchError,
-                            NonFiniteError)
+from tsgp.semantics import ConstantColumnError, LengthMismatchError
+from tsgp.stdgp import Individual
 
 
 class TestSampleInputs:
@@ -43,33 +43,41 @@ class TestSemanticsOf:
         assert np.isfinite(s).all()
 
 
+def _with_test_semantics(values) -> Individual:
+    """An individual whose cached test semantics are ``values``."""
+    return Individual(expr.from_string("v1"), test_semantics=values)
+
+
 class TestSemanticDistance:
+    """``sd_on_test``: the parent-offspring distance the engines log."""
+
     def test_symmetry(self):
         rng = np.random.default_rng(7)
+        x_test = np.zeros((20, 1))
         for _ in range(200):
-            a = rng.standard_normal(20)
-            b = rng.standard_normal(20)
-            assert semantics.semantic_distance(a, b) == \
-                semantics.semantic_distance(b, a)
+            a = _with_test_semantics(rng.standard_normal(20))
+            b = _with_test_semantics(rng.standard_normal(20))
+            assert semantics.sd_on_test(a, b, x_test) == \
+                semantics.sd_on_test(b, a, x_test)
 
     def test_zero_for_identical(self):
-        v = np.arange(5.0)
-        assert semantics.semantic_distance(v, v) == 0.0
+        v = _with_test_semantics(np.arange(5.0))
+        assert semantics.sd_on_test(v, v, np.zeros((5, 1))) == 0.0
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            semantics.semantic_distance(np.zeros(3), np.zeros(4))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            semantics.semantic_distance(np.array([np.inf]), np.array([0.0]))
+    def test_non_finite_is_nan(self):
+        a = _with_test_semantics(np.array([np.inf]))
+        b = _with_test_semantics(np.array([0.0]))
+        assert np.isnan(semantics.sd_on_test(a, b, np.zeros((1, 1))))
+        assert np.isnan(semantics.sd_on_test(b, a, np.zeros((1, 1))))
 
     def test_accepts_semantic_vectors(self):
-        # the arrays semantics_of returns
+        # individuals evaluated on the test inputs through semantics_of
         pts = np.array([[3.0], [4.0]])
-        a = semantics.semantics_of(expr.from_string("C+0.0"), pts)
-        b = semantics.semantics_of(expr.from_string("v1"), pts)
-        assert semantics.semantic_distance(a, b) == pytest.approx(5.0)
+        a = Individual(expr.from_string("C+0.0"))
+        b = Individual(expr.from_string("v1"))
+        assert semantics.sd_on_test(a, b, pts) == pytest.approx(5.0)
+        np.testing.assert_array_equal(
+            a.test_semantics, semantics.semantics_of(a.tree, pts))
 
 
 class TestRmse:
@@ -83,6 +91,10 @@ class TestRmse:
             yh = rng.standard_normal(30)
             lhs = semantics.rmse(y, yh) * np.sqrt(30)
             assert abs(lhs - np.linalg.norm(y - yh)) < 1e-12
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatchError):
+            semantics.rmse(np.zeros(3), np.zeros(4))
 
     def test_non_finite_prediction_is_inf(self):
         assert semantics.rmse([0.0, 0.0], [np.nan, 1.0]) == np.inf

@@ -163,6 +163,20 @@ class TestSemanticsCache:
         assert len(seen) == 2 and seen[0] is new.r1 and seen[1] is new.r2
         assert child.base_test is parent.base_test
 
+    def test_logged_run_evaluates_each_tree_once_on_test(self, ds,
+                                                         monkeypatch):
+        seen = []
+        real = expr.evaluate
+        monkeypatch.setattr(
+            expr, "evaluate",
+            lambda tree, X: (seen.append(tree) if X is ds.X_test
+                             else None) or real(tree, X))
+        trace = run_slim(SlimConfig(pop_size=10, generations=3), ds,
+                         np.random.default_rng(5))
+        assert len(trace.variations) == 30 and seen
+        # children inherit their base tree's test output from the parent
+        assert len(seen) == len({id(t) for t in seen})
+
     def test_unlogged_run_computes_no_test_semantics(self, ds, monkeypatch):
         seen = []
         real = expr.evaluate
