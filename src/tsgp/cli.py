@@ -207,7 +207,7 @@ def train_cmd(ctx, pairs_path, epochs, lr, d_model, n_heads, layers,
     cfg = _resolved(ctx, epochs=epochs, lr=lr, d_model=d_model,
                     n_heads=n_heads, layers=layers, batch_size=batch_size,
                     weight_decay=weight_decay, features=features)
-    _check_min(cfg, epochs=1, batch_size=1, d_model=1, n_heads=1)
+    _check_min(cfg, epochs=1, batch_size=1, d_model=1, n_heads=1, layers=1)
     if cfg["d_model"] % cfg["n_heads"] or cfg["d_model"] % 2:
         raise click.UsageError("--d-model must be even and a multiple of "
                                f"--n-heads ({cfg['n_heads']})")
@@ -219,6 +219,11 @@ def train_cmd(ctx, pairs_path, epochs, lr, d_model, n_heads, layers,
                         batch_size=cfg["batch_size"],
                         weight_decay=cfg["weight_decay"])
     vocab = Vocabulary.from_primitives(PrimitiveSet(cfg["features"]))
+    unknown = sorted({t for p in pairs for t in p.input_tokens + p.output_tokens}
+                     - set(vocab.symbols))
+    if unknown:
+        raise DataError(f"{pairs_path} uses tokens outside the vocabulary of "
+                        f"--features {cfg['features']}: {', '.join(unknown)}")
     model, loss_curve = train(pairs, hyper, vocab, seed=ctx.obj["seed"])
     save_checkpoint(model, out)
     if curve:
@@ -433,6 +438,10 @@ class NumericFailure(Exception):
     pass
 
 
+class DataError(Exception):
+    pass
+
+
 def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping."""
     from .bench import BenchError
@@ -452,7 +461,8 @@ def main(argv=None) -> int:
     except click.Abort:
         return 1
     except (BenchError, ExprError, BadMagicError, ManifestMismatchError,
-            TruncatedError, FileNotFoundError, json.JSONDecodeError) as e:
+            TruncatedError, FileNotFoundError, json.JSONDecodeError,
+            DataError) as e:
         click.echo(f"data error: {e}", err=True)
         return 2
     except (NonFiniteLossError, NumericFailure, FloatingPointError) as e:

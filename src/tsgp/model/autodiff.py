@@ -1,28 +1,13 @@
 """Minimal reverse-mode autodiff over numpy float64 arrays.
 
-Only the operations the transformer needs. Graph construction is skipped
-entirely under ``no_grad()`` or when no input requires gradients, so
-inference pays no tape overhead.
+Only the operations the transformer needs. The model itself runs on plain
+arrays with hand-derived backward passes (``blocks``); this tape is the
+gradient oracle the tests build the same transformer from.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 class Tensor:
@@ -70,7 +55,7 @@ class Tensor:
 
 def _result(data, parents, backward):
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward

@@ -44,7 +44,7 @@ def save_checkpoint(model: SdTransformer, path):
     offset = 0
     payloads = []
     for name in names:
-        data = model.params[name].data.astype("<f4")
+        data = model.params[name].astype("<f4")
         manifest.append({"name": name, "shape": list(data.shape),
                          "offset": offset})
         payloads.append(data.tobytes())

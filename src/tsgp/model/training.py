@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..expr import PrimitiveSet
-from . import autodiff as ad, transformer
+from . import blocks
 from .transformer import Hyperparams, SdTransformer
 from .vocab import Vocabulary, PAD, BOS, EOS
 
@@ -46,10 +46,11 @@ def make_batch(pairs, vocab: Vocabulary, max_len: int):
 
 # A step runs its batch as this many length groups (see ``grad``). Mean
 # time of the first 80 desk-recipe steps (d_model 64, 2+2 layers, batch 32,
-# one BLAS thread on a 2-vCPU host) by group count: 1: 292 ms, 2: 167,
-# 4: 127, 6: 113, 8: 120, 12: 131, 16: 144, 32: 206 ms. Over three such
-# sweeps 6, 8 and 12 groups were within host noise of one another. More
-# groups crop more padding but pay more per-op Python overhead.
+# one BLAS thread on a 2-vCPU host) by group count, median of three sweeps:
+# 4: 105 ms, 6: 87, 8: 87, 12: 78, 16: 87, 24: 107 ms. Over six runs each,
+# 6, 8 and 12 groups were within host noise of one another (medians 85, 83
+# and 80 ms). More groups crop more padding but pay more per-block Python
+# overhead.
 LENGTH_GROUPS = 8
 
 
@@ -63,55 +64,76 @@ def grad(model: SdTransformer, batch) -> tuple:
     non-PAD targets and back-propagated into the same gradients, so loss
     and gradients are those of one pass over the whole batch up to float
     summation order: PAD keys get exactly zero attention and PAD targets
-    no loss, so cropping them away changes no other value.
+    no loss, so cropping them away changes no other value. The gradients
+    are views into one flat buffer laid out as ``model.flat``.
     """
     enc_ids, sd, dec_ids, targets = batch
     enc_len = (enc_ids != PAD).sum(axis=1)
     tgt_len = (targets != PAD).sum(axis=1)
     order = np.argsort(np.maximum(enc_len, tgt_len), kind="stable")
     total = int(tgt_len.sum())
-    model.zero_grad()
+    grads = model.views(np.zeros_like(model.flat))
     loss_val = 0.0
     for rows in np.array_split(order, min(LENGTH_GROUPS, len(order))):
         enc_w, tgt_w = int(enc_len[rows].max()), int(tgt_len[rows].max())
+        acts = {}
         logits = model.forward(enc_ids[rows, :enc_w], sd[rows],
-                               dec_ids[rows, :tgt_w - 1])
-        loss_t = ad.scale(transformer.loss(logits, targets[rows, :tgt_w]),
-                          int(tgt_len[rows].sum()) / total)
-        loss_t.backward()
-        loss_val += float(loss_t.data)
-    grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-             for name, t in model.params.items()}
+                               dec_ids[rows, :tgt_w - 1], acts=acts)
+        loss, dlogits = blocks.cross_entropy(logits, targets[rows, :tgt_w])
+        share = int(tgt_len[rows].sum()) / total
+        model.backward(acts, dlogits * share, grads)
+        loss_val += loss * share
     return loss_val, grads
 
 
 class AdamWState:
+    """Flat first and second moments of ``params`` (a model's parameter
+    map, in ``model.flat`` order), the mask of entries that decay, and
+    scratch buffers for the update."""
+
     def __init__(self, params: dict):
-        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        sizes = [t.size for t in params.values()]
+        self.m, self.v = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+        # decay applies to weight matrices only (ndim >= 2); biases and
+        # layer-norm gains are exempt, as is conventional
+        self.decay = np.repeat([t.ndim >= 2 for t in params.values()], sizes)
+        # written in place: a fresh array of this size per operation costs
+        # more in page faults than in arithmetic
+        self.g, self.tmp, self.update = (np.empty(sum(sizes)) for _ in range(3))
         self.t = 0
 
 
 def adamw_step(model: SdTransformer, grads: dict, state: AdamWState,
                lr: float, weight_decay: float = 0.0,
                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One decoupled-weight-decay Adam update, in place.
+    """One decoupled-weight-decay Adam update of ``model.flat``, in place.
 
-    Decay applies to weight matrices only (ndim >= 2); biases and layer-norm
-    gains are exempt, as is conventional.
+    One vectorised update over all parameters, with the arithmetic of
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
+    ``update = m_hat / (sqrt(v_hat) + eps) [+ weight_decay w]`` and
+    ``w -= lr update`` per entry.
     """
     state.t += 1
     t = state.t
-    for k, tensor in model.params.items():
-        g = grads[k]
-        state.m[k] = beta1 * state.m[k] + (1 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1 - beta2) * g * g
-        mhat = state.m[k] / (1 - beta1 ** t)
-        vhat = state.v[k] / (1 - beta2 ** t)
-        update = mhat / (np.sqrt(vhat) + eps)
-        if weight_decay and tensor.data.ndim >= 2:
-            update = update + weight_decay * tensor.data
-        tensor.data -= lr * update
+    g, tmp, update = state.g, state.tmp, state.update
+    np.concatenate([grads[k].reshape(-1) for k in model.params], out=g)
+    np.multiply(g, 1 - beta1, out=tmp)
+    state.m *= beta1
+    state.m += tmp
+    np.multiply(g, 1 - beta2, out=tmp)
+    tmp *= g
+    state.v *= beta2
+    state.v += tmp
+    np.divide(state.m, 1 - beta1 ** t, out=update)
+    np.divide(state.v, 1 - beta2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    update /= tmp
+    if weight_decay:
+        np.multiply(model.flat, weight_decay, out=tmp)
+        np.add(update, tmp, out=update, where=state.decay)
+    update *= lr
+    model.flat -= update
 
 
 def train(pairs, hyper: Hyperparams, vocab: Vocabulary = None, seed: int = 0,
@@ -155,12 +177,9 @@ def train(pairs, hyper: Hyperparams, vocab: Vocabulary = None, seed: int = 0,
 
 def token_accuracy(model: SdTransformer, pairs, vocab: Vocabulary = None) -> float:
     """Teacher-forced next-token accuracy over non-PAD targets."""
-    from .autodiff import no_grad
     vocab = vocab or model.vocab
-    batch = make_batch(pairs, vocab, model.hyper.max_len)
-    enc_ids, sd, dec_ids, targets = batch
-    with no_grad():
-        logits = model.forward(enc_ids, sd, dec_ids)
-    pred = logits.data.argmax(axis=-1)
+    enc_ids, sd, dec_ids, targets = make_batch(pairs, vocab,
+                                               model.hyper.max_len)
+    pred = model.forward(enc_ids, sd, dec_ids).argmax(axis=-1)
     mask = targets != PAD
     return float((pred[mask] == targets[mask]).mean())

@@ -3,18 +3,19 @@
 The conditioning scalar is mapped through an affine projection to a
 d_model vector and prepended as position 0 of both the encoder and the
 decoder input. Pre-norm layers, sinusoidal (fixed) positions, ReLU FFN.
-All parameters live in a flat name -> Tensor map in float64.
+All parameters are float64 views into one flat buffer. The blocks and
+their hand-derived backward passes are in ``blocks``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from . import blocks
 from .vocab import Vocabulary, PAD
 
 NEG_BIAS = -1e30  # additive mask value; exp() underflows to exactly 0
@@ -105,7 +106,12 @@ def param_spec(hyper: Hyperparams, vocab_size: int) -> dict:
 
 
 class SdTransformer:
-    """Forward pass and parameter container; training lives in ``training``."""
+    """Forward and backward passes over a flat parameter buffer; training
+    lives in ``training``.
+
+    ``params`` maps each name of ``param_spec`` to a float64 view into
+    ``flat``, in spec order; update them in place.
+    """
 
     INIT_STD = 0.02
 
@@ -115,88 +121,34 @@ class SdTransformer:
         self.vocab = vocab
         # SD slot + BOS + max_len tokens on the decoder side
         self.positions = sinusoidal_positions(hyper.max_len + 2, hyper.d_model)
+        self._shapes = {name: shape for name, (shape, _)
+                        in param_spec(hyper, vocab.size).items()}
+        self.flat = np.empty(sum(math.prod(s) for s in self._shapes.values()))
+        self.params = self.views(self.flat)
         if params is not None:
-            self.params = {k: v if isinstance(v, Tensor) else Tensor(v, True)
-                           for k, v in params.items()}
+            for name, arr in self.params.items():
+                arr[...] = params[name]
         else:
             if rng is None:
                 rng = np.random.default_rng(0)
-            self.params = self._init_params(rng)
+            self._init_params(rng)
 
-    # -- parameters -----------------------------------------------------------
+    def views(self, flat: np.ndarray) -> dict:
+        """name -> view of ``flat`` for every parameter, laid out as ``flat``."""
+        views, lo = {}, 0
+        for name, shape in self._shapes.items():
+            hi = lo + math.prod(shape)
+            views[name] = flat[lo:hi].reshape(shape)
+            lo = hi
+        return views
 
-    def _init_params(self, rng) -> dict:
-        p = {}
+    def _init_params(self, rng):
         for name, (shape, init) in param_spec(self.hyper,
                                               self.vocab.size).items():
             if init == "normal":
-                data = rng.normal(0.0, self.INIT_STD, shape)
+                self.params[name][...] = rng.normal(0.0, self.INIT_STD, shape)
             else:
-                data = np.full(shape, 1.0 if init == "ones" else 0.0)
-            p[name] = Tensor(data, True)
-        return p
-
-    def zero_grad(self):
-        for t in self.params.values():
-            t.grad = None
-
-    # -- building blocks ------------------------------------------------------
-
-    def _heads(self, prefix, name, x: Tensor) -> Tensor:
-        """Project (B, T, D) with ``w{name}``/``b{name}``; split into heads."""
-        p = self.params
-        h = self.hyper
-        B, T = x.shape[0], x.shape[1]
-        y = ad.add(ad.matmul(x, p[f"{prefix}.w{name}"]), p[f"{prefix}.b{name}"])
-        y = ad.reshape(y, (B, T, h.n_heads, h.d_model // h.n_heads))
-        return ad.transpose(y, (0, 2, 1, 3))  # (B, H, T, dh)
-
-    def _mha(self, prefix, q_in: Tensor, kv_in: Tensor, bias: np.ndarray,
-             record: dict = None, record_key: str = None,
-             kv: tuple = None) -> Tensor:
-        """Multi-head attention; ``kv`` supplies key/value heads projected
-        earlier (a decode cache) instead of projecting ``kv_in``."""
-        p = self.params
-        h = self.hyper
-        B, Tq = q_in.shape[0], q_in.shape[1]
-        q = self._heads(prefix, "q", q_in)
-        k, v = kv if kv is not None else (self._heads(prefix, "k", kv_in),
-                                          self._heads(prefix, "v", kv_in))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                          1.0 / math.sqrt(h.d_model // h.n_heads))
-        att = ad.softmax(ad.add_const(scores, bias), axis=-1)
-        if record is not None:
-            record[record_key] = att.data
-        out = ad.transpose(ad.matmul(att, v), (0, 2, 1, 3))
-        out = ad.reshape(out, (B, Tq, h.d_model))
-        return ad.add(ad.matmul(out, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
-
-    def _ln(self, prefix, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
-
-    def _ffn(self, prefix, x: Tensor) -> Tensor:
-        p = self.params
-        hidden = ad.relu(ad.add(ad.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-        return ad.add(ad.matmul(hidden, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
-
-    def _embed_with_sd(self, ids: np.ndarray, sd: np.ndarray,
-                       start: int = 0) -> Tensor:
-        """[SD embedding] ++ token embeddings, plus position table.
-
-        With ``start`` > 0 the ids continue a sequence whose first ``start``
-        positions (the SD slot among them) are already decoded.
-        """
-        p = self.params
-        B = ids.shape[0]
-        x = ad.embedding(p["embed.tok"], ids)  # (B, T, D)
-        if start == 0:
-            sd_col = Tensor(np.asarray(sd, dtype=np.float64).reshape(B, 1, 1))
-            sd_emb = ad.add(
-                ad.mul(sd_col, ad.reshape(p["sd_proj.w"], (1, 1, -1))),
-                ad.reshape(p["sd_proj.b"], (1, 1, -1)))
-            x = ad.concat([sd_emb, x], axis=1)  # (B, T+1, D)
-        return ad.add_const(
-            x, self.positions[None, start:start + x.shape[1], :])
+                self.params[name].fill(1.0 if init == "ones" else 0.0)
 
     @staticmethod
     def _key_bias(valid: np.ndarray) -> np.ndarray:
@@ -207,10 +159,13 @@ class SdTransformer:
         return np.where(np.tril(np.ones((T, T), dtype=bool)), 0.0, NEG_BIAS)
 
     # -- forward --------------------------------------------------------------
+    #
+    # With an ``acts`` dict, every block stores what its backward needs in
+    # it, and ``backward`` can then run the pass in reverse.
 
     def encode(self, enc_ids: np.ndarray, sd: np.ndarray,
-               record: dict = None):
-        """Run the encoder stack; returns (output Tensor, key-validity mask)."""
+               record: dict = None, acts: dict = None):
+        """Run the encoder stack; returns (output, key-validity mask)."""
         enc_ids = np.atleast_2d(np.asarray(enc_ids, dtype=np.int64))
         if enc_ids.shape[1] > self.hyper.max_len:
             raise SequenceTooLongError(
@@ -218,15 +173,17 @@ class SdTransformer:
         valid = np.concatenate(
             [np.ones((enc_ids.shape[0], 1), dtype=bool), enc_ids != PAD], axis=1)
         bias = self._key_bias(valid)
-        x = self._embed_with_sd(enc_ids, sd)
+        p, H = self.params, self.hyper.n_heads
+        x = blocks.embed(p, "enc", enc_ids, sd, self.positions, acts=acts)
         for i in range(self.hyper.n_encoder_layers):
-            h = self._ln(f"enc.{i}.ln1", x)
-            x = ad.add(x, self._mha(f"enc.{i}.attn", h, h, bias,
-                                    record, f"enc.{i}.attn"))
-            x = ad.add(x, self._ffn(f"enc.{i}.ffn", self._ln(f"enc.{i}.ln2", x)))
-        return self._ln("enc.ln_f", x), valid
+            h = blocks.layer_norm(p, f"enc.{i}.ln1", x, acts)
+            x = x + blocks.self_attention(p, f"enc.{i}.attn", h, bias, H,
+                                          acts, record)
+            h = blocks.layer_norm(p, f"enc.{i}.ln2", x, acts)
+            x = x + blocks.ffn(p, f"enc.{i}.ffn", h, acts)
+        return blocks.layer_norm(p, "enc.ln_f", x, acts), valid
 
-    def start_decoding(self, enc_out: Tensor,
+    def start_decoding(self, enc_out: np.ndarray,
                        enc_valid: np.ndarray) -> "DecodeCache":
         """Empty decode cache for a batch, holding the cross-attention keys
         and values projected once from the encoder output."""
@@ -236,14 +193,15 @@ class SdTransformer:
         layers = range(h.n_decoder_layers)
         return DecodeCache(
             self_kv=[(np.empty(shape), np.empty(shape)) for _ in layers],
-            cross_kv=[tuple(np.ascontiguousarray(
-                self._heads(f"dec.{i}.cross", name, enc_out).data)
-                for name in "kv") for i in layers],
+            cross_kv=[tuple(np.ascontiguousarray(heads) for heads in
+                            blocks.project_heads(self.params, f"dec.{i}.cross",
+                                                 "kv", enc_out, h.n_heads))
+                      for i in layers],
             cross_bias=self._key_bias(enc_valid))
 
-    def decode(self, dec_ids: np.ndarray, sd: np.ndarray, enc_out: Tensor,
+    def decode(self, dec_ids: np.ndarray, sd: np.ndarray, enc_out: np.ndarray,
                enc_valid: np.ndarray, record: dict = None,
-               cache: "DecodeCache" = None) -> Tensor:
+               cache: "DecodeCache" = None, acts: dict = None) -> np.ndarray:
         """Decoder stack over [SD] ++ dec_ids; returns logits (B, T+1, V).
 
         With a ``cache`` from ``start_decoding``, ``dec_ids`` (no PAD)
@@ -269,32 +227,68 @@ class SdTransformer:
         else:
             self_bias = self._causal_bias(start + T)[start:]
             cross_bias = cache.cross_bias
-        x = self._embed_with_sd(dec_ids, sd, start)
+        p, H = self.params, self.hyper.n_heads
+        x = blocks.embed(p, "dec", dec_ids, sd, self.positions, start, acts)
         for i in range(self.hyper.n_decoder_layers):
             pre = f"dec.{i}"
-            h = self._ln(f"{pre}.ln1", x)
-            kv = None if cache is None else cache.extend(
-                i, self._heads(f"{pre}.self", "k", h),
-                self._heads(f"{pre}.self", "v", h))
-            x = ad.add(x, self._mha(f"{pre}.self", h, h, self_bias,
-                                    record, f"{pre}.self", kv))
-            h = self._ln(f"{pre}.ln2", x)
+            h = blocks.layer_norm(p, f"{pre}.ln1", x, acts)
+            extend = None if cache is None else partial(cache.extend, i)
+            x = x + blocks.self_attention(p, f"{pre}.self", h, self_bias, H,
+                                          acts, record, extend)
+            h = blocks.layer_norm(p, f"{pre}.ln2", x, acts)
             kv = None if cache is None else cache.cross(i)
-            x = ad.add(x, self._mha(f"{pre}.cross", h, enc_out, cross_bias,
-                                    record, f"{pre}.cross", kv))
-            x = ad.add(x, self._ffn(f"{pre}.ffn", self._ln(f"{pre}.ln3", x)))
+            x = x + blocks.cross_attention(p, f"{pre}.cross", h, enc_out,
+                                           cross_bias, H, acts, record, kv)
+            h = blocks.layer_norm(p, f"{pre}.ln3", x, acts)
+            x = x + blocks.ffn(p, f"{pre}.ffn", h, acts)
         if cache is not None:
             cache.length += T
-        x = self._ln("dec.ln_f", x)
-        return ad.add(ad.matmul(x, self.params["out.w"]), self.params["out.b"])
+        return blocks.head(p, x, acts)
 
     def forward(self, enc_ids: np.ndarray, sd, dec_ids: np.ndarray,
-                record: dict = None) -> Tensor:
+                record: dict = None, acts: dict = None) -> np.ndarray:
         """Full pass; logits row t depends only on decoder positions <= t."""
         sd = np.broadcast_to(np.asarray(sd, dtype=np.float64),
                              (np.atleast_2d(enc_ids).shape[0],))
-        enc_out, enc_valid = self.encode(enc_ids, sd, record)
-        return self.decode(dec_ids, sd, enc_out, enc_valid, record)
+        enc_out, enc_valid = self.encode(enc_ids, sd, record, acts)
+        return self.decode(dec_ids, sd, enc_out, enc_valid, record,
+                           acts=acts)
+
+    # -- backward -------------------------------------------------------------
+
+    def backward(self, acts: dict, dlogits: np.ndarray, grads: dict):
+        """Back-propagate ``dlogits`` through the teacher-forced ``forward``
+        that filled ``acts``, adding every parameter's gradient into
+        ``grads`` (laid out as ``params``)."""
+        p, h = self.params, self.hyper
+        dx = blocks.head_backward(p, dlogits, acts, grads)
+        denc = 0.0
+        for i in reversed(range(h.n_decoder_layers)):
+            pre = f"dec.{i}"
+            dh = blocks.ffn_backward(p, f"{pre}.ffn", dx, acts, grads)
+            dx = dx + blocks.layer_norm_backward(p, f"{pre}.ln3", dh, acts,
+                                                 grads)
+            dh, de = blocks.cross_attention_backward(p, f"{pre}.cross", dx,
+                                                     acts, grads)
+            denc = denc + de
+            dx = dx + blocks.layer_norm_backward(p, f"{pre}.ln2", dh, acts,
+                                                 grads)
+            dh = blocks.self_attention_backward(p, f"{pre}.self", dx, acts,
+                                                grads)
+            dx = dx + blocks.layer_norm_backward(p, f"{pre}.ln1", dh, acts,
+                                                 grads)
+        blocks.embed_backward(p, "dec", dx, acts, grads)
+        dx = blocks.layer_norm_backward(p, "enc.ln_f", denc, acts, grads)
+        for i in reversed(range(h.n_encoder_layers)):
+            pre = f"enc.{i}"
+            dh = blocks.ffn_backward(p, f"{pre}.ffn", dx, acts, grads)
+            dx = dx + blocks.layer_norm_backward(p, f"{pre}.ln2", dh, acts,
+                                                 grads)
+            dh = blocks.self_attention_backward(p, f"{pre}.attn", dx, acts,
+                                                grads)
+            dx = dx + blocks.layer_norm_backward(p, f"{pre}.ln1", dh, acts,
+                                                 grads)
+        blocks.embed_backward(p, "enc", dx, acts, grads)
 
 
 class DecodeCache:
@@ -317,15 +311,15 @@ class DecodeCache:
         return self._cross_bias[:self.rows]
 
     def cross(self, layer: int) -> tuple:
-        return tuple(Tensor(buf[:self.rows]) for buf in self.cross_kv[layer])
+        return tuple(buf[:self.rows] for buf in self.cross_kv[layer])
 
-    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple:
+    def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple:
         """Write the new positions' heads; return the heads so far."""
         end = self.length + k.shape[2]
         heads = []
         for buf, new in zip(self.self_kv[layer], (k, v)):
-            buf[:self.rows, :, self.length:end] = new.data
-            heads.append(Tensor(buf[:self.rows, :, :end]))
+            buf[:self.rows, :, self.length:end] = new
+            heads.append(buf[:self.rows, :, :end])
         return tuple(heads)
 
     def retain(self, keep: np.ndarray) -> np.ndarray:
@@ -351,10 +345,7 @@ class DecodeCache:
         return order
 
 
-def loss(logits: Tensor, target_ids: np.ndarray) -> Tensor:
+def loss(logits: np.ndarray, target_ids: np.ndarray) -> float:
     """Mean cross-entropy over non-PAD target positions."""
     targets = np.atleast_2d(np.asarray(target_ids, dtype=np.int64))
-    mask = targets != PAD
-    if not mask.any():
-        raise ValueError("all-PAD target")
-    return ad.cross_entropy(logits, targets, mask)
+    return blocks.cross_entropy(logits, targets)[0]

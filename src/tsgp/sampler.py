@@ -14,7 +14,6 @@ import numpy as np
 
 from . import expr
 from .expr import PrimitiveSet
-from .model.autodiff import no_grad, Tensor
 from .model.transformer import SdTransformer
 from .model.vocab import Vocabulary, PAD, BOS, EOS
 from .stdgp import evaluated, evolve, tournament_select
@@ -143,11 +142,10 @@ def _encode_bucketed(model: SdTransformer, ids: list, sds: np.ndarray):
         enc_ids = np.full((len(rows), w), PAD, dtype=np.int64)
         for r, i in enumerate(rows):
             enc_ids[r, :lengths[i]] = ids[i]
-        with no_grad():
-            out, valid = model.encode(enc_ids, sds[rows])
-        enc_out[rows, :w + 1] = out.data
+        out, valid = model.encode(enc_ids, sds[rows])
+        enc_out[rows, :w + 1] = out
         enc_valid[rows, :w + 1] = valid
-    return Tensor(enc_out), enc_valid
+    return enc_out, enc_valid
 
 
 def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
@@ -172,8 +170,7 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
     # encoder-side truncation only
     enc_ids = [vocab.encode(t[:max_len]) for t in parents_tokens]
     enc_out, enc_valid = _encode_bucketed(model, enc_ids, sds)
-    with no_grad():
-        cache = model.start_decoding(enc_out, enc_valid)
+    cache = model.start_decoding(enc_out, enc_valid)
 
     # per-parent counters; depth[i, need[i] - 1] is the open slot's depth
     emitted = np.zeros(B, dtype=np.int64)
@@ -183,9 +180,8 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
     rows = np.arange(B)  # parent of each cache row
     step_ids = np.full((B, 1), BOS, dtype=np.int64)
     while len(rows):
-        with no_grad():
-            logits = model.decode(step_ids, sds[rows], None, None,
-                                  cache=cache).data[:, -1, :]
+        logits = model.decode(step_ids, sds[rows], None, None,
+                              cache=cache)[:, -1, :]
         top = depth[rows, np.maximum(need[rows] - 1, 0)]
         mask = batch_legal_mask(emitted[rows], need[rows], top, kinds,
                                 max_len, max_depth)

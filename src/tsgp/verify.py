@@ -7,7 +7,6 @@ import numpy as np
 from . import expr
 from .corpus import TrainingPair
 from .model import transformer
-from .model.autodiff import no_grad
 from .model.training import grad, make_batch
 from .model.transformer import SdTransformer
 from .sampler import primitives_from_vocab
@@ -38,15 +37,13 @@ def gradient_check(model: SdTransformer, rng: np.random.Generator,
     _, grads = grad(model, batch)
 
     def loss_value() -> float:
-        with no_grad():
-            logits = model.forward(batch[0], batch[1], batch[2])
-            return float(transformer.loss(logits, batch[3]).data)
+        return transformer.loss(model.forward(*batch[:3]), batch[3])
 
     names = sorted(model.params)
     max_rel = 0.0
     for _ in range(n_probes):
         name = names[rng.integers(len(names))]
-        flat = model.params[name].data.reshape(-1)
+        flat = model.params[name].reshape(-1)
         i = int(rng.integers(flat.size))
         orig = flat[i]
         flat[i] = orig + step
@@ -75,8 +72,7 @@ def causality_probe(model: SdTransformer, rng: np.random.Generator,
     sd = np.array([0.1])
 
     record = {}
-    with no_grad():
-        base = model.forward(enc_ids, sd, dec_ids, record=record).data
+    base = model.forward(enc_ids, sd, dec_ids, record=record)
     row_err = max(float(np.abs(att.sum(axis=-1) - 1.0).max())
                   for att in record.values())
 
@@ -86,8 +82,7 @@ def causality_probe(model: SdTransformer, rng: np.random.Generator,
         perturbed = dec_ids.copy()
         choices = [c for c in content if c != perturbed[0, t]]
         perturbed[0, t] = choices[rng.integers(len(choices))]
-        with no_grad():
-            out = model.forward(enc_ids, sd, perturbed).data
+        out = model.forward(enc_ids, sd, perturbed)
         # decoder position of dec_ids[t] is t+1 (SD slot shifts by one)
         rows_before = t + 1
         leak = max(leak, float(np.abs(out[0, :rows_before]

@@ -46,7 +46,7 @@ def operator_heavy_model(vocab):
                           vocab, rng=np.random.default_rng(12))
     for i, sym in enumerate(vocab.symbols):
         if sym in OPERATORS:
-            model.params["out.b"].data[i] += 2.0
+            model.params["out.b"][i] += 2.0
     return model
 
 

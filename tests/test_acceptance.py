@@ -21,7 +21,6 @@ from tsgp.corpus import (CorpusEntry, build_corpus, build_ivf_index,
 from tsgp.expr import PrimitiveSet
 from tsgp.model import (Hyperparams, Vocabulary, load_checkpoint,
                         save_checkpoint, train)
-from tsgp.model.autodiff import no_grad
 from tsgp.model.training import make_batch, token_accuracy
 from tsgp.model.transformer import SdTransformer
 from tsgp.sampler import SearchConfig, run_tsgp, sample_tokens_batch
@@ -191,11 +190,10 @@ def test_criterion_09_checkpoint_exactness(vocab, tmp_path):
     batch = make_batch(random_pairs(model, np.random.default_rng(12)),
                        vocab, 100)
     f32 = SdTransformer(hyper, vocab, params={
-        k: t.data.astype(np.float32).astype(np.float64)
-        for k, t in model.params.items()})
-    with no_grad():
-        a = f32.forward(batch[0], batch[1], batch[2]).data
-        b = loaded.forward(batch[0], batch[1], batch[2]).data
+        k: w.astype(np.float32).astype(np.float64)
+        for k, w in model.params.items()})
+    a = f32.forward(batch[0], batch[1], batch[2])
+    b = loaded.forward(batch[0], batch[1], batch[2])
     logits_ok = bool(np.array_equal(a, b))
     _report(9, "checkpoint bit-exactness", bytes_ok and logits_ok,
             f"save->load->save byte-identical: {bytes_ok}; "

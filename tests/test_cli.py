@@ -133,6 +133,7 @@ class TestExitCodes:
         ["train", "--pairs", "PAIRS", "--batch-size", "0"],
         ["train", "--pairs", "PAIRS", "--n-heads", "8", "--d-model", "30"],
         ["train", "--pairs", "PAIRS", "--n-heads", "0"],
+        ["train", "--pairs", "PAIRS", "--layers", "0"],
         ["search", "--method", "stdgp", "--synthetic", "--features", "0"],
         ["bench", "--methods", "stdgp", "--synthetic", "--features", "0"],
     ], ids=lambda a: " ".join(a))
@@ -151,6 +152,17 @@ class TestExitCodes:
         bad = workdir / "bad.jsonl"
         bad.write_text("{not json\n")
         assert main(["train", "--pairs", str(bad)]) == 2
+
+    def test_data_error_pairs_outside_vocabulary(self, workdir, pairs_file,
+                                                 capsys):
+        out = workdir / "few_features.tsgp"
+        assert main(["train", "--pairs", str(pairs_file), "--features", "0",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "outside the vocabulary of --features 0: v1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_data_error_non_finite_csv(self, workdir):
         bad = workdir / "nan.csv"

@@ -160,6 +160,19 @@ _INPUTS = hnp.arrays(np.float64, (6, 4), elements=st.sampled_from(
     [0.0, -0.0, 1.0, -2.5, 1e-300, 1e200, -1e300, 3.0]))
 
 
+class TestRoundTripProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_TREES)
+    def test_parse_serialize_parse(self, tree):
+        tokens = expr.serialize_prefix(tree)
+        parsed = expr.parse_prefix(tokens)
+        assert parsed == tree
+        assert expr.serialize_prefix(parsed) == tokens
+        assert expr.parse_prefix(expr.serialize_prefix(parsed)) == parsed
+        assert (parsed.n_nodes, parsed.height) == (tree.n_nodes, tree.height)
+        assert len(tokens) == expr.size(tree)
+
+
 class TestEvaluateOracle:
     @settings(max_examples=300, deadline=None)
     @given(tree=_TREES, X=_INPUTS)

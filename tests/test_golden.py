@@ -96,7 +96,7 @@ def v1_biased_model(tiny_hyper, vocab):
     """``tiny_model`` with an output bias towards ``v1``: once parents are
     ``v1``, offspring come back token-identical and are resampled."""
     model = SdTransformer(tiny_hyper, vocab, rng=np.random.default_rng(11))
-    model.params["out.b"].data[vocab.symbols.index("v1")] += 6.0
+    model.params["out.b"][vocab.symbols.index("v1")] += 6.0
     return model
 
 

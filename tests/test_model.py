@@ -13,12 +13,14 @@ from tsgp.model import autodiff as ad
 from tsgp.model import checkpoint as ckpt
 from tsgp.model import training
 from tsgp.model import transformer as tfm
-from tsgp.model.autodiff import Tensor, no_grad
+from tsgp.model.autodiff import Tensor
 from tsgp.model.training import (AdamWState, adamw_step, grad, make_batch,
                                  token_accuracy)
 from tsgp.model.transformer import SdTransformer, SequenceTooLongError
 from tsgp.model.vocab import BOS, PAD
 from tsgp.verify import causality_probe, gradient_check, random_pairs
+
+import tape_reference
 
 
 class TestVocabulary:
@@ -69,9 +71,7 @@ class TestForward:
     def test_initial_loss_near_ln_vocab(self, tiny_model, vocab):
         rng = np.random.default_rng(0)
         batch = make_batch(random_pairs(tiny_model, rng, n=8), vocab, 100)
-        with no_grad():
-            logits = tiny_model.forward(batch[0], batch[1], batch[2])
-            val = float(tfm.loss(logits, batch[3]).data)
+        val = tfm.loss(tiny_model.forward(*batch[:3]), batch[3])
         target = math.log(vocab.size)
         assert abs(val - target) / target < 0.05
 
@@ -81,14 +81,12 @@ class TestForward:
         model = SdTransformer(hyper, vocab, rng=np.random.default_rng(0))
         ids = np.full((1, 9), 3, dtype=np.int64)
         with pytest.raises(SequenceTooLongError):
-            with no_grad():
-                model.encode(ids, np.array([0.1]))
+            model.encode(ids, np.array([0.1]))
 
     def test_all_pad_target_rejected(self, tiny_model, vocab):
         batch = make_batch(random_pairs(tiny_model,
                                         np.random.default_rng(1)), vocab, 100)
-        with no_grad():
-            logits = tiny_model.forward(batch[0], batch[1], batch[2])
+        logits = tiny_model.forward(batch[0], batch[1], batch[2])
         with pytest.raises(ValueError):
             tfm.loss(logits, np.zeros_like(batch[3]))
 
@@ -113,30 +111,26 @@ class TestIncrementalDecode:
         enc, dec, sd = self._inputs(model, np.random.default_rng(9))
         full = np.concatenate([np.full((len(dec), 1), BOS), dec], axis=1)
         rows = np.arange(len(dec))
-        with no_grad():
-            enc_out, enc_valid = model.encode(enc, sd)
-            cache = model.start_decoding(enc_out, enc_valid)
-            step = model.decode(full[:, :1], sd, None, None, cache=cache)
-            ref = model.decode(full[:, :1], sd, enc_out, enc_valid)
-            np.testing.assert_allclose(step.data, ref.data, rtol=0,
+        enc_out, enc_valid = model.encode(enc, sd)
+        cache = model.start_decoding(enc_out, enc_valid)
+        step = model.decode(full[:, :1], sd, None, None, cache=cache)
+        ref = model.decode(full[:, :1], sd, enc_out, enc_valid)
+        np.testing.assert_allclose(step, ref, rtol=0, atol=1e-12)
+        for t in range(1, full.shape[1]):
+            if t in (40, 70):  # drop a row, as when it emits EOS
+                keep = np.ones(len(rows), dtype=bool)
+                keep[0 if t == 40 else -1] = False
+                rows = rows[cache.retain(keep)]
+            step = model.decode(full[rows, t:t + 1], sd[rows], None, None,
+                                cache=cache)
+            ref = model.decode(full[rows, :t + 1], sd[rows], enc_out[rows],
+                               enc_valid[rows])
+            assert step.shape == (len(rows), 1, model.vocab.size)
+            np.testing.assert_allclose(step[:, 0], ref[:, -1], rtol=0,
                                        atol=1e-12)
-            for t in range(1, full.shape[1]):
-                if t in (40, 70):  # drop a row, as when it emits EOS
-                    keep = np.ones(len(rows), dtype=bool)
-                    keep[0 if t == 40 else -1] = False
-                    rows = rows[cache.retain(keep)]
-                step = model.decode(full[rows, t:t + 1], sd[rows], None,
-                                    None, cache=cache)
-                ref = model.decode(full[rows, :t + 1], sd[rows],
-                                   Tensor(enc_out.data[rows]),
-                                   enc_valid[rows])
-                assert step.shape == (len(rows), 1, model.vocab.size)
-                np.testing.assert_allclose(step.data[:, 0], ref.data[:, -1],
-                                           rtol=0, atol=1e-12)
-            assert cache.length == model.hyper.max_len + 2
-            with pytest.raises(SequenceTooLongError):
-                model.decode(full[rows, :1], sd[rows], None, None,
-                             cache=cache)
+        assert cache.length == model.hyper.max_len + 2
+        with pytest.raises(SequenceTooLongError):
+            model.decode(full[rows, :1], sd[rows], None, None, cache=cache)
 
 
 class TestGradients:
@@ -176,8 +170,24 @@ def _spread_batch(pairs, n: int) -> list:
 
 
 class TestGroupedGrad:
-    """``grad`` runs a batch as length groups; the oracle is one forward and
-    backward pass over the whole padded batch."""
+    """``grad`` runs a batch as length groups through the hand-derived block
+    backward; the oracle is one tape pass over the whole padded batch."""
+
+    @staticmethod
+    def _assert_matches_tape(model, batch):
+        loss, grads = grad(model, batch)
+        ref_loss, ref = tape_reference.loss_and_grads(model, batch)
+        assert abs(loss - ref_loss) <= 1e-10 * ref_loss
+        scale = max(np.abs(g).max() for g in ref.values())
+        for name, g in ref.items():
+            if name.endswith(".bk"):
+                # a bias shared by all keys shifts every score of a query
+                # alike, so its exact gradient is 0; both are rounding noise
+                assert np.abs(grads[name]).max() < 1e-15 * scale
+                assert np.abs(g).max() < 1e-15 * scale
+                continue
+            err = np.linalg.norm(grads[name] - g)
+            assert err <= 1e-10 * np.linalg.norm(g), name
 
     @pytest.mark.parametrize("n", [1, 3, 32])
     def test_matches_whole_batch(self, tiny_model, vocab, harvested, n):
@@ -185,24 +195,14 @@ class TestGroupedGrad:
         if n == 32:  # the rows span short and long ones
             lengths = (batch[0] != PAD).sum(axis=1)
             assert lengths.min() <= 2 and lengths.max() >= 60
-        loss, grads = grad(tiny_model, batch)
-        grads = {k: g.copy() for k, g in grads.items()}
+        self._assert_matches_tape(tiny_model, batch)
 
-        tiny_model.zero_grad()
-        ref = tfm.loss(tiny_model.forward(*batch[:3]), batch[3])
-        ref.backward()
-        assert abs(loss - float(ref.data)) <= 1e-10 * float(ref.data)
-        scale = max(np.abs(t.grad).max() for t in tiny_model.params.values())
-        for name, t in tiny_model.params.items():
-            if name.endswith(".bk"):
-                # a bias shared by all keys shifts every score of a query
-                # alike, so its exact gradient is 0; both are rounding noise
-                assert np.abs(grads[name]).max() < 1e-15 * scale
-                assert np.abs(t.grad).max() < 1e-15 * scale
-                continue
-            err = np.linalg.norm(grads[name] - t.grad)
-            assert err <= 1e-10 * np.linalg.norm(t.grad), name
-        tiny_model.zero_grad()
+    def test_two_layers_match_whole_batch(self, operator_heavy_model, vocab,
+                                          harvested):
+        """Each encoder layer feeds the next and every decoder layer's
+        cross-attention adds into the encoder output's gradient."""
+        batch = make_batch(_spread_batch(harvested[1], 32), vocab, 100)
+        self._assert_matches_tape(operator_heavy_model, batch)
 
     def test_groups_cropped_to_own_length(self, tiny_model, vocab, harvested,
                                           monkeypatch):
@@ -210,9 +210,9 @@ class TestGroupedGrad:
         widths = []
         forward = tiny_model.forward
 
-        def spy(enc_ids, sd, dec_ids, record=None):
+        def spy(enc_ids, sd, dec_ids, **kwargs):
             widths.append((len(enc_ids), enc_ids.shape[1], dec_ids.shape[1]))
-            return forward(enc_ids, sd, dec_ids, record)
+            return forward(enc_ids, sd, dec_ids, **kwargs)
         monkeypatch.setattr(tiny_model, "forward", spy)
         grad(tiny_model, batch)
         assert len(widths) == training.LENGTH_GROUPS
@@ -252,20 +252,55 @@ def test_shared_upstream_gradient_not_aliased():
     np.testing.assert_array_equal(b.grad, 1.0)
 
 
+def _per_tensor_adamw(params: dict, grads: dict, m: dict, v: dict, t: int,
+                      lr: float, weight_decay: float, beta1: float = 0.9,
+                      beta2: float = 0.999, eps: float = 1e-8):
+    """AdamW as first written: one update per parameter tensor."""
+    for k, w in params.items():
+        g = grads[k]
+        m[k] = beta1 * m[k] + (1 - beta1) * g
+        v[k] = beta2 * v[k] + (1 - beta2) * g * g
+        mhat = m[k] / (1 - beta1 ** t)
+        vhat = v[k] / (1 - beta2 ** t)
+        update = mhat / (np.sqrt(vhat) + eps)
+        if weight_decay and w.ndim >= 2:
+            update = update + weight_decay * w
+        w -= lr * update
+
+
 class TestAdamW:
     def test_decay_applies_to_matrices_only(self, tiny_model):
         model = SdTransformer(tiny_model.hyper, tiny_model.vocab,
                               rng=np.random.default_rng(4))
-        zero_grads = {k: np.zeros_like(t.data)
-                      for k, t in model.params.items()}
-        before = {k: t.data.copy() for k, t in model.params.items()}
+        zero_grads = {k: np.zeros_like(w) for k, w in model.params.items()}
+        before = {k: w.copy() for k, w in model.params.items()}
         state = AdamWState(model.params)
         adamw_step(model, zero_grads, state, lr=0.1, weight_decay=0.01)
-        for k, t in model.params.items():
-            if t.data.ndim >= 2:
-                np.testing.assert_allclose(t.data, before[k] * (1 - 0.001))
+        for k, w in model.params.items():
+            if w.ndim >= 2:
+                np.testing.assert_allclose(w, before[k] * (1 - 0.001))
             else:
-                np.testing.assert_array_equal(t.data, before[k])
+                np.testing.assert_array_equal(w, before[k])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_flat_step_matches_per_tensor_loop(self, tiny_model, vocab,
+                                               harvested, weight_decay):
+        model = SdTransformer(tiny_model.hyper, vocab,
+                              rng=np.random.default_rng(4))
+        ref = {k: w.copy() for k, w in model.params.items()}
+        m = {k: np.zeros_like(w) for k, w in ref.items()}
+        v = {k: np.zeros_like(w) for k, w in ref.items()}
+        state = AdamWState(model.params)
+        pairs = harvested[1]
+        for t in range(1, 6):
+            batch = make_batch(pairs[8 * t:8 * t + 8], vocab, 100)
+            _, grads = grad(model, batch)
+            adamw_step(model, grads, state, lr=1e-3,
+                       weight_decay=weight_decay)
+            _per_tensor_adamw(ref, grads, m, v, t, 1e-3, weight_decay)
+            for k, w in model.params.items():
+                np.testing.assert_array_equal(w, ref[k], err_msg=k)
+                np.testing.assert_array_equal(w, model.views(model.flat)[k])
 
 
 class TestTraining:
@@ -275,8 +310,7 @@ class TestTraining:
         m2, c2 = train(pairs, tiny_hyper, vocab, seed=3, max_steps=5)
         assert c1 == c2
         for k in m1.params:
-            np.testing.assert_array_equal(m1.params[k].data,
-                                          m2.params[k].data)
+            np.testing.assert_array_equal(m1.params[k], m2.params[k])
 
     def test_loss_decreases(self, tiny_hyper, vocab, tiny_model):
         pairs = random_pairs(tiny_model, np.random.default_rng(7), n=8)
@@ -305,11 +339,10 @@ class TestCheckpoint:
         batch = make_batch(pairs, vocab, 100)
         # compare through the same float32 cast the format applies
         f32 = SdTransformer(tiny_model.hyper, vocab, params={
-            k: t.data.astype(np.float32).astype(np.float64)
-            for k, t in tiny_model.params.items()})
-        with no_grad():
-            a = f32.forward(batch[0], batch[1], batch[2]).data
-            b = loaded.forward(batch[0], batch[1], batch[2]).data
+            k: w.astype(np.float32).astype(np.float64)
+            for k, w in tiny_model.params.items()})
+        a = f32.forward(batch[0], batch[1], batch[2])
+        b = loaded.forward(batch[0], batch[1], batch[2])
         np.testing.assert_array_equal(a, b)
 
     def test_bad_magic(self, tiny_model, tmp_path):
@@ -350,10 +383,9 @@ class TestCheckpoint:
             path, lambda h: h["hyperparams"].update(dropout=0.0))
         loaded = load_checkpoint(path)
         assert loaded.hyper == tiny_model.hyper
-        for name, t in tiny_model.params.items():
+        for name, w in tiny_model.params.items():
             np.testing.assert_array_equal(
-                loaded.params[name].data,
-                t.data.astype(np.float32).astype(np.float64))
+                loaded.params[name], w.astype(np.float32).astype(np.float64))
 
     def test_unknown_hyperparameter(self, tiny_model, tmp_path):
         path = self._saved(tiny_model, tmp_path)
