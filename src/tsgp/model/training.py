@@ -81,7 +81,8 @@ def grad(model: SdTransformer, batch) -> tuple:
                                dec_ids[rows, :tgt_w - 1], acts=acts)
         loss, dlogits = blocks.cross_entropy(logits, targets[rows, :tgt_w])
         share = int(tgt_len[rows].sum()) / total
-        model.backward(acts, dlogits * share, grads)
+        dlogits *= share
+        model.backward(acts, dlogits, grads)
         loss_val += loss * share
     return loss_val, grads
 
