@@ -75,8 +75,7 @@ def embed(p: dict, key: str, ids: np.ndarray, sd: np.ndarray,
     return x + positions[None, start:start + x.shape[1], :]
 
 
-def embed_backward(p: dict, key: str, dx: np.ndarray, acts: dict,
-                   grads: dict):
+def embed_backward(key: str, dx: np.ndarray, acts: dict, grads: dict):
     """Gradients of a full (``start`` 0) ``embed``."""
     ids, sd_col = acts[key]
     d_sd = dx[:, 0]

@@ -277,7 +277,7 @@ class SdTransformer:
                                                 grads)
             dx = dx + blocks.layer_norm_backward(p, f"{pre}.ln1", dh, acts,
                                                  grads)
-        blocks.embed_backward(p, "dec", dx, acts, grads)
+        blocks.embed_backward("dec", dx, acts, grads)
         dx = blocks.layer_norm_backward(p, "enc.ln_f", denc, acts, grads)
         for i in reversed(range(h.n_encoder_layers)):
             pre = f"enc.{i}"
@@ -288,7 +288,7 @@ class SdTransformer:
                                                 grads)
             dx = dx + blocks.layer_norm_backward(p, f"{pre}.ln1", dh, acts,
                                                  grads)
-        blocks.embed_backward(p, "enc", dx, acts, grads)
+        blocks.embed_backward("enc", dx, acts, grads)
 
 
 class DecodeCache:

@@ -82,7 +82,7 @@ def test_embed(vocab, seed, B, T, Tk):
                        acts=acts)
     _, grads, ref = _run(model, tape, out, tape.embed(ids, sd),
                          lambda g, grads: blocks.embed_backward(
-                             model.params, "enc", g, acts, grads), rng)
+                             "enc", g, acts, grads), rng)
     _check(grads, ref)
 
 
