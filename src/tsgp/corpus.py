@@ -254,15 +254,27 @@ def write_corpus_jsonl(corpus: list, path):
                      + "\n")
 
 
-def read_corpus_jsonl(path) -> list:
+class CorpusFileError(Exception):
+    """A corpus or pairs file line that is not the record its file holds."""
+
+
+def _read_jsonl(path, make) -> list:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             obj = json.loads(line)
-            out.append(CorpusEntry(id=obj["id"], problem_id=obj["problem_id"],
-                                   tokens=obj["tokens"],
-                                   semantics=np.asarray(obj["semantics"])))
+            try:
+                out.append(make(obj))
+            except (KeyError, TypeError) as e:
+                raise CorpusFileError(f"{path} line {n}: malformed record "
+                                      f"({type(e).__name__}: {e})") from None
     return out
+
+
+def read_corpus_jsonl(path) -> list:
+    return _read_jsonl(path, lambda obj: CorpusEntry(
+        id=obj["id"], problem_id=obj["problem_id"], tokens=obj["tokens"],
+        semantics=np.asarray(obj["semantics"])))
 
 
 def write_pairs_jsonl(pairs: list, path):
@@ -273,10 +285,5 @@ def write_pairs_jsonl(pairs: list, path):
 
 
 def read_pairs_jsonl(path) -> list:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            out.append(TrainingPair(input_tokens=obj["input"],
-                                    output_tokens=obj["output"], sd=obj["sd"]))
-    return out
+    return _read_jsonl(path, lambda obj: TrainingPair(
+        input_tokens=obj["input"], output_tokens=obj["output"], sd=obj["sd"]))

@@ -130,15 +130,13 @@ def _merge_heads(*heads: np.ndarray) -> np.ndarray:
 
 
 def _attend(p: dict, prefix: str, q, k, v, bias: np.ndarray,
-            acts: dict, record: dict) -> np.ndarray:
+            acts: dict) -> np.ndarray:
     """Scaled dot-product attention of (B, H, T, dh) heads under an additive
     ``bias``, then the output projection ``wo``/``bo``."""
     B, H, Tq, dh = q.shape
     scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh)) + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     att = e / e.sum(axis=-1, keepdims=True)
-    if record is not None:
-        record[prefix] = att
     ctx = (att @ v).transpose(0, 2, 1, 3).reshape(B, Tq, H * dh)
     if acts is not None:
         acts[prefix] = (q, k, v, att, ctx)
@@ -160,8 +158,7 @@ def _attend_backward(p: dict, prefix: str, dy: np.ndarray, acts: dict,
 
 
 def self_attention(p: dict, prefix: str, x: np.ndarray, bias: np.ndarray,
-                   n_heads: int, acts: dict = None, record: dict = None,
-                   extend=None) -> np.ndarray:
+                   n_heads: int, acts: dict = None, extend=None) -> np.ndarray:
     """Multi-head self-attention of ``x`` with one fused QKV projection.
 
     ``extend(k, v)``, when given, stores the new positions' key and value
@@ -172,7 +169,7 @@ def self_attention(p: dict, prefix: str, x: np.ndarray, bias: np.ndarray,
         k, v = extend(k, v)
     if acts is not None:
         acts[prefix + ".in"] = x
-    return _attend(p, prefix, q, k, v, bias, acts, record)
+    return _attend(p, prefix, q, k, v, bias, acts)
 
 
 def self_attention_backward(p: dict, prefix: str, dy: np.ndarray,
@@ -184,7 +181,7 @@ def self_attention_backward(p: dict, prefix: str, dy: np.ndarray,
 
 def cross_attention(p: dict, prefix: str, x: np.ndarray, enc_out: np.ndarray,
                     bias: np.ndarray, n_heads: int, acts: dict = None,
-                    record: dict = None, kv: tuple = None) -> np.ndarray:
+                    kv: tuple = None) -> np.ndarray:
     """Multi-head attention from ``x`` to the encoder output; keys and values
     come from one fused KV projection of ``enc_out``, or from ``kv`` heads
     projected earlier (a decode cache)."""
@@ -193,7 +190,7 @@ def cross_attention(p: dict, prefix: str, x: np.ndarray, enc_out: np.ndarray,
                                                    n_heads)
     if acts is not None:
         acts[prefix + ".in"] = (x, enc_out)
-    return _attend(p, prefix, q, k, v, bias, acts, record)
+    return _attend(p, prefix, q, k, v, bias, acts)
 
 
 def cross_attention_backward(p: dict, prefix: str, dy: np.ndarray,

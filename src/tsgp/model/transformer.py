@@ -10,7 +10,7 @@ their hand-derived backward passes are in ``blocks``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -41,6 +41,12 @@ class Hyperparams:
     def __post_init__(self):
         if self.ffn_dim is None:
             self.ffn_dim = 4 * self.d_model
+        for f in fields(self):  # postponed annotations: f.type is a string
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, int) or value < 1):
+                raise ValueError(f"{f.name} must be a positive integer, "
+                                 f"not {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
 
@@ -163,8 +169,7 @@ class SdTransformer:
     # With an ``acts`` dict, every block stores what its backward needs in
     # it, and ``backward`` can then run the pass in reverse.
 
-    def encode(self, enc_ids: np.ndarray, sd: np.ndarray,
-               record: dict = None, acts: dict = None):
+    def encode(self, enc_ids: np.ndarray, sd: np.ndarray, acts: dict = None):
         """Run the encoder stack; returns (output, key-validity mask)."""
         enc_ids = np.atleast_2d(np.asarray(enc_ids, dtype=np.int64))
         if enc_ids.shape[1] > self.hyper.max_len:
@@ -178,7 +183,7 @@ class SdTransformer:
         for i in range(self.hyper.n_encoder_layers):
             h = blocks.layer_norm(p, f"enc.{i}.ln1", x, acts)
             x = x + blocks.self_attention(p, f"enc.{i}.attn", h, bias, H,
-                                          acts, record)
+                                          acts)
             h = blocks.layer_norm(p, f"enc.{i}.ln2", x, acts)
             x = x + blocks.ffn(p, f"enc.{i}.ffn", h, acts)
         return blocks.layer_norm(p, "enc.ln_f", x, acts), valid
@@ -200,8 +205,8 @@ class SdTransformer:
             cross_bias=self._key_bias(enc_valid))
 
     def decode(self, dec_ids: np.ndarray, sd: np.ndarray, enc_out: np.ndarray,
-               enc_valid: np.ndarray, record: dict = None,
-               cache: "DecodeCache" = None, acts: dict = None) -> np.ndarray:
+               enc_valid: np.ndarray, cache: "DecodeCache" = None,
+               acts: dict = None) -> np.ndarray:
         """Decoder stack over [SD] ++ dec_ids; returns logits (B, T+1, V).
 
         With a ``cache`` from ``start_decoding``, ``dec_ids`` (no PAD)
@@ -234,11 +239,11 @@ class SdTransformer:
             h = blocks.layer_norm(p, f"{pre}.ln1", x, acts)
             extend = None if cache is None else partial(cache.extend, i)
             x = x + blocks.self_attention(p, f"{pre}.self", h, self_bias, H,
-                                          acts, record, extend)
+                                          acts, extend)
             h = blocks.layer_norm(p, f"{pre}.ln2", x, acts)
             kv = None if cache is None else cache.cross(i)
             x = x + blocks.cross_attention(p, f"{pre}.cross", h, enc_out,
-                                           cross_bias, H, acts, record, kv)
+                                           cross_bias, H, acts, kv)
             h = blocks.layer_norm(p, f"{pre}.ln3", x, acts)
             x = x + blocks.ffn(p, f"{pre}.ffn", h, acts)
         if cache is not None:
@@ -246,13 +251,12 @@ class SdTransformer:
         return blocks.head(p, x, acts)
 
     def forward(self, enc_ids: np.ndarray, sd, dec_ids: np.ndarray,
-                record: dict = None, acts: dict = None) -> np.ndarray:
+                acts: dict = None) -> np.ndarray:
         """Full pass; logits row t depends only on decoder positions <= t."""
         sd = np.broadcast_to(np.asarray(sd, dtype=np.float64),
                              (np.atleast_2d(enc_ids).shape[0],))
-        enc_out, enc_valid = self.encode(enc_ids, sd, record, acts)
-        return self.decode(dec_ids, sd, enc_out, enc_valid, record,
-                           acts=acts)
+        enc_out, enc_valid = self.encode(enc_ids, sd, acts)
+        return self.decode(dec_ids, sd, enc_out, enc_valid, acts=acts)
 
     # -- backward -------------------------------------------------------------
 

@@ -71,10 +71,12 @@ def causality_probe(model: SdTransformer, rng: np.random.Generator,
     dec_ids = np.array([[1] + list(rng.choice(content, size=seq_len))])
     sd = np.array([0.1])
 
-    record = {}
-    base = model.forward(enc_ids, sd, dec_ids, record=record)
-    row_err = max(float(np.abs(att.sum(axis=-1) - 1.0).max())
-                  for att in record.values())
+    acts = {}
+    base = model.forward(enc_ids, sd, dec_ids, acts=acts)
+    # attention blocks store (q, k, v, probabilities, context)
+    row_err = max(float(np.abs(acts[name][3].sum(axis=-1) - 1.0).max())
+                  for name in acts
+                  if name.endswith((".attn", ".self", ".cross")))
 
     leak = 0.0
     for _ in range(n_positions):

@@ -112,10 +112,9 @@ def test_self_attention(vocab, causal, seed, B, T, Tk):
     if causal:
         bias = bias + SdTransformer._causal_bias(T)[None, None]
     x = rng.standard_normal((B, T, 8))
-    x_t, acts, record = Tensor(x, True), {}, {}
-    out = blocks.self_attention(model.params, prefix, x, bias, H, acts,
-                                record)
-    np.testing.assert_allclose(record[prefix].sum(axis=-1), 1.0, atol=1e-12)
+    x_t, acts = Tensor(x, True), {}
+    out = blocks.self_attention(model.params, prefix, x, bias, H, acts)
+    np.testing.assert_allclose(acts[prefix][3].sum(axis=-1), 1.0, atol=1e-12)
     dx, grads, ref = _run(model, tape, out,
                           tape.mha(prefix, x_t, x_t, bias),
                           lambda g, grads: blocks.self_attention_backward(

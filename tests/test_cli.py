@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from tsgp.cli import main
+from tsgp.cli import AtLeast, cli, main
 from tsgp.corpus import read_pairs_jsonl
 
 
@@ -191,6 +191,132 @@ class TestExitCodes:
         assert main(["verify-model", "--model", str(bad)]) == 2
 
 
+    @pytest.mark.parametrize("command,content", [
+        ("mine-pairs", ""),
+        ("mine-pairs", '{"id": 0, "tokens": ["v1"], "semantics": [1.0]}\n'),
+        ("mine-pairs", "[1, 2]\n"),
+        ("train", ""),
+        ("train", '{"input": ["v1"], "output": ["v2"]}\n'),
+    ], ids=["empty corpus", "no problem_id", "list line", "no pairs",
+            "no sd"])
+    def test_data_error_bad_jsonl(self, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(content)
+        flag = "--corpus" if command == "mine-pairs" else "--pairs"
+        out = tmp_path / "out"
+        assert main([command, flag, str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("max_len", [-5, 1.5])
+    def test_data_error_header_bad_max_len(self, tmp_path, capsys, model_file,
+                                           max_len):
+        from tsgp.model.checkpoint import MAGIC
+        blob = model_file.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        header["hyperparams"]["max_len"] = max_len
+        raw = json.dumps(header).encode()
+        bad = tmp_path / "bad_max_len.tsgp"
+        bad.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw
+                        + blob[12 + hlen:])
+        assert main(["verify-model", "--model", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed header: ")
+        assert "max_len" in err
+
+    @pytest.mark.parametrize("methods", ["foo", "stdgp,foo", ",", ""])
+    def test_usage_error_bad_methods(self, tmp_path, capsys, methods):
+        out = tmp_path / "bench_out"
+        assert main(["bench", "--methods", methods, "--synthetic", "--runs",
+                     "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --methods must list some of ")
+        assert not out.exists()
+
+    def test_usage_error_bench_needs_data(self, tmp_path, capsys):
+        out = tmp_path / "bench_out"
+        assert main(["bench", "--methods", "stdgp", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: need --data CSV or --synthetic")
+        assert not out.exists()
+
+    def test_usage_error_threads_below_one(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        assert main(["--threads", "0", "gen-corpus", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --threads must be >= 1")
+        assert not out.exists()
+
+    def test_usage_error_directory_as_input_file(self, tmp_path, capsys):
+        assert main(["mine-pairs", "--corpus", str(tmp_path)]) == 1
+        assert "is a directory" in capsys.readouterr().err
+
+
+# The smallest valid invocation of each subcommand that has bounded options.
+BASE_ARGS = {
+    "gen-corpus": [],
+    "mine-pairs": ["--corpus", "CORPUS"],
+    "train": ["--pairs", "PAIRS"],
+    "search": ["--method", "stdgp", "--synthetic"],
+    "bench": ["--methods", "stdgp", "--synthetic"],
+}
+BOUNDED = [(name, param) for name, command in cli.commands.items()
+           for param in command.params if isinstance(param.type, AtLeast)]
+RUN_OPTIONS = {"model_path", "data", "target", "synthetic", "rows", "noise",
+               "features", "sdd", "pop", "gens"}
+
+
+class TestOptionLayer:
+    @pytest.mark.parametrize("via_config", [False, True],
+                             ids=["flag", "config"])
+    @pytest.mark.parametrize("command,param", BOUNDED,
+                             ids=[f"{c} {p.opts[0]}" for c, p in BOUNDED])
+    def test_below_bound_is_usage_error(self, tmp_path, capsys, corpus_file,
+                                        pairs_file, command, param,
+                                        via_config):
+        paths = {"CORPUS": str(corpus_file), "PAIRS": str(pairs_file)}
+        low = param.type.low
+        args = ([paths.get(a, a) for a in BASE_ARGS[command]]
+                + ["--out", str(tmp_path / "out")])
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({param.name: low - 1}))
+            argv = ["--config", str(cfg), command] + args
+        else:
+            argv = [command] + args + [param.opts[0], str(low - 1)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {param.opts[0]} must be >= {low}\n")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("config", [{"k": "abc"}, [1, 2], "k"],
+                             ids=["wrong type", "list", "string"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, corpus_file,
+                                       config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "p.jsonl"
+        assert main(["--config", str(cfg), "mine-pairs", "--corpus",
+                     str(corpus_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("p.jsonl*"))
+
+    def test_search_and_bench_share_run_options(self):
+        def options(name):
+            return {p.name: (p.to_info_dict(), getattr(p.type, "low", None))
+                    for p in cli.commands[name].params}
+        search, bench = options("search"), options("bench")
+        assert set(search) - {"method", "out"} == RUN_OPTIONS
+        assert set(bench) - {"methods", "runs", "probe", "out"} == RUN_OPTIONS
+        assert all(search[n] == bench[n] for n in RUN_OPTIONS)
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, workdir, corpus_file):
         cfg = workdir / "cfg.json"
@@ -203,3 +329,16 @@ class TestConfigFile:
             (workdir / "p_cfg.jsonl.manifest.json").read_text())
         assert manifest["config"]["k"] == 1        # from config file
         assert manifest["config"]["sd_max"] == 75.0  # flag wins
+
+    def test_config_value_recorded_in_manifest(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synthetic": True, "pop": 7, "gens": 1}))
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "search", "--method", "stdgp",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["synthetic"], config["pop"], config["gens"]) == (
+            True, 7, 1)
+        assert config["method"] == "stdgp"
+        with open(out / "trace.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 2
