@@ -55,26 +55,54 @@ def _write_manifest(ctx, out_path):
     target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+class StrictInt(click.types.IntParamType):
+    """click's integer type, except that a float or boolean (which only
+    ``--config`` can supply) is a usage error instead of being truncated."""
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, (bool, float)):
+            self.fail(f"{value!r} is not a valid integer.", param, ctx)
+        return super().convert(value, param, ctx)
+
+
+STRICT_INT = StrictInt()
+
+
 class AtLeast(click.ParamType):
     """A number option with a lower bound; a smaller value (or NaN) is a
     usage error naming the option, whether it came from a flag or from
     ``--config``."""
 
-    def __init__(self, low, base: click.ParamType = click.INT):
+    relation = ">="
+
+    def __init__(self, low, base: click.ParamType = STRICT_INT):
         self.low, self.base, self.name = low, base, base.name
 
     def convert(self, value, param, ctx):
         value = self.base.convert(value, param, ctx)
-        if not value >= self.low:
-            raise click.UsageError(f"{param.opts[0]} must be >= {self.low}")
+        if not self.within(value):
+            raise click.UsageError(
+                f"{param.opts[0]} must be {self.relation} {self.low}")
         return value
+
+    def within(self, value) -> bool:
+        return value >= self.low
+
+
+class Above(AtLeast):
+    """``AtLeast`` with an exclusive bound."""
+
+    relation = ">"
+
+    def within(self, value) -> bool:
+        return value > self.low
 
 
 _INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
 
 @click.group()
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=STRICT_INT, default=0, show_default=True,
               help="Master seed for all randomness.")
 @click.option("--threads", type=AtLeast(1), default=None,
               help="Worker thread cap (default: available cores).")
@@ -131,8 +159,9 @@ def gen_corpus(ctx, problems, pop, gens, features, rows, noise, m_sem, out):
 @cli.command("mine-pairs")
 @click.option("--corpus", "corpus_path", type=_INPUT_FILE, required=True)
 @click.option("--k", type=AtLeast(1), default=3, show_default=True)
-@click.option("--sd-max", type=float, default=100.0, show_default=True)
-@click.option("--max-len", type=int, default=100, show_default=True)
+@click.option("--sd-max", type=Above(0, click.FLOAT), default=100.0,
+              show_default=True)
+@click.option("--max-len", type=AtLeast(1), default=100, show_default=True)
 @click.option("--ivf-clusters", type=AtLeast(0), default=0,
               help="Use an IVF index with this many clusters (0 = brute force).")
 @click.option("--n-probe", type=AtLeast(1), default=None)
@@ -174,7 +203,7 @@ def mine_pairs_cmd(ctx, corpus_path, k, sd_max, max_len, ivf_clusters,
               help="Encoder and decoder stack depth.")
 @click.option("--batch-size", type=AtLeast(1), default=32, show_default=True)
 @click.option("--weight-decay", type=float, default=0.01, show_default=True)
-@click.option("--features", type=int, default=4, show_default=True)
+@click.option("--features", type=STRICT_INT, default=4, show_default=True)
 @click.option("--out", type=click.Path(), default="model.tsgp",
               show_default=True)
 @click.option("--curve", type=click.Path(), default=None,

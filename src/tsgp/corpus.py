@@ -271,10 +271,28 @@ def _read_jsonl(path, make) -> list:
     return out
 
 
+def _semantics(values) -> np.ndarray:
+    """A corpus record's semantics: a flat list of numbers."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise TypeError(f"semantics must be a list of numbers, "
+                        f"not {str(values)[:40]}")
+    return np.asarray(arr, dtype=np.float64)
+
+
 def read_corpus_jsonl(path) -> list:
-    return _read_jsonl(path, lambda obj: CorpusEntry(
+    entries = _read_jsonl(path, lambda obj: CorpusEntry(
         id=obj["id"], problem_id=obj["problem_id"], tokens=obj["tokens"],
-        semantics=np.asarray(obj["semantics"])))
+        semantics=_semantics(obj["semantics"])))
+    for n, e in enumerate(entries, 1):
+        if len(e.semantics) != len(entries[0].semantics):
+            raise CorpusFileError(
+                f"{path} line {n}: {len(e.semantics)} semantics values, but "
+                f"line 1 has {len(entries[0].semantics)}")
+    return entries
 
 
 def write_pairs_jsonl(pairs: list, path):

@@ -155,10 +155,11 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
     """Sample one offspring token sequence per parent (lockstep batch).
 
     Each sequence consumes only its own rng stream, so results are
-    independent of how sequences are batched together. Decoding is
-    incremental: each step feeds only the latest token through the decoder
-    against a cache of earlier positions, and rows that emit EOS leave the
-    cache.
+    independent of how sequences are batched together. Each distinct parent
+    is encoded once, however many rows share it. Decoding is incremental:
+    each step feeds only the latest token through the decoder against a
+    cache of earlier positions that grows with the longest row, and rows
+    that emit EOS leave the cache.
     """
     vocab = model.vocab
     max_len = model.hyper.max_len
@@ -167,10 +168,14 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
     kinds = operator_ids(vocab)
     is_op = kinds[0]
 
-    # encoder-side truncation only
-    enc_ids = [vocab.encode(t[:max_len]) for t in parents_tokens]
-    enc_out, enc_valid = _encode_bucketed(model, enc_ids, sds)
-    cache = model.start_decoding(enc_out, enc_valid)
+    # encoder-side truncation only; each distinct parent is encoded once
+    distinct = {}
+    parent_row = np.array([
+        distinct.setdefault(tuple(vocab.encode(t[:max_len])), len(distinct))
+        for t in parents_tokens])
+    enc_out, enc_valid = _encode_bucketed(model, list(distinct),
+                                          sds[:len(distinct)])
+    cache = model.start_decoding(enc_out, enc_valid, parent_row)
 
     # per-parent counters; depth[i, need[i] - 1] is the open slot's depth
     emitted = np.zeros(B, dtype=np.int64)

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from tsgp.cli import AtLeast, cli, main
+from tsgp.cli import STRICT_INT, AtLeast, cli, main
 from tsgp.corpus import read_pairs_jsonl
 
 
@@ -129,6 +129,9 @@ class TestExitCodes:
         ["mine-pairs", "--corpus", "CORPUS", "--ivf-clusters", "-1"],
         ["mine-pairs", "--corpus", "CORPUS", "--ivf-clusters", "4",
          "--n-probe", "0"],
+        ["mine-pairs", "--corpus", "CORPUS", "--max-len", "0"],
+        ["mine-pairs", "--corpus", "CORPUS", "--sd-max", "0"],
+        ["mine-pairs", "--corpus", "CORPUS", "--sd-max", "-1"],
         ["train", "--pairs", "PAIRS", "--epochs", "0"],
         ["train", "--pairs", "PAIRS", "--batch-size", "0"],
         ["train", "--pairs", "PAIRS", "--n-heads", "8", "--d-model", "30"],
@@ -195,9 +198,16 @@ class TestExitCodes:
         ("mine-pairs", ""),
         ("mine-pairs", '{"id": 0, "tokens": ["v1"], "semantics": [1.0]}\n'),
         ("mine-pairs", "[1, 2]\n"),
+        ("mine-pairs", '{"id": 0, "problem_id": 0, "tokens": ["v1"], '
+                       '"semantics": ["a"]}\n'),
+        ("mine-pairs", '{"id": 0, "problem_id": 0, "tokens": ["v1"], '
+                       '"semantics": [1.0, 2.0]}\n'
+                       '{"id": 1, "problem_id": 0, "tokens": ["v2"], '
+                       '"semantics": [1.0]}\n'),
         ("train", ""),
         ("train", '{"input": ["v1"], "output": ["v2"]}\n'),
-    ], ids=["empty corpus", "no problem_id", "list line", "no pairs",
+    ], ids=["empty corpus", "no problem_id", "list line",
+            "non-numeric semantics", "semantics lengths differ", "no pairs",
             "no sd"])
     def test_data_error_bad_jsonl(self, tmp_path, capsys, command, content):
         bad = tmp_path / "bad.jsonl"
@@ -265,6 +275,9 @@ BASE_ARGS = {
 }
 BOUNDED = [(name, param) for name, command in cli.commands.items()
            for param in command.params if isinstance(param.type, AtLeast)]
+INTEGER = [(name, param) for name, command in cli.commands.items()
+           for param in command.params
+           if STRICT_INT in (param.type, getattr(param.type, "base", None))]
 RUN_OPTIONS = {"model_path", "data", "target", "synthetic", "rows", "noise",
                "features", "sdd", "pop", "gens"}
 
@@ -289,7 +302,8 @@ class TestOptionLayer:
             argv = [command] + args + [param.opts[0], str(low - 1)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {param.opts[0]} must be >= {low}\n")
+        assert err.startswith(
+            f"error: {param.opts[0]} must be {param.type.relation} {low}\n")
         assert "Traceback" not in err
         assert not list(tmp_path.glob("out*"))
 
@@ -306,6 +320,23 @@ class TestOptionLayer:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not list(tmp_path.glob("p.jsonl*"))
+
+    @pytest.mark.parametrize("value", [1.5, True], ids=["1.5", "true"])
+    @pytest.mark.parametrize("command,param", INTEGER,
+                             ids=[f"{c} {p.opts[0]}" for c, p in INTEGER])
+    def test_config_integer_is_strict(self, tmp_path, capsys, corpus_file,
+                                      pairs_file, command, param, value):
+        paths = {"CORPUS": str(corpus_file), "PAIRS": str(pairs_file)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({param.name: value}))
+        assert main(["--config", str(cfg), command]
+                    + [paths.get(a, a) for a in BASE_ARGS[command]]
+                    + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Invalid value for '{param.opts[0]}': "
+                              f"{value!r} is not a valid integer.")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("out*"))
 
     def test_search_and_bench_share_run_options(self):
         def options(name):

@@ -133,6 +133,26 @@ class TestIncrementalDecode:
             model.decode(full[rows, :1], sd[rows], None, None, cache=cache)
 
 
+    def test_repeated_rows_match_teacher_forcing(self, tiny_model):
+        """Decode rows that share encoder rows through the index given to
+        ``start_decoding``, past two capacity doublings."""
+        model = tiny_model
+        enc, dec, sd = self._inputs(model, np.random.default_rng(10))
+        rows = np.array([2, 0, 2, 2, 1, 0, 2])
+        full = np.concatenate([np.full((len(rows), 1), BOS), dec[rows]],
+                              axis=1)
+        enc_out, enc_valid = model.encode(enc, sd)
+        cache = model.start_decoding(enc_out, enc_valid, rows)
+        for t in range(40):
+            step = model.decode(full[:, t:t + 1], sd[rows], None, None,
+                                cache=cache)
+            ref = model.decode(full[:, :t + 1], sd[rows], enc_out[rows],
+                               enc_valid[rows])
+            np.testing.assert_allclose(step[:, -1], ref[:, -1], rtol=0,
+                                       atol=1e-12)
+        assert cache.self_kv[0][0].shape[2] < model.hyper.max_len + 2
+
+
 class TestGradients:
     def test_finite_difference(self, tiny_model):
         rng = np.random.default_rng(5)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsgp import expr, semantics
+from tsgp.model import Hyperparams
+from tsgp.model.transformer import SdTransformer
 from tsgp.model.vocab import BOS, EOS, PAD
 from tsgp.sampler import (SamplerState, SearchConfig, _draw_batch,
                           batch_legal_mask, legal_mask, operator_ids,
@@ -161,6 +164,21 @@ class TestDrawBatch:
         assert _draw_batch(probs, mask, [_FixedUniform(0.9)]).tolist() == [9]
 
 
+def _random_model(vocab, seed: int, operator_bias: float) -> SdTransformer:
+    """A small model with every parameter drawn at a scale where the parent
+    and the SD visibly change the output, and ``operator_bias`` added to
+    the operators' output logits."""
+    model = SdTransformer(Hyperparams(d_model=16, n_heads=2,
+                                      n_encoder_layers=1, n_decoder_layers=1),
+                          vocab)
+    model.flat[:] = np.random.default_rng(seed).normal(0.0, 0.5,
+                                                       model.flat.size)
+    for i, sym in enumerate(vocab.symbols):
+        if sym in expr.OPERATORS:
+            model.params["out.b"][i] += operator_bias
+    return model
+
+
 class TestSampling:
     def test_random_theta_always_parses(self, tiny_model, prims):
         rng = np.random.default_rng(0)
@@ -201,6 +219,30 @@ class TestSampling:
                 [np.random.default_rng(200 + i)])[0]
             assert solo == batched[i]
 
+    @pytest.mark.parametrize("n_distinct", [1, 4])
+    def test_repeated_parents_match_solo(self, vocab, prims, n_distinct):
+        """Rows that share a parent share its encoding but draw from their
+        own streams; a long parent sets the cross-attention width."""
+        model = _random_model(vocab, 7, operator_bias=1.0)
+        rng = np.random.default_rng(6)
+        if n_distinct == 1:
+            parents = [expr.serialize_prefix(expr.from_string("ADD v1 v2"))] * 20
+        else:
+            distinct = [expr.serialize_prefix(t) for t in
+                        expr.ramped_half_and_half(n_distinct, 2, 4, prims,
+                                                  rng)]
+            long_parent = ["ADD"] * 30 + ["v1"] * 31
+            parents = ([distinct[i] for i in rng.integers(n_distinct, size=12)]
+                       + [long_parent, distinct[0], long_parent])
+            assert len({tuple(p) for p in parents}) == n_distinct + 1
+        rngs = [np.random.default_rng(300 + i) for i in range(len(parents))]
+        batched = sample_tokens_batch(model, parents, 0.1, rngs)
+        for i, parent in enumerate(parents):
+            solo = sample_tokens_batch(model, [parent], 0.1,
+                                       [np.random.default_rng(300 + i)])[0]
+            assert solo == batched[i]
+        assert len({tuple(t) for t in batched}) > 1
+
     def test_single_offspring_deterministic(self, tiny_model, prims):
         parent = expr.serialize_prefix(expr.from_string("ADD v1 v2"))
         a, = sample_tokens_batch(tiny_model, [parent], 0.1,
@@ -209,6 +251,30 @@ class TestSampling:
                                  [np.random.default_rng(5)])
         assert a == b
         assert expr.depth(expr.parse_prefix(a, prims)) <= 17
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       temperature=st.one_of(st.sampled_from([1e-3, 1e3]),
+                             st.floats(1e-3, 1e3)),
+       sd_desired=st.floats(0.0, 100.0),
+       operator_bias=st.floats(-4.0, 4.0),
+       picks=st.lists(st.integers(0, 3), min_size=1, max_size=8))
+def test_samples_always_legal(vocab, prims, seed, temperature, sd_desired,
+                              operator_bias, picks):
+    """Any parameters, temperature and SD give offspring that parse, fit
+    100 tokens and have depth <= 17, also for parents repeated in a batch."""
+    model = _random_model(vocab, seed, operator_bias)
+    rng = np.random.default_rng(seed)
+    distinct = [expr.serialize_prefix(t)
+                for t in expr.ramped_half_and_half(4, 2, 6, prims, rng)]
+    parents = [distinct[i] for i in picks]
+    rngs = [np.random.default_rng(s)
+            for s in rng.integers(0, 2 ** 63, size=len(parents))]
+    for toks in sample_tokens_batch(model, parents, sd_desired, rngs,
+                                    temperature):
+        assert len(toks) <= 100
+        assert expr.depth(expr.parse_prefix(toks, prims)) <= 17
 
 
 class _ToyDataset:
