@@ -202,21 +202,24 @@ class SdTransformer:
         and values projected once from the encoder output.
 
         Decode row i attends to encoder row ``rows[i]`` (default: row i), so
-        several offspring of one parent share that parent's projection.
+        several offspring of one parent share that parent's projection. The
+        default copies nothing per row.
         """
         h = self.hyper
-        if rows is None:
-            rows = np.arange(enc_out.shape[0])
-        shape = (len(rows), h.n_heads, SELF_KV_CAPACITY,
+
+        def per_row(a):
+            return a if rows is None else a[rows]
+
+        shape = (len(per_row(enc_valid)), h.n_heads, SELF_KV_CAPACITY,
                  h.d_model // h.n_heads)
         layers = range(h.n_decoder_layers)
         return DecodeCache(
             self_kv=[(np.empty(shape), np.empty(shape)) for _ in layers],
-            cross_kv=[tuple(np.ascontiguousarray(heads)[rows] for heads in
+            cross_kv=[tuple(per_row(np.ascontiguousarray(heads)) for heads in
                             blocks.project_heads(self.params, f"dec.{i}.cross",
                                                  "kv", enc_out, h.n_heads))
                       for i in layers],
-            cross_bias=self._key_bias(enc_valid[rows]))
+            cross_bias=self._key_bias(per_row(enc_valid)))
 
     def decode(self, dec_ids: np.ndarray, sd: np.ndarray, enc_out: np.ndarray,
                enc_valid: np.ndarray, cache: "DecodeCache" = None,

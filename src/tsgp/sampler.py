@@ -175,7 +175,9 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
         for t in parents_tokens])
     enc_out, enc_valid = _encode_bucketed(model, list(distinct),
                                           sds[:len(distinct)])
-    cache = model.start_decoding(enc_out, enc_valid, parent_row)
+    # with no repeats the row index is the identity: skip the gather copy
+    cache = model.start_decoding(enc_out, enc_valid,
+                                 parent_row if len(distinct) < B else None)
 
     # per-parent counters; depth[i, need[i] - 1] is the open slot's depth
     emitted = np.zeros(B, dtype=np.int64)

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from tsgp.cli import STRICT_INT, AtLeast, cli, main
+from tsgp.cli import STRICT_INT, Above, AtLeast, cli, main
 from tsgp.corpus import read_pairs_jsonl
 
 
@@ -292,18 +292,21 @@ class TestOptionLayer:
                                         via_config):
         paths = {"CORPUS": str(corpus_file), "PAIRS": str(pairs_file)}
         low = param.type.low
+        # An exclusive bound is checked at the bound itself, the one value
+        # that tells it from an inclusive one.
+        exclusive = isinstance(param.type, Above)
+        rel, bad = (">", low) if exclusive else (">=", low - 1)
         args = ([paths.get(a, a) for a in BASE_ARGS[command]]
                 + ["--out", str(tmp_path / "out")])
         if via_config:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({param.name: low - 1}))
+            cfg.write_text(json.dumps({param.name: bad}))
             argv = ["--config", str(cfg), command] + args
         else:
-            argv = [command] + args + [param.opts[0], str(low - 1)]
+            argv = [command] + args + [param.opts[0], str(bad)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(
-            f"error: {param.opts[0]} must be {param.type.relation} {low}\n")
+        assert err.startswith(f"error: {param.opts[0]} must be {rel} {low}\n")
         assert "Traceback" not in err
         assert not list(tmp_path.glob("out*"))
 
