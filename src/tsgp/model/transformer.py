@@ -210,7 +210,8 @@ class SdTransformer:
         def per_row(a):
             return a if rows is None else a[rows]
 
-        shape = (len(per_row(enc_valid)), h.n_heads, SELF_KV_CAPACITY,
+        n = len(enc_out) if rows is None else len(rows)
+        shape = (n, h.n_heads, SELF_KV_CAPACITY,
                  h.d_model // h.n_heads)
         layers = range(h.n_decoder_layers)
         return DecodeCache(
