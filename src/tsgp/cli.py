@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -66,6 +67,22 @@ class StrictInt(click.types.IntParamType):
 
 
 STRICT_INT = StrictInt()
+
+
+class StrictFloat(click.types.FloatParamType):
+    """click's float type, except that a boolean (which only ``--config``
+    can supply) or a value that is not finite is a usage error."""
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, bool):
+            self.fail(f"{value!r} is not a valid float.", param, ctx)
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return value
+
+
+STRICT_FLOAT = StrictFloat()
 
 
 class AtLeast(click.ParamType):
@@ -134,7 +151,8 @@ def cli(ctx, seed, threads, deterministic, config_path):
 @click.option("--gens", type=AtLeast(0), default=15, show_default=True)
 @click.option("--features", type=AtLeast(1), default=4, show_default=True)
 @click.option("--rows", type=AtLeast(10), default=200, show_default=True)
-@click.option("--noise", type=float, default=0.1, show_default=True)
+@click.option("--noise", type=AtLeast(0, STRICT_FLOAT), default=0.1,
+              show_default=True)
 @click.option("--m-sem", type=AtLeast(2), default=100, show_default=True)
 @click.option("--out", type=click.Path(), default="corpus.jsonl",
               show_default=True)
@@ -159,7 +177,7 @@ def gen_corpus(ctx, problems, pop, gens, features, rows, noise, m_sem, out):
 @cli.command("mine-pairs")
 @click.option("--corpus", "corpus_path", type=_INPUT_FILE, required=True)
 @click.option("--k", type=AtLeast(1), default=3, show_default=True)
-@click.option("--sd-max", type=Above(0, click.FLOAT), default=100.0,
+@click.option("--sd-max", type=Above(0, STRICT_FLOAT), default=100.0,
               show_default=True)
 @click.option("--max-len", type=AtLeast(1), default=100, show_default=True)
 @click.option("--ivf-clusters", type=AtLeast(0), default=0,
@@ -196,13 +214,15 @@ def mine_pairs_cmd(ctx, corpus_path, k, sd_max, max_len, ivf_clusters,
 @cli.command("train")
 @click.option("--pairs", "pairs_path", type=_INPUT_FILE, required=True)
 @click.option("--epochs", type=AtLeast(1), default=8, show_default=True)
-@click.option("--lr", type=float, default=1e-3, show_default=True)
+@click.option("--lr", type=Above(0, STRICT_FLOAT), default=1e-3,
+              show_default=True)
 @click.option("--d-model", type=AtLeast(1), default=128, show_default=True)
 @click.option("--n-heads", type=AtLeast(1), default=8, show_default=True)
 @click.option("--layers", type=AtLeast(1), default=2, show_default=True,
               help="Encoder and decoder stack depth.")
 @click.option("--batch-size", type=AtLeast(1), default=32, show_default=True)
-@click.option("--weight-decay", type=float, default=0.01, show_default=True)
+@click.option("--weight-decay", type=AtLeast(0, STRICT_FLOAT), default=0.01,
+              show_default=True)
 @click.option("--features", type=STRICT_INT, default=4, show_default=True)
 @click.option("--out", type=click.Path(), default="model.tsgp",
               show_default=True)
@@ -259,10 +279,11 @@ def _run_options(command):
                      help="Search on a fresh seeded synthetic problem."),
         click.option("--rows", type=AtLeast(10), default=200,
                      show_default=True),
-        click.option("--noise", type=float, default=0.1, show_default=True),
+        click.option("--noise", type=AtLeast(0, STRICT_FLOAT), default=0.1,
+                     show_default=True),
         click.option("--features", type=AtLeast(1), default=4,
                      show_default=True),
-        click.option("--sdd", type=AtLeast(0, click.FLOAT), default=0.1,
+        click.option("--sdd", type=AtLeast(0, STRICT_FLOAT), default=0.1,
                      show_default=True,
                      help="Desired semantic distance fed to the transformer."),
         click.option("--pop", type=AtLeast(1), default=100, show_default=True),
@@ -442,8 +463,7 @@ def main(argv=None) -> int:
     from .bench import BenchError
     from .corpus import CorpusFileError
     from .expr import ExprError
-    from .model import (BadMagicError, ManifestMismatchError,
-                        NonFiniteLossError, TruncatedError)
+    from .model import CheckpointError, NonFiniteLossError
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
@@ -456,9 +476,8 @@ def main(argv=None) -> int:
         return 1
     except click.Abort:
         return 1
-    except (BenchError, CorpusFileError, ExprError, BadMagicError,
-            ManifestMismatchError, TruncatedError, FileNotFoundError,
-            json.JSONDecodeError, DataError) as e:
+    except (BenchError, CorpusFileError, ExprError, CheckpointError,
+            FileNotFoundError, json.JSONDecodeError, DataError) as e:
         click.echo(f"data error: {e}", err=True)
         return 2
     except (NonFiniteLossError, NumericFailure, FloatingPointError) as e:

@@ -90,8 +90,8 @@ def harvest_functions(problem: SyntheticProblem, gp_config: GPConfig,
 
     entries = []
     next_id = start_id
-    for key, tree in seen.items():
-        sem = semantics.semantics_of(tree, sem_points)
+    sems = expr.evaluate_many(list(seen.values()), sem_points)
+    for key, sem in zip(seen, sems):
         if not np.isfinite(sem).all():
             continue
         entries.append(CorpusEntry(id=next_id, tokens=key.split(),

@@ -159,6 +159,24 @@ def from_string(text: str, prims: PrimitiveSet = None) -> Node:
     return parse_prefix(text.split(), prims)
 
 
+def _input_matrix(inputs) -> np.ndarray:
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2:
+        raise ValueError("inputs must be a 2-D matrix")
+    return inputs
+
+
+def _leaf(sym: str, inputs: np.ndarray):
+    """A variable leaf's input column, or a constant leaf's value."""
+    if sym[0] == "v":
+        idx = int(sym[1:])
+        d = inputs.shape[1]
+        if not 1 <= idx <= d:
+            raise StructureError(f"variable {sym} out of range for d={d}")
+        return inputs[:, idx - 1]
+    return np.float64(sym[1:])
+
+
 def evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the tree row-wise on an (m, d) input matrix; returns shape (m,).
 
@@ -170,21 +188,14 @@ def evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
     ``np.errstate`` covers the whole tree, so no floating-point warning
     escapes.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2:
-        raise ValueError("inputs must be a 2-D matrix")
-    m, d = inputs.shape
+    inputs = _input_matrix(inputs)
+    m = inputs.shape[0]
 
     def rec(node: Node):
         sym = node.symbol
         children = node.children
         if not children:
-            if sym[0] == "v":
-                idx = int(sym[1:])
-                if not 1 <= idx <= d:
-                    raise StructureError(f"variable {sym} out of range for d={d}")
-                return inputs[:, idx - 1]
-            return np.float64(sym[1:])
+            return _leaf(sym, inputs)
         a = rec(children[0])
         b = rec(children[1])
         if sym == "ADD":
@@ -205,6 +216,77 @@ def evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = rec(tree)
     return np.full(m, out) if out.ndim == 0 else out
+
+
+_UFUNCS = {"ADD": np.add, "SUB": np.subtract, "MUL": np.multiply}
+
+
+def evaluate_many(trees, inputs: np.ndarray) -> list:
+    """``[evaluate(t, inputs) for t in trees]``, byte for byte, in one pass.
+
+    Each distinct node is computed once. The walk does not descend into an
+    operator node it has reached before (the same object, shared by several
+    trees or within one), and leaves with the same symbol share one row.
+    Operator nodes are then computed in order of height: one gather of the
+    children's rows per height, one NumPy call per (height, operator) group.
+    Add, subtract, multiply and divide round each element on its own, so a
+    row holds exactly what ``evaluate`` computes for that node, constant-only
+    subtrees included. Every output is a copy of its row, so keeping one
+    does not keep the batch alive.
+    """
+    inputs = _input_matrix(inputs)
+    row = {}     # id(node) -> row of ``values``; operators get theirs below
+    leaves = {}  # leaf symbol -> (row, value)
+    levels = {}  # height -> {operator: nodes}
+    stack = list(trees)
+    pop, push = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        key = id(node)
+        if key in row:
+            continue
+        children = node.children
+        if children:
+            row[key] = None
+            level = levels.get(node.height)
+            if level is None:
+                level = levels[node.height] = {}
+            level.setdefault(node.symbol, []).append(node)
+            push(children)
+        else:
+            hit = leaves.get(node.symbol)
+            if hit is None:
+                hit = leaves[node.symbol] = (len(leaves),
+                                             _leaf(node.symbol, inputs))
+            row[key] = hit[0]
+
+    # rows: the leaves, then each height's nodes grouped by operator; a
+    # node's children sit at lower heights, so they are computed first
+    n = len(leaves)
+    plan = []
+    for height in sorted(levels):
+        nodes, spans = [], []
+        for op, group in levels[height].items():
+            spans.append((op, len(nodes), len(nodes) + len(group)))
+            nodes += group
+        row.update(zip(map(id, nodes), range(n, n + len(nodes))))
+        plan.append((n, nodes, spans))
+        n += len(nodes)
+    values = np.empty((n, inputs.shape[0]))
+    for r, value in leaves.values():
+        values[r] = value
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start, nodes, spans in plan:
+            a = values[[row[id(node.children[0])] for node in nodes]]
+            b = values[[row[id(node.children[1])] for node in nodes]]
+            for op, i, j in spans:
+                out = values[start + i:start + j]
+                if op == "PDIV":  # exact-zero denominator -> 1
+                    out.fill(1.0)
+                    np.divide(a[i:j], b[i:j], out=out, where=b[i:j] != 0.0)
+                else:
+                    _UFUNCS[op](a[i:j], b[i:j], out=out)
+    return [values[row[id(tree)]].copy() for tree in trees]
 
 
 def random_tree(method: str, depth_min: int, depth_max: int,

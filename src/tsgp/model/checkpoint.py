@@ -83,10 +83,15 @@ def load_checkpoint(path) -> SdTransformer:
     try:
         hyper = Hyperparams.from_json(header["hyperparams"])
         vocab = Vocabulary.from_json(header["vocabulary"])
-        spec = param_spec(hyper, vocab.size)
         manifest = [(str(e["name"]), tuple(e["shape"]), e["offset"])
                     for e in header["tensors"]]
-    except (KeyError, TypeError, ValueError, ArithmeticError) as e:
+        # every layer has tensors: check before param_spec lists them all
+        layers = hyper.n_encoder_layers + hyper.n_decoder_layers
+        if layers > len(manifest):
+            raise ValueError(f"{layers} layers but {len(manifest)} tensors")
+        spec = param_spec(hyper, vocab.size)
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ArithmeticError) as e:
         raise ManifestMismatchError(
             f"malformed header: {type(e).__name__}: {e}") from None
     payload = blob[12 + hlen:]

@@ -19,6 +19,9 @@ from . import blocks
 from .vocab import Vocabulary, PAD
 
 NEG_BIAS = -1e30  # additive mask value; exp() underflows to exactly 0
+# Largest max_len: the position table holds (max_len + 2) x d_model floats,
+# and no sequence of this project comes near it (samples stop at 100 tokens).
+MAX_LEN_LIMIT = 1 << 16
 # Positions a decode cache's self-attention buffers start with; they double
 # as sequences grow. Desk offspring average 7-10 tokens and the longest of a
 # batch of 100 has 17-33. Sampler time over the 22 batches of four desk
@@ -57,6 +60,9 @@ class Hyperparams:
                                  f"not {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
+        if self.max_len > MAX_LEN_LIMIT:
+            raise ValueError(f"max_len must be <= {MAX_LEN_LIMIT}, "
+                             f"not {self.max_len}")
 
     def to_json(self) -> dict:
         return dict(self.__dict__)

@@ -16,7 +16,8 @@ from . import expr
 from .expr import PrimitiveSet
 from .model.transformer import SdTransformer
 from .model.vocab import Vocabulary, PAD, BOS, EOS
-from .stdgp import evaluated, evolve, tournament_select
+from .stdgp import (Individual, assess, evaluated, evolve,
+                    fill_test_semantics, tournament_select)
 from .trace import RunTrace
 
 
@@ -254,17 +255,21 @@ def run_tsgp(model: SdTransformer, dataset, config: SearchConfig,
             for i, toks in zip(stuck, redo):
                 offspring_tokens[i] = toks
 
-        offspring, variations = [], []
+        offspring, variations, fresh = [], [], []
         for parent, before, tokens in zip(parents, parent_tokens,
                                           offspring_tokens):
             varied = tokens != before
             # a token-identical child is its parent, evaluated already
-            child = (evaluated(expr.parse_prefix(tokens, prims), dataset)
-                     if varied else parent)
+            child = parent
+            if varied:
+                child = Individual(expr.parse_prefix(tokens, prims))
+                fresh.append(child)
             offspring.append(child)
             if log_variations:
                 variations.append((parent, child, varied))
+        assess(fresh, dataset)
+        fill_test_semantics(variations, dataset.X_test)
         return offspring, variations
 
     return evolve(trace, config, dataset, rng, prims,
-                  lambda tree: evaluated(tree, dataset), vary)
+                  lambda trees: evaluated(trees, dataset), vary)

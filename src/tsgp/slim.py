@@ -102,9 +102,16 @@ def _with_fitness(ind: SlimIndividual, y_train) -> SlimIndividual:
     return ind
 
 
+def make_individuals(bases: list, X_train, y_train) -> list:
+    """Individuals with no blocks, their train semantics from one batched
+    evaluation of ``bases``."""
+    return [_with_fitness(SlimIndividual(base=base, train_semantics=out),
+                          y_train)
+            for base, out in zip(bases, expr.evaluate_many(bases, X_train))]
+
+
 def make_individual(base: Node, X_train, y_train) -> SlimIndividual:
-    ind = SlimIndividual(base=base, train_semantics=expr.evaluate(base, X_train))
-    return _with_fitness(ind, y_train)
+    return make_individuals([base], X_train, y_train)[0]
 
 
 def inflate(ind: SlimIndividual, prims: PrimitiveSet, rng: np.random.Generator,
@@ -175,4 +182,4 @@ def run_slim(config: SlimConfig, dataset, rng: np.random.Generator,
         return offspring, variations
 
     return evolve(trace, config, dataset, rng, prims,
-                  lambda tree: make_individual(tree, Xtr, ytr), vary)
+                  lambda trees: make_individuals(trees, Xtr, ytr), vary)

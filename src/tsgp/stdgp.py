@@ -61,12 +61,16 @@ class GPConfig:
 
 
 def tournament_select(pop: list, k: int, rng: np.random.Generator) -> Individual:
-    """Sample k with replacement, return the (earliest) fitness argmin."""
-    best = pop[rng.integers(len(pop))]
-    for _ in range(k - 1):
-        cand = pop[rng.integers(len(pop))]
-        if cand.fitness < best.fitness:
-            best = cand
+    """Sample k with replacement, return the (earliest) fitness argmin.
+
+    One ``rng.integers(n, size=k)`` call draws the same k indices, and leaves
+    the generator in the same state, as k scalar draws.
+    """
+    picks = rng.integers(len(pop), size=k).tolist()
+    best = pop[picks[0]]
+    for i in picks[1:]:
+        if pop[i].fitness < best.fitness:
+            best = pop[i]
     return best
 
 
@@ -154,19 +158,41 @@ def _select(pop, config: GPConfig, rng) -> Individual:
     return tournament_select(pop, config.tournament_size, rng)
 
 
-def evaluated(tree: Node, dataset) -> Individual:
-    """An individual for ``tree`` with its fitness on the train split."""
-    pred = expr.evaluate(tree, dataset.X_train)
-    return Individual(tree, semantics.rmse(dataset.y_train, pred))
+def assess(individuals: list, dataset) -> list:
+    """Set each individual's fitness on the train split, from one batched
+    evaluation of their trees; returns ``individuals``."""
+    preds = expr.evaluate_many([ind.tree for ind in individuals],
+                               dataset.X_train)
+    for ind, pred in zip(individuals, preds):
+        ind.fitness = semantics.rmse(dataset.y_train, pred)
+    return individuals
+
+
+def evaluated(trees: list, dataset) -> list:
+    """An individual for each of ``trees``, with its fitness on the train
+    split, from one batched evaluation."""
+    return assess([Individual(t) for t in trees], dataset)
+
+
+def fill_test_semantics(variations: list, X_test) -> None:
+    """Give each parent and child of the logged ``variations`` that has no
+    test semantics yet its output on ``X_test``, from one batched
+    evaluation; an individual in several rows is evaluated once."""
+    todo = {id(ind): ind for parent, child, _ in variations
+            for ind in (parent, child) if ind.test_semantics is None}
+    outs = expr.evaluate_many([ind.tree for ind in todo.values()], X_test)
+    for ind, out in zip(todo.values(), outs):
+        ind.test_semantics = out
 
 
 def evolve(trace: RunTrace, config, dataset, rng: np.random.Generator,
            prims: PrimitiveSet, make, vary, on_generation=None) -> RunTrace:
     """The generational loop every engine runs; only ``vary`` differs.
 
-    ``make(tree)`` builds an evaluated individual for each tree of the
-    ramped half-and-half initial population. ``vary(pop)`` makes one
-    generation and returns ``(offspring, variations)``, where
+    ``make(trees)`` builds the evaluated individuals of the ramped
+    half-and-half initial population, in one batched evaluation.
+    ``vary(pop)`` makes one generation and returns ``(offspring,
+    variations)``, where
     ``variations`` lists ``(parent, child, structurally_different)`` for
     each row to log (none when the run does not log). ``config`` supplies
     pop_size, generations and the init depths. ``on_generation(generation,
@@ -177,8 +203,8 @@ def evolve(trace: RunTrace, config, dataset, rng: np.random.Generator,
     module's ``RunTrace``, which ``perfbench`` replaces per module to time
     generations.
     """
-    pop = [make(t) for t in expr.ramped_half_and_half(
-        config.pop_size, config.init_depth_min, config.init_depth_max, prims, rng)]
+    pop = make(expr.ramped_half_and_half(
+        config.pop_size, config.init_depth_min, config.init_depth_max, prims, rng))
     best = min(pop, key=lambda ind: ind.fitness)
     trace.record(0, best.fitness, best.size)
     if on_generation is not None:
@@ -215,13 +241,15 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
     A child that is a parent's whole tree (reproduction, a crossover or
     mutation rejected for depth, or a crossover of both roots) is that
     parent individual, so its fitness, size and test semantics are not
-    computed again.
+    computed again. The new children are evaluated together once the
+    generation is built, and the logged rows' missing test semantics in one
+    more batch; evaluation draws nothing from ``rng``.
     """
     prims = prims or PrimitiveSet(n_variables=dataset.X_train.shape[1])
     trace = RunTrace(method="stdgp", seed=getattr(dataset, "seed", -1))
 
     def vary(pop):
-        offspring, variations = [], []
+        offspring, variations, fresh = [], [], []
         for _ in range(config.pop_size):
             r = rng.random()
             p1 = p2 = _select(pop, config, rng)
@@ -241,11 +269,14 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
             elif child_tree is p2.tree:  # crossover of both roots
                 child = p2
             else:
-                child = evaluated(child_tree, dataset)
+                child = Individual(child_tree)
+                fresh.append(child)
             offspring.append(child)
             if log_variations:
                 variations.append((p1, child, child_tree != p1.tree))
+        assess(fresh, dataset)
+        fill_test_semantics(variations, dataset.X_test)
         return offspring, variations
 
     return evolve(trace, config, dataset, rng, prims,
-                  lambda tree: evaluated(tree, dataset), vary, on_generation)
+                  lambda trees: evaluated(trees, dataset), vary, on_generation)

@@ -9,6 +9,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from tsgp import expr
 from tsgp.corpus import build_corpus, mine_pairs
 from tsgp.expr import OPERATORS, PrimitiveSet
 from tsgp.model import Hyperparams, Vocabulary
@@ -58,3 +59,18 @@ def harvested():
     entries, _ = build_corpus(1, gp_cfg, rng=np.random.default_rng(8))
     pairs, _ = mine_pairs(entries, k=3)
     return entries, pairs
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """``(tree, inputs)`` for every tree evaluated through ``expr.evaluate``
+    or the batched ``expr.evaluate_many``, in call order."""
+    seen = []
+    one, many = expr.evaluate, expr.evaluate_many
+    monkeypatch.setattr(
+        expr, "evaluate",
+        lambda tree, X: seen.append((tree, X)) or one(tree, X))
+    monkeypatch.setattr(
+        expr, "evaluate_many",
+        lambda trees, X: seen.extend((t, X) for t in trees) or many(trees, X))
+    return seen

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from tsgp.cli import STRICT_INT, Above, AtLeast, cli, main
+from tsgp.cli import STRICT_FLOAT, STRICT_INT, Above, AtLeast, cli, main
 from tsgp.corpus import read_pairs_jsonl
 
 
@@ -137,6 +137,12 @@ class TestExitCodes:
         ["train", "--pairs", "PAIRS", "--n-heads", "8", "--d-model", "30"],
         ["train", "--pairs", "PAIRS", "--n-heads", "0"],
         ["train", "--pairs", "PAIRS", "--layers", "0"],
+        ["train", "--pairs", "PAIRS", "--lr", "-1"],
+        ["train", "--pairs", "PAIRS", "--lr", "0"],
+        ["train", "--pairs", "PAIRS", "--weight-decay", "-5"],
+        ["gen-corpus", "--noise", "-1"],
+        ["search", "--method", "stdgp", "--synthetic", "--noise", "-1"],
+        ["bench", "--methods", "stdgp", "--synthetic", "--noise", "-1"],
         ["search", "--method", "stdgp", "--synthetic", "--features", "0"],
         ["bench", "--methods", "stdgp", "--synthetic", "--features", "0"],
     ], ids=lambda a: " ".join(a))
@@ -278,6 +284,9 @@ BOUNDED = [(name, param) for name, command in cli.commands.items()
 INTEGER = [(name, param) for name, command in cli.commands.items()
            for param in command.params
            if STRICT_INT in (param.type, getattr(param.type, "base", None))]
+FLOAT = [(name, param) for name, command in cli.commands.items()
+         for param in command.params
+         if STRICT_FLOAT in (param.type, getattr(param.type, "base", None))]
 RUN_OPTIONS = {"model_path", "data", "target", "synthetic", "rows", "noise",
                "features", "sdd", "pop", "gens"}
 
@@ -338,6 +347,47 @@ class TestOptionLayer:
         err = capsys.readouterr().err
         assert err.startswith(f"error: Invalid value for '{param.opts[0]}': "
                               f"{value!r} is not a valid integer.")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("via_config", [False, True],
+                             ids=["flag", "config"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("command,param", FLOAT,
+                             ids=[f"{c} {p.opts[0]}" for c, p in FLOAT])
+    def test_float_must_be_finite(self, tmp_path, capsys, corpus_file,
+                                  pairs_file, command, param, value,
+                                  via_config):
+        paths = {"CORPUS": str(corpus_file), "PAIRS": str(pairs_file)}
+        args = ([paths.get(a, a) for a in BASE_ARGS[command]]
+                + ["--out", str(tmp_path / "out")])
+        if via_config:  # Python's json reads NaN and Infinity
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({param.name: value}))
+            argv = ["--config", str(cfg), command] + args
+        else:
+            argv = [command] + args + [param.opts[0], str(value)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Invalid value for '{param.opts[0]}': "
+                              f"{value!r} is not a finite number.")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command,param", FLOAT,
+                             ids=[f"{c} {p.opts[0]}" for c, p in FLOAT])
+    def test_config_float_is_strict(self, tmp_path, capsys, corpus_file,
+                                    pairs_file, command, param):
+        paths = {"CORPUS": str(corpus_file), "PAIRS": str(pairs_file)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({param.name: True}))
+        assert main(["--config", str(cfg), command]
+                    + [paths.get(a, a) for a in BASE_ARGS[command]]
+                    + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Invalid value for '{param.opts[0]}': "
+                              "True is not a valid float.")
         assert "Traceback" not in err
         assert not list(tmp_path.glob("out*"))
 

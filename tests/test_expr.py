@@ -202,3 +202,104 @@ class TestEvaluateOracle:
         expr.evaluate(expr.from_string("PDIV MUL v1 v1 v2"),
                       np.array([[1e200, 0.0]]))
         assert np.geterr() == before
+
+
+def _same_bytes(trees, X) -> bool:
+    outs = expr.evaluate_many(trees, X)
+    return len(outs) == len(trees) and all(
+        out.tobytes() == expr.evaluate(tree, X).tobytes()
+        for tree, out in zip(trees, outs))
+
+
+def _subtrees(tree: Node) -> list:
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.children)
+    return out
+
+
+class TestEvaluateMany:
+    """``evaluate_many`` against ``evaluate``, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bases=st.lists(_TREES, min_size=1, max_size=6),
+           picks=st.lists(st.tuples(st.sampled_from(OPERATORS),
+                                    st.integers(0, 10 ** 6),
+                                    st.integers(0, 10 ** 6)), max_size=12),
+           X=_INPUTS)
+    def test_shared_subtrees(self, bases, picks, X):
+        # children join subtree objects of earlier trees, as crossover does
+        trees = list(bases)
+        for op, i, j in picks:
+            pool = [s for t in trees for s in _subtrees(t)]
+            trees.append(Node(op, (pool[i % len(pool)], pool[j % len(pool)])))
+        trees += trees[::2]  # the same tree object twice in one batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _same_bytes(trees, X)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_stdgp_populations(self, seed):
+        from tsgp.corpus import gen_synthetic_problem
+        from tsgp.stdgp import GPConfig, run_stdgp
+        problem = gen_synthetic_problem(4, 60, 0.1,
+                                        np.random.default_rng(seed))
+        pops = []
+        run_stdgp(GPConfig(pop_size=40, generations=6), problem,
+                  np.random.default_rng(seed),
+                  on_generation=lambda g, pop: pops.append(
+                      [ind.tree for ind in pop]))
+        X = problem.X.copy()
+        X[::7] = 0.0  # exact-zero denominators for PDIV
+        X[3] = 1e200  # products overflow to inf, then inf - inf to NaN
+        for trees in pops:
+            assert _same_bytes(trees, X)
+        assert _same_bytes([t for trees in pops for t in trees], X)
+
+    @pytest.mark.parametrize("text", [
+        "C+0.3", "PDIV C+0.3 C+0.0", "MUL C+0.3 ADD C-0.2 C+0.1",
+        "ADD v1 PDIV C+0.5 SUB C+0.1 C+0.1", "PDIV v2 C+0.0",
+        "PDIV C+0.4 v1", "PDIV v1 SUB v1 v1", "v3",
+        "MUL MUL v1 v1 MUL v1 v1", "SUB MUL v1 v1 MUL v1 v1"])
+    def test_edge_trees(self, text):
+        X = np.array([[1e200, 0.0, -0.0, 2.0], [0.0, 1e-300, 3.0, -1.0],
+                      [-1e300, -2.5, 1.0, 0.0]])
+        tree = expr.from_string(text)
+        shared = Node("ADD", (tree, tree))
+        assert _same_bytes([tree, shared, tree], X)
+
+    def test_all_constant_tree_broadcast(self):
+        out, = expr.evaluate_many([expr.from_string("PDIV C+0.3 C+0.0")],
+                                  np.zeros((5, 2)))
+        assert out.shape == (5,) and np.array_equal(out, np.ones(5))
+
+    @pytest.mark.parametrize("bad", [
+        Node("v5"), Node("v0"),
+        Node("ADD", (Node("v1"), Node("MUL", (Node("v2"), Node("v5")))))],
+        ids=["v5", "v0", "nested v5"])
+    def test_variable_out_of_range(self, bad):
+        good = expr.from_string("ADD v1 v2")
+        with pytest.raises(StructureError):
+            expr.evaluate(bad, np.zeros((3, 4)))
+        with pytest.raises(StructureError):
+            expr.evaluate_many([good, bad], np.zeros((3, 4)))
+
+    def test_outputs_own_their_memory(self):
+        X = np.arange(12.0).reshape(4, 3)
+        trees = [expr.from_string(t) for t in ("v1", "ADD v1 v2", "v1")]
+        outs = expr.evaluate_many(trees, X)
+        assert outs[0] is not outs[2]
+        for i, out in enumerate(outs):
+            assert out.base is None and not np.shares_memory(out, X)
+            assert not any(np.shares_memory(out, o) for o in outs[i + 1:])
+
+    def test_empty_batch_and_error_state(self):
+        before = np.geterr()
+        assert expr.evaluate_many([], np.zeros((3, 2))) == []
+        expr.evaluate_many([expr.from_string("PDIV MUL v1 v1 v2")],
+                           np.array([[1e200, 0.0]]))
+        assert np.geterr() == before
+        with pytest.raises(ValueError):
+            expr.evaluate_many([Node("v1")], np.zeros(3))

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsgp.corpus import TrainingPair
 from tsgp.model import (BadMagicError, Hyperparams, ManifestMismatchError,
@@ -434,11 +435,62 @@ class TestCheckpoint:
         with pytest.raises(ManifestMismatchError, match="out.bias"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("hyperparams", []), ("hyperparams", 3),
+        ("n_encoder_layers", 10 ** 6), ("n_decoder_layers", 10 ** 30),
+        ("max_len", 10 ** 30), ("max_len", tfm.MAX_LEN_LIMIT + 1)])
+    def test_header_value_is_manifest_mismatch(self, tiny_model, tmp_path,
+                                               key, value):
+        """Values that once raised AttributeError, ran param_spec out of
+        memory or sized a position table past NumPy's limit."""
+        path = self._saved(tiny_model, tmp_path)
+
+        def edit(h):
+            if key == "hyperparams":
+                h[key] = value
+            else:
+                h["hyperparams"][key] = value
+        self._with_header(path, edit)
+        with pytest.raises(ManifestMismatchError, match="malformed header"):
+            load_checkpoint(path)
+
     def test_param_spec_matches_init(self, tiny_model):
         spec = tfm.param_spec(tiny_model.hyper, tiny_model.vocab.size)
         assert list(spec) == list(tiny_model.params)
         for name, (shape, _) in spec.items():
             assert tiny_model.params[name].shape == shape
+
+    @pytest.fixture(scope="class")
+    def saved_blob(self, tiny_model, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "m.tsgp"
+        save_checkpoint(tiny_model, path)
+        return path.read_bytes(), path.with_name("mutated.tsgp")
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(st.tuples(
+        st.sampled_from(["flip", "truncate", "insert"]),
+        st.booleans(),  # aim at the magic, length field and JSON header
+        st.integers(0, 2 ** 31),
+        st.binary(min_size=1, max_size=8)), min_size=1, max_size=3))
+    def test_byte_mutations_raise_checkpoint_errors(self, saved_blob, edits):
+        from tsgp.cli import main
+        blob, path = saved_blob
+        header_end = 12 + struct.unpack("<I", blob[8:12])[0]
+        blob = bytearray(blob)
+        for kind, in_header, pos, data in edits:
+            i = pos % max(1, min(header_end, len(blob)) if in_header
+                          else len(blob))
+            if kind == "flip" and blob:
+                blob[i] ^= data[0] or 0xFF
+            elif kind == "truncate":
+                del blob[i:]
+            elif kind == "insert":
+                blob[i:i] = data
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except ckpt.CheckpointError:
+            assert main(["verify-model", "--model", str(path)]) == 2
 
     def test_corrupt_header(self, tiny_model, tmp_path):
         path = self._saved(tiny_model, tmp_path)

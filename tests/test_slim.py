@@ -114,11 +114,12 @@ class TestSemanticsCache:
                               ds.X_train, ds.y_train)
         for _ in range(4):
             ind = inflate(ind, prims, rng, ds.X_train, ds.y_train)
-        real = expr.evaluate
+        real = expr.evaluate, expr.evaluate_many
         with monkeypatch.context() as m:
             m.setattr(expr, "evaluate", None)  # any evaluation fails
+            m.setattr(expr, "evaluate_many", None)
             smaller = deflate(ind, rng, ds.X_train, ds.y_train)
-        assert expr.evaluate is real
+        assert (expr.evaluate, expr.evaluate_many) == real
         np.testing.assert_allclose(smaller.train_semantics,
                                    slim_evaluate(smaller, ds.X_train),
                                    atol=1e-10)
@@ -145,6 +146,7 @@ class TestSemanticsCache:
                     == slim_evaluate(member, ds.X_test).tobytes())
 
     def test_child_evaluates_only_its_new_block(self, ds, prims, monkeypatch):
+        real = expr.evaluate, expr.evaluate_many
         rng = np.random.default_rng(4)
         parent = make_individual(expr.from_string("MUL v1 v2"),
                                  ds.X_train, ds.y_train)
@@ -154,9 +156,12 @@ class TestSemanticsCache:
         child = inflate(parent, prims, rng, ds.X_train, ds.y_train)
         smaller = deflate(parent, rng, ds.X_train, ds.y_train)
         seen = []
-        real = expr.evaluate
-        monkeypatch.setattr(expr, "evaluate",
-                            lambda tree, X: seen.append(tree) or real(tree, X))
+        monkeypatch.setattr(
+            expr, "evaluate",
+            lambda tree, X: seen.append(tree) or real[0](tree, X))
+        monkeypatch.setattr(
+            expr, "evaluate_many",
+            lambda trees, X: seen.extend(trees) or real[1](trees, X))
         child.semantics_on_test(ds.X_test)
         smaller.semantics_on_test(ds.X_test)
         new = child.blocks[-1]
@@ -164,26 +169,20 @@ class TestSemanticsCache:
         assert child.base_test is parent.base_test
 
     def test_logged_run_evaluates_each_tree_once_on_test(self, ds,
-                                                         monkeypatch):
-        seen = []
-        real = expr.evaluate
-        monkeypatch.setattr(
-            expr, "evaluate",
-            lambda tree, X: (seen.append(tree) if X is ds.X_test
-                             else None) or real(tree, X))
+                                                         evaluations):
         trace = run_slim(SlimConfig(pop_size=10, generations=3), ds,
                          np.random.default_rng(5))
+        seen = [tree for tree, X in evaluations if X is ds.X_test]
         assert len(trace.variations) == 30 and seen
         # children inherit their base tree's test output from the parent
         assert len(seen) == len({id(t) for t in seen})
+        # base trees and block trees alike, once each on the train inputs
+        train = [tree for tree, X in evaluations if X is ds.X_train]
+        assert len(train) == len({id(t) for t in train}) > 10
 
-    def test_unlogged_run_computes_no_test_semantics(self, ds, monkeypatch):
-        seen = []
-        real = expr.evaluate
-        monkeypatch.setattr(
-            expr, "evaluate",
-            lambda tree, X: seen.append(X is ds.X_test) or real(tree, X))
+    def test_unlogged_run_computes_no_test_semantics(self, ds, evaluations):
         run_slim(SlimConfig(pop_size=10, generations=3), ds,
                  np.random.default_rng(5), log_variations=False)
+        seen = [X is ds.X_test for _, X in evaluations]
         # the final best individual alone is evaluated on the test inputs
         assert 0 < seen.count(True) <= 1 + 2 * 3

@@ -37,6 +37,24 @@ class TestTournament:
             assert pop_a.index(wa) == pop_b.index(wb)
 
 
+    @pytest.mark.parametrize("n", [7, 100, 200, 1000])
+    def test_draws_as_k_scalar_draws(self, n):
+        def scalar_draws(pop, k, rng):  # the loop it replaced
+            best = pop[rng.integers(len(pop))]
+            for _ in range(k - 1):
+                cand = pop[rng.integers(len(pop))]
+                if cand.fitness < best.fitness:
+                    best = cand
+            return best
+
+        # few distinct fitness values, so ties test the earliest-minimum rule
+        pop = _pop(np.random.default_rng(n).integers(0, 5, n).astype(float))
+        a, b = np.random.default_rng(n + 1), np.random.default_rng(n + 1)
+        for k in (1, 2, 5, 7) * 100:
+            assert tournament_select(pop, k, a) is scalar_draws(pop, k, b)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestDoubleTournament:
     def test_parsimony_prefers_smaller(self):
         small = Individual(expr.from_string("v1"), 1.0)
@@ -147,20 +165,27 @@ class TestEvaluatedOnce:
         same = [v for v in trace.variations if not v.structurally_different]
         assert same and all(v.sd_test == 0.0 for v in same)
 
-    def test_each_parent_evaluated_once_on_test(self, monkeypatch):
+    def test_each_parent_evaluated_once_on_test(self, evaluations):
         ds = _ToyDataset()
-        seen = []
-        real = expr.evaluate
-        monkeypatch.setattr(
-            expr, "evaluate",
-            lambda tree, X: (seen.append(tree) if X is ds.X_test
-                             else None) or real(tree, X))
         cfg = GPConfig(pop_size=20, generations=3)
         trace = run_stdgp(cfg, ds, np.random.default_rng(4))
         assert len(trace.variations) == 60
+        seen = [tree for tree, X in evaluations if X is ds.X_test]
         # one evaluation per individual, not two per logged variation
         assert len(seen) < 2 * len(trace.variations)
         assert len(seen) == len({id(t) for t in seen})
+
+    def test_each_individual_evaluated_once_on_train(self, evaluations):
+        ds = _ToyDataset()
+        pops = []
+        cfg = GPConfig(pop_size=20, generations=3)
+        run_stdgp(cfg, ds, np.random.default_rng(4),
+                  on_generation=lambda g, pop: pops.append(list(pop)))
+        individuals = {id(ind): ind for pop in pops for ind in pop}
+        seen = [tree for tree, X in evaluations if X is ds.X_train]
+        # every individual ever built, and nothing else, exactly once
+        assert sorted(map(id, seen)) == sorted(
+            id(ind.tree) for ind in individuals.values())
 
 
 # --- reference variation: the whole-tree versions the engine first used ------
