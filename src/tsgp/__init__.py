@@ -11,6 +11,7 @@ Subpackages and modules:
 - ``sampler``    syntax-controlled offspring sampling and the transformer search
 - ``bench``      datasets, multi-run orchestration, statistics, CSV reports
 - ``cli``        command-line front end
+- ``errors``     the data (exit 2) and numeric (exit 3) error types
 """
 
 __version__ = "0.1.0"

@@ -14,44 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import semantics
+from .errors import DataError
 from .semantics import StandardizationParams
 from .trace import RunTrace
-
-
-class BenchError(Exception):
-    pass
-
-
-class MissingTargetError(BenchError):
-    pass
-
-
-class NonNumericCellError(BenchError):
-    pass
-
-
-class NonFiniteCellError(BenchError):
-    pass
-
-
-class TooFewRowsError(BenchError):
-    pass
-
-
-class NotFoundError(BenchError):
-    pass
-
-
-class NetworkError(BenchError):
-    pass
-
-
-class EmptyError(BenchError):
-    pass
-
-
-class MixedMethodsError(BenchError):
-    pass
 
 
 @dataclass
@@ -117,20 +82,26 @@ def load_csv(path, target_column: str = "target", split_seed: int = 0) -> Datase
         delim = "\t" if "\t" in first else ","
         fh.seek(0)
         rows = list(csv.reader(fh, delimiter=delim))
+    if not rows:
+        raise DataError(f"{path.name} is empty")
     header, body = rows[0], rows[1:]
     if target_column not in header:
-        raise MissingTargetError(f"no column {target_column!r} in {path.name}")
+        raise DataError(f"no column {target_column!r} in {path.name}")
     if len(body) < 20:
-        raise TooFewRowsError(f"{len(body)} rows < 20")
+        raise DataError(f"{len(body)} rows < 20")
+    for n, r in enumerate(body, 1):
+        if len(r) != len(header):
+            raise DataError(f"data row {n} has {len(r)} cells, the header "
+                            f"{len(header)}")
     t = header.index(target_column)
     try:
         data = np.array([[float(c) for c in r] for r in body])
     except ValueError as e:
-        raise NonNumericCellError(str(e)) from None
+        raise DataError(str(e)) from None
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):
         row, col = bad[0]
-        raise NonFiniteCellError(
+        raise DataError(
             f"non-finite value in data row {row + 1}, column {header[col]!r}")
     feat = [i for i in range(len(header)) if i != t]
     return make_dataset(path.stem, data[:, feat], data[:, t], split_seed)
@@ -155,10 +126,10 @@ def fetch_pmlb(name: str, cache_dir) -> Path:
             content = resp.read()
     except urllib.error.HTTPError as e:
         if e.code == 404:
-            raise NotFoundError(f"no PMLB dataset named {name!r}") from None
-        raise NetworkError(f"HTTP {e.code} fetching {name}") from None
+            raise DataError(f"no PMLB dataset named {name!r}") from None
+        raise DataError(f"HTTP {e.code} fetching {name}") from None
     except OSError as e:  # URLError, timeouts, resets
-        raise NetworkError(str(e)) from None
+        raise DataError(str(e)) from None
     tmp = cache_dir / f"{name}.tsv.part"
     tmp.write_bytes(gzip.decompress(content))
     tmp.rename(out)
@@ -269,13 +240,13 @@ def aggregate_runs(traces: list) -> dict:
     variations with finite distances, pooled across runs per generation.
     """
     if not traces:
-        raise EmptyError("no traces")
+        raise DataError("no traces")
     methods = {t.method for t in traces}
     if len(methods) != 1:
-        raise MixedMethodsError(f"mixed methods {sorted(methods)}")
+        raise DataError(f"mixed methods {sorted(methods)}")
     n_gens = {len(t.generations) for t in traces}
     if len(n_gens) != 1:
-        raise MixedMethodsError("traces disagree on generation count")
+        raise DataError("traces disagree on generation count")
 
     series_rmse, series_size, series_sd = [], [], []
     for g in range(n_gens.pop()):

@@ -18,9 +18,12 @@ from pathlib import Path
 import click
 
 from . import __version__
+from .errors import DataError, NumericError
 
 
 def _thread_env(threads: int):
+    """Cap the BLAS and OpenMP pools. NumPy reads these variables when it
+    loads, so nothing in this module imports it before a subcommand body."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = str(threads)
 
@@ -253,6 +256,11 @@ def train_cmd(ctx, pairs_path, epochs, lr, d_model, n_heads, layers,
     if unknown:
         raise DataError(f"{pairs_path} uses tokens outside the vocabulary of "
                         f"--features {features}: {', '.join(unknown)}")
+    line = next((n for n, p in enumerate(pairs, 1)
+                 if len(p.output_tokens) > hyper.max_len), None)
+    if line:
+        raise DataError(f"{pairs_path} line {line}: output longer than "
+                        f"{hyper.max_len} tokens")
     model, loss_curve = train(pairs, hyper, vocab, seed=ctx.obj["seed"])
     save_checkpoint(model, out)
     if curve:
@@ -446,24 +454,12 @@ def verify_model(ctx, model_path):
         round_trip = p1.read_bytes() == p2.read_bytes()
     click.echo(f"checkpoint round trip byte-identical: {round_trip}")
     if max_rel > 1e-4 or leak > 0 or row_err > 1e-6 or not round_trip:
-        raise NumericFailure("verification failed")
+        raise NumericError("verification failed")
     click.echo("verify-model: all checks passed")
-
-
-class NumericFailure(Exception):
-    pass
-
-
-class DataError(Exception):
-    pass
 
 
 def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping."""
-    from .bench import BenchError
-    from .corpus import CorpusFileError
-    from .expr import ExprError
-    from .model import CheckpointError, NonFiniteLossError
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
@@ -476,11 +472,10 @@ def main(argv=None) -> int:
         return 1
     except click.Abort:
         return 1
-    except (BenchError, CorpusFileError, ExprError, CheckpointError,
-            FileNotFoundError, json.JSONDecodeError, DataError) as e:
+    except (DataError, FileNotFoundError, json.JSONDecodeError) as e:
         click.echo(f"data error: {e}", err=True)
         return 2
-    except (NonFiniteLossError, NumericFailure, FloatingPointError) as e:
+    except (NumericError, FloatingPointError) as e:
         click.echo(f"numeric failure: {e}", err=True)
         return 3
 

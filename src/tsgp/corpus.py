@@ -4,11 +4,13 @@ semantic k-NN search (brute force and IVF) and training-pair mining."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr, semantics, stdgp
+from .errors import DataError
 from .expr import PrimitiveSet
 from .stdgp import GPConfig, DOUBLE_TOURNAMENT
 
@@ -254,10 +256,6 @@ def write_corpus_jsonl(corpus: list, path):
                      + "\n")
 
 
-class CorpusFileError(Exception):
-    """A corpus or pairs file line that is not the record its file holds."""
-
-
 def _read_jsonl(path, make) -> list:
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -265,14 +263,31 @@ def _read_jsonl(path, make) -> list:
             obj = json.loads(line)
             try:
                 out.append(make(obj))
-            except (KeyError, TypeError) as e:
-                raise CorpusFileError(f"{path} line {n}: malformed record "
-                                      f"({type(e).__name__}: {e})") from None
+            except (KeyError, OverflowError, TypeError, ValueError) as e:
+                raise DataError(f"{path} line {n}: malformed record "
+                                f"({type(e).__name__}: {e})") from None
     return out
 
 
+def _id(value) -> int:
+    """A corpus record's id: an integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"id must be an integer, not {value!r}")
+    return value
+
+
+def _tokens(values) -> list:
+    """A record's token sequence: a list of strings."""
+    if not (isinstance(values, list)
+            and all(isinstance(t, str) for t in values)):
+        raise TypeError(f"tokens must be a list of strings, "
+                        f"not {str(values)[:40]}")
+    return values
+
+
 def _semantics(values) -> np.ndarray:
-    """A corpus record's semantics: a flat list of numbers."""
+    """A corpus record's semantics: a flat, non-empty list of finite
+    numbers, as harvesting writes them."""
     try:
         arr = np.asarray(values)
     except ValueError:  # ragged nesting
@@ -280,18 +295,36 @@ def _semantics(values) -> np.ndarray:
     if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
         raise TypeError(f"semantics must be a list of numbers, "
                         f"not {str(values)[:40]}")
-    return np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(arr, dtype=np.float64)
+    if not (len(arr) and np.isfinite(arr).all()):
+        raise ValueError("semantics must be a non-empty list of finite "
+                         "numbers")
+    return arr
+
+
+def _sd(value) -> float:
+    """A pair record's semantic distance: a finite number >= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"sd must be a number, not {value!r}")
+    sd = float(value)  # OverflowError for an integer past float range
+    if not 0.0 <= sd < math.inf:
+        raise ValueError(f"sd must be finite and >= 0, not {value!r}")
+    return sd
 
 
 def read_corpus_jsonl(path) -> list:
     entries = _read_jsonl(path, lambda obj: CorpusEntry(
-        id=obj["id"], problem_id=obj["problem_id"], tokens=obj["tokens"],
-        semantics=_semantics(obj["semantics"])))
+        id=_id(obj["id"]), problem_id=obj["problem_id"],
+        tokens=_tokens(obj["tokens"]), semantics=_semantics(obj["semantics"])))
+    line_of = {}
     for n, e in enumerate(entries, 1):
         if len(e.semantics) != len(entries[0].semantics):
-            raise CorpusFileError(
+            raise DataError(
                 f"{path} line {n}: {len(e.semantics)} semantics values, but "
                 f"line 1 has {len(entries[0].semantics)}")
+        if line_of.setdefault(e.id, n) != n:
+            raise DataError(f"{path} line {n}: id {e.id} repeats line "
+                            f"{line_of[e.id]}")
     return entries
 
 
@@ -304,4 +337,5 @@ def write_pairs_jsonl(pairs: list, path):
 
 def read_pairs_jsonl(path) -> list:
     return _read_jsonl(path, lambda obj: TrainingPair(
-        input_tokens=obj["input"], output_tokens=obj["output"], sd=obj["sd"]))
+        input_tokens=_tokens(obj["input"]),
+        output_tokens=_tokens(obj["output"]), sd=_sd(obj["sd"])))

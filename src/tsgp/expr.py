@@ -12,34 +12,16 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import DataError
+
 OPERATORS = ("ADD", "SUB", "MUL", "PDIV")
 
 FULL = "full"
 GROW = "grow"
 
 
-class ExprError(Exception):
-    """Base class for expression-level failures."""
-
-
-class StructureError(ExprError):
-    """Tree references a variable outside the input dimensionality."""
-
-
-class ParseError(ExprError):
-    """Base class for prefix-parsing failures."""
-
-
-class IncompleteSequenceError(ParseError):
-    """Tokens exhausted while operator slots remain open."""
-
-
-class TrailingTokensError(ParseError):
-    """Tokens remain after the tree closed."""
-
-
-class UnknownTokenError(ParseError):
-    """Token not present in the primitive set."""
+class ParseError(DataError):
+    """A token sequence that is not the prefix form of one tree."""
 
 
 def const_token(value: float) -> str:
@@ -93,7 +75,7 @@ class Node:
     def __post_init__(self):
         if self.symbol in OPERATORS:
             if len(self.children) != 2:
-                raise StructureError(
+                raise ValueError(
                     f"operator {self.symbol} needs 2 children, got {len(self.children)}"
                 )
             left, right = self.children
@@ -101,7 +83,7 @@ class Node:
             self.__dict__["n_nodes"] = 1 + left.n_nodes + right.n_nodes
             self.__dict__["height"] = 1 + max(left.height, right.height)
         elif self.children:
-            raise StructureError(f"terminal {self.symbol} cannot have children")
+            raise ValueError(f"terminal {self.symbol} cannot have children")
 
 
 def size(tree: Node) -> int:
@@ -138,7 +120,7 @@ def parse_prefix(tokens, prims: PrimitiveSet = None) -> Node:
     def build():
         nonlocal pos
         if pos >= len(tokens):
-            raise IncompleteSequenceError("tokens exhausted with open operator slots")
+            raise ParseError("tokens exhausted with open operator slots")
         tok = tokens[pos]
         pos += 1
         if prims.is_operator(tok):
@@ -147,11 +129,11 @@ def parse_prefix(tokens, prims: PrimitiveSet = None) -> Node:
             return Node(tok, (left, right))
         if prims.is_terminal(tok):
             return Node(tok)
-        raise UnknownTokenError(f"unknown token {tok!r}")
+        raise ParseError(f"unknown token {tok!r}")
 
     tree = build()
     if pos != len(tokens):
-        raise TrailingTokensError(f"{len(tokens) - pos} tokens left after tree closed")
+        raise ParseError(f"{len(tokens) - pos} tokens left after tree closed")
     return tree
 
 
@@ -172,7 +154,7 @@ def _leaf(sym: str, inputs: np.ndarray):
         idx = int(sym[1:])
         d = inputs.shape[1]
         if not 1 <= idx <= d:
-            raise StructureError(f"variable {sym} out of range for d={d}")
+            raise DataError(f"variable {sym} out of range for d={d}")
         return inputs[:, idx - 1]
     return np.float64(sym[1:])
 

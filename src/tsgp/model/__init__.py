@@ -2,15 +2,12 @@
 checkpointing."""
 
 from .vocab import Vocabulary
-from .transformer import Hyperparams, SdTransformer, SequenceTooLongError
-from .training import train, adamw_step, NonFiniteLossError
-from .checkpoint import (save_checkpoint, load_checkpoint, CheckpointError,
-                         BadMagicError, ManifestMismatchError, TruncatedError)
+from .transformer import Hyperparams, SdTransformer
+from .training import train, adamw_step
+from .checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [
-    "Vocabulary", "Hyperparams", "SdTransformer", "SequenceTooLongError",
-    "train", "adamw_step", "NonFiniteLossError",
+    "Vocabulary", "Hyperparams", "SdTransformer",
+    "train", "adamw_step",
     "save_checkpoint", "load_checkpoint",
-    "CheckpointError", "BadMagicError", "ManifestMismatchError",
-    "TruncatedError",
 ]

@@ -14,28 +14,13 @@ import struct
 
 import numpy as np
 
+from ..errors import DataError
 from .transformer import Hyperparams, SdTransformer, param_spec
 from .vocab import Vocabulary
 
 MAGIC = b"TSGPMDL1"
 
 SD_CONDITIONING = "affine-scalar-prepended"  # recorded for provenance
-
-
-class CheckpointError(Exception):
-    pass
-
-
-class BadMagicError(CheckpointError):
-    pass
-
-
-class ManifestMismatchError(CheckpointError):
-    pass
-
-
-class TruncatedError(CheckpointError):
-    pass
 
 
 def save_checkpoint(model: SdTransformer, path):
@@ -69,16 +54,16 @@ def load_checkpoint(path) -> SdTransformer:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != MAGIC:
-        raise BadMagicError(f"bad magic {blob[:8]!r}")
+        raise DataError(f"bad magic {blob[:8]!r}")
     if len(blob) < 12:
-        raise TruncatedError("file ends inside the header length field")
+        raise DataError("file ends inside the header length field")
     (hlen,) = struct.unpack("<I", blob[8:12])
     if len(blob) < 12 + hlen:
-        raise TruncatedError("file ends inside the JSON header")
+        raise DataError("file ends inside the JSON header")
     try:
         header = json.loads(blob[12:12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ManifestMismatchError(f"unreadable header: {e}") from None
+        raise DataError(f"unreadable header: {e}") from None
 
     try:
         hyper = Hyperparams.from_json(header["hyperparams"])
@@ -92,32 +77,33 @@ def load_checkpoint(path) -> SdTransformer:
         spec = param_spec(hyper, vocab.size)
     except (AttributeError, KeyError, TypeError, ValueError,
             ArithmeticError) as e:
-        raise ManifestMismatchError(
-            f"malformed header: {type(e).__name__}: {e}") from None
+        raise DataError(f"malformed header: {type(e).__name__}: {e}") from None
     payload = blob[12 + hlen:]
 
     params = {}
     expected_offset = 0
     for name, shape, offset in manifest:
         if name in params or name not in spec:
-            raise ManifestMismatchError(f"unexpected tensor {name!r}")
+            raise DataError(f"unexpected tensor {name!r}")
         if shape != spec[name][0]:
-            raise ManifestMismatchError(
+            raise DataError(
                 f"tensor {name} has shape {shape}, expected {spec[name][0]}")
         nbytes = int(np.prod(shape)) * 4
         if offset != expected_offset:
-            raise ManifestMismatchError(
+            raise DataError(
                 f"tensor {name} offset {offset} != {expected_offset}")
         if offset + nbytes > len(payload):
-            raise TruncatedError(f"payload too short for tensor {name}")
+            raise DataError(f"payload too short for tensor {name}")
         flat = np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape)),
                              offset=offset)
+        if not np.isfinite(flat).all():
+            raise DataError(f"tensor {name} has non-finite weights")
         params[name] = flat.reshape(shape).astype(np.float64)
         expected_offset += nbytes
     if expected_offset != len(payload):
-        raise TruncatedError(
+        raise DataError(
             f"payload has {len(payload) - expected_offset} trailing bytes")
     if len(params) != len(spec):
         missing = sorted(set(spec) - set(params))
-        raise ManifestMismatchError(f"missing tensors {missing}")
+        raise DataError(f"missing tensors {missing}")
     return SdTransformer(hyper, vocab, params=params)

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import NumericError
 from ..expr import PrimitiveSet
 from . import blocks
 from .transformer import Hyperparams, SdTransformer
 from .vocab import Vocabulary, PAD, BOS, EOS
-
-
-class NonFiniteLossError(Exception):
-    pass
 
 
 def make_batch(pairs, vocab: Vocabulary, max_len: int):
@@ -146,7 +143,7 @@ def train(pairs, hyper: Hyperparams, vocab: Vocabulary = None, seed: int = 0,
     gradients in length groups (``grad``) and takes one AdamW step.
     Deterministic for a fixed seed (single numpy stream, fixed batch order
     per epoch shuffle). Returns (model, curve) where curve is a list of
-    (step, loss) tuples. Raises NonFiniteLossError on divergence.
+    (step, loss) tuples. Raises NumericError on divergence.
     """
     if not pairs:
         raise ValueError("no training pairs")
@@ -164,7 +161,7 @@ def train(pairs, hyper: Hyperparams, vocab: Vocabulary = None, seed: int = 0,
             batch = make_batch(batch_pairs, vocab, hyper.max_len)
             loss_val, grads = grad(model, batch)
             if not np.isfinite(loss_val):
-                raise NonFiniteLossError(
+                raise NumericError(
                     f"loss {loss_val} at step {step} (epoch {epoch})")
             adamw_step(model, grads, state, hyper.lr, hyper.weight_decay)
             curve.append((step, loss_val))

@@ -32,10 +32,6 @@ MAX_LEN_LIMIT = 1 << 16
 SELF_KV_CAPACITY = 16
 
 
-class SequenceTooLongError(Exception):
-    pass
-
-
 @dataclass
 class Hyperparams:
     d_model: int = 128
@@ -187,7 +183,7 @@ class SdTransformer:
         """Run the encoder stack; returns (output, key-validity mask)."""
         enc_ids = np.atleast_2d(np.asarray(enc_ids, dtype=np.int64))
         if enc_ids.shape[1] > self.hyper.max_len:
-            raise SequenceTooLongError(
+            raise ValueError(
                 f"encoder sequence {enc_ids.shape[1]} > max_len {self.hyper.max_len}")
         valid = np.concatenate(
             [np.ones((enc_ids.shape[0], 1), dtype=bool), enc_ids != PAD], axis=1)
@@ -244,7 +240,7 @@ class SdTransformer:
         start = 0 if cache is None else cache.length
         T = dec_ids.shape[1] + (start == 0)  # new positions
         if start + T > self.hyper.max_len + 2:
-            raise SequenceTooLongError(
+            raise ValueError(
                 f"decoder sequence {start + T - 1} > {self.hyper.max_len + 1}")
         if cache is None:
             valid = np.concatenate(

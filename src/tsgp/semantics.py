@@ -7,19 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
-
-
-class SemanticsError(Exception):
-    pass
-
-
-class LengthMismatchError(SemanticsError):
-    pass
-
-
-class ConstantColumnError(SemanticsError):
-    pass
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -35,11 +23,6 @@ def sample_standard_inputs(m_sem: int, d: int, rng: np.random.Generator) -> np.n
     if m_sem < 2:
         raise ValueError("m_sem must be >= 2")
     return rng.standard_normal((m_sem, d))
-
-
-def semantics_of(tree: expr.Node, points: np.ndarray) -> np.ndarray:
-    """Semantics of a tree on the given input sample; never raises on overflow."""
-    return expr.evaluate(tree, points)
 
 
 def _vals(s) -> np.ndarray:
@@ -67,7 +50,7 @@ def rmse(y, y_hat) -> float:
     """
     a, b = _vals(y), _vals(y_hat)
     if a.shape != b.shape:
-        raise LengthMismatchError(f"lengths {a.shape} vs {b.shape}")
+        raise ValueError(f"lengths {a.shape} vs {b.shape}")
     if not np.all(np.isfinite(b)):
         return float("inf")
     return float(np.linalg.norm(a - b) / np.sqrt(len(a)))
@@ -88,7 +71,7 @@ def standardize(matrix: np.ndarray, params: StandardizationParams = None):
         std = arr.std(axis=0)  # population convention (divide by n)
         if np.any(std == 0.0):
             bad = int(np.flatnonzero(std == 0.0)[0])
-            raise ConstantColumnError(f"column {bad} is constant")
+            raise DataError(f"column {bad} is constant")
         params = StandardizationParams(mean=mean, std=std)
     out = (arr - params.mean) / params.std
     if squeeze:

@@ -110,10 +110,6 @@ def make_individuals(bases: list, X_train, y_train) -> list:
             for base, out in zip(bases, expr.evaluate_many(bases, X_train))]
 
 
-def make_individual(base: Node, X_train, y_train) -> SlimIndividual:
-    return make_individuals([base], X_train, y_train)[0]
-
-
 def inflate(ind: SlimIndividual, prims: PrimitiveSet, rng: np.random.Generator,
             X_train, y_train) -> SlimIndividual:
     """Append one block: ms ~ U(0,1), R1/R2 fresh GROW trees of depth <= 2."""

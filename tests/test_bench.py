@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from tsgp import bench
-from tsgp.bench import (EmptyError, MissingTargetError, MixedMethodsError,
-                        NonFiniteCellError, NonNumericCellError,
-                        TooFewRowsError, aggregate_runs,
-                        fetch_pmlb, load_csv, make_dataset, wilcoxon_ranksum,
-                        write_results_csv, write_series_csv, write_stats_csv)
+from tsgp.bench import (aggregate_runs, fetch_pmlb, load_csv, make_dataset,
+                        wilcoxon_ranksum, write_results_csv, write_series_csv,
+                        write_stats_csv)
+from tsgp.errors import DataError
 from tsgp.trace import RunTrace, read_trace_csv, write_trace_csv
 
 
@@ -64,13 +63,13 @@ class TestLoadCsv:
     def test_missing_target(self, tmp_path):
         path = tmp_path / "x.csv"
         _write_csv(path, ["a", "b"], self._rows(30, d=1))
-        with pytest.raises(MissingTargetError):
+        with pytest.raises(DataError, match="no column 'target' in x.csv"):
             load_csv(path)
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "x.csv"
         _write_csv(path, ["a", "target"], self._rows(10, d=1))
-        with pytest.raises(TooFewRowsError):
+        with pytest.raises(DataError, match="10 rows < 20"):
             load_csv(path)
 
     def test_non_numeric_cell(self, tmp_path):
@@ -78,7 +77,7 @@ class TestLoadCsv:
         rows = self._rows(25, d=1)
         rows[5][0] = "oops"
         _write_csv(path, ["a", "target"], rows)
-        with pytest.raises(NonNumericCellError):
+        with pytest.raises(DataError, match="oops"):
             load_csv(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
@@ -87,7 +86,31 @@ class TestLoadCsv:
         rows = self._rows(25, d=1)
         rows[7][1] = cell
         _write_csv(path, ["a", "target"], rows)
-        with pytest.raises(NonFiniteCellError, match="row 8.*'target'"):
+        with pytest.raises(DataError, match="row 8.*'target'"):
+            load_csv(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="x.csv is empty"):
+            load_csv(path)
+
+    def test_constant_column(self, tmp_path):
+        path = tmp_path / "x.csv"
+        rows = self._rows(25, d=2)
+        for r in rows:
+            r[1] = "3.0"
+        _write_csv(path, ["a", "b", "target"], rows)
+        with pytest.raises(DataError, match="column 1 is constant"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_row_width_differs_from_header(self, tmp_path, width):
+        path = tmp_path / "x.csv"
+        rows = [r[:2] if width == 2 else r + ["1.0"]
+                for r in self._rows(25, d=2)]
+        _write_csv(path, ["a", "b", "target"], rows)
+        with pytest.raises(DataError, match=f"row 1 has {width} cells"):
             load_csv(path)
 
 
@@ -157,12 +180,12 @@ class TestAggregate:
         assert s.q75_test_rmse - s.q25_test_rmse == 0.0
 
     def test_mixed_methods_rejected(self):
-        with pytest.raises(MixedMethodsError):
+        with pytest.raises(DataError, match="mixed methods"):
             aggregate_runs([_mk_trace("stdgp", 0, [1.0], 0.1),
                             _mk_trace("slim", 1, [1.0], 0.1)])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyError):
+        with pytest.raises(DataError, match="no traces"):
             aggregate_runs([])
 
     def test_dual_path_median_from_csv(self, tmp_path):

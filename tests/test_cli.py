@@ -182,6 +182,21 @@ class TestExitCodes:
                      "--pop", "10", "--gens", "1",
                      "--out", str(workdir / "nan_run")]) == 2
 
+    @pytest.mark.parametrize("rows", [
+        [], ["x,target"] + [f"{i},1.0" for i in range(30)],
+        ["x,y,target"] + [f"{i},{i % 7}" for i in range(30)]],
+        ids=["empty", "constant column", "rows narrower than header"])
+    def test_data_error_bad_csv(self, tmp_path, capsys, rows):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(r + "\n" for r in rows))
+        out = tmp_path / "out"
+        assert main(["search", "--method", "stdgp", "--data", str(bad),
+                     "--pop", "10", "--gens", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_data_error_bad_checkpoint(self, workdir):
         bad = workdir / "bad.tsgp"
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
@@ -210,11 +225,39 @@ class TestExitCodes:
                        '"semantics": [1.0, 2.0]}\n'
                        '{"id": 1, "problem_id": 0, "tokens": ["v2"], '
                        '"semantics": [1.0]}\n'),
+        ("mine-pairs", '{"id": 0, "problem_id": 0, "tokens": ["v1"], '
+                       '"semantics": [NaN, 1.0]}\n'),
+        ("mine-pairs", '{"id": 0, "problem_id": 0, "tokens": ["v1"], '
+                       '"semantics": []}\n'),
+        ("mine-pairs", '{"id": 0, "problem_id": 0, "tokens": ["v1"], '
+                       '"semantics": [1.0]}\n'
+                       '{"id": 0, "problem_id": 0, "tokens": ["v2"], '
+                       '"semantics": [2.0]}\n'),
+        ("mine-pairs", '{"id": "a", "problem_id": 0, "tokens": ["v1"], '
+                       '"semantics": [1.0]}\n'),
+        ("mine-pairs", '{"id": 0, "problem_id": 0, "tokens": "v1", '
+                       '"semantics": [1.0]}\n'),
         ("train", ""),
         ("train", '{"input": ["v1"], "output": ["v2"]}\n'),
+        ("train", '{"input": ["v1"], "output": ["v2"], "sd": "x"}\n'),
+        ("train", '{"input": ["v1"], "output": ["v2"], "sd": null}\n'),
+        ("train", '{"input": ["v1"], "output": ["v2"], "sd": NaN}\n'),
+        ("train", '{"input": ["v1"], "output": ["v2"], "sd": -1.0}\n'),
+        ("train", '{"input": ["v1"], "output": ["v2"], "sd": 1e999999}\n'),
+        ("train", '{"input": ["v1"], "output": ["v2"], "sd": 10' + "0" * 400
+                  + '}\n'),
+        ("train", '{"input": "v1", "output": ["v2"], "sd": 0.5}\n'),
+        ("train", '{"input": ["v1"], "output": [1], "sd": 0.5}\n'),
+        ("train", '{"input": ["v1"], "output": ["v2"], "sd": 0.5}\n'
+                  '{"input": ["v1"], "output": ' + json.dumps(["v2"] * 101)
+                  + ', "sd": 0.5}\n'),
     ], ids=["empty corpus", "no problem_id", "list line",
-            "non-numeric semantics", "semantics lengths differ", "no pairs",
-            "no sd"])
+            "non-numeric semantics", "semantics lengths differ",
+            "non-finite semantics", "empty semantics", "duplicate ids",
+            "string id", "string tokens", "no pairs", "no sd", "string sd",
+            "null sd", "NaN sd", "negative sd", "infinite sd",
+            "huge integer sd", "string input", "non-string output token",
+            "output too long"])
     def test_data_error_bad_jsonl(self, tmp_path, capsys, command, content):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(content)

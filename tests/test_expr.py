@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsgp import expr
-from tsgp.expr import (FULL, GROW, OPERATORS, IncompleteSequenceError, Node,
-                       PrimitiveSet, StructureError, TrailingTokensError,
-                       UnknownTokenError)
+from tsgp.errors import DataError
+from tsgp.expr import FULL, GROW, OPERATORS, Node, ParseError, PrimitiveSet
 
 
 class TestPrimitiveSet:
@@ -43,7 +42,7 @@ class TestEvaluate:
         np.testing.assert_array_equal(out, X[:, 2])
 
     def test_variable_out_of_range(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(DataError, match="variable v4 out of range"):
             expr.evaluate(expr.from_string("v4"), np.zeros((3, 2)))
 
     def test_protected_division_constant_zero(self):
@@ -60,20 +59,26 @@ class TestSerializeParse:
     def test_single_node(self):
         assert expr.serialize_prefix(Node("v2")) == ["v2"]
 
+    def test_node_arity(self):
+        with pytest.raises(ValueError, match="ADD needs 2 children, got 1"):
+            Node("ADD", (Node("v1"),))
+        with pytest.raises(ValueError, match="terminal v1 cannot have"):
+            Node("v1", (Node("v2"),))
+
     def test_parse_simple(self):
         tree = expr.parse_prefix(["ADD", "v1", "v2"])
         assert tree == Node("ADD", (Node("v1"), Node("v2")))
 
     def test_incomplete(self):
-        with pytest.raises(IncompleteSequenceError):
+        with pytest.raises(ParseError, match="tokens exhausted"):
             expr.parse_prefix(["ADD", "v1"])
 
     def test_trailing(self):
-        with pytest.raises(TrailingTokensError):
+        with pytest.raises(ParseError, match="1 tokens left"):
             expr.parse_prefix(["v1", "v2"])
 
     def test_unknown_token(self):
-        with pytest.raises(UnknownTokenError):
+        with pytest.raises(ParseError, match="unknown token 'SIN'"):
             expr.parse_prefix(["SIN", "v1"])
 
     def test_round_trip_random_trees(self, prims):
@@ -281,9 +286,9 @@ class TestEvaluateMany:
         ids=["v5", "v0", "nested v5"])
     def test_variable_out_of_range(self, bad):
         good = expr.from_string("ADD v1 v2")
-        with pytest.raises(StructureError):
+        with pytest.raises(DataError, match="out of range for d=4"):
             expr.evaluate(bad, np.zeros((3, 4)))
-        with pytest.raises(StructureError):
+        with pytest.raises(DataError, match="out of range for d=4"):
             expr.evaluate_many([good, bad], np.zeros((3, 4)))
 
     def test_outputs_own_their_memory(self):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsgp.corpus import TrainingPair
-from tsgp.model import (BadMagicError, Hyperparams, ManifestMismatchError,
-                        TruncatedError, Vocabulary, load_checkpoint,
+from tsgp.errors import DataError
+from tsgp.model import (Hyperparams, Vocabulary, load_checkpoint,
                         save_checkpoint, train)
 from tsgp.model import autodiff as ad
 from tsgp.model import checkpoint as ckpt
@@ -17,7 +17,7 @@ from tsgp.model import transformer as tfm
 from tsgp.model.autodiff import Tensor
 from tsgp.model.training import (AdamWState, adamw_step, grad, make_batch,
                                  token_accuracy)
-from tsgp.model.transformer import SdTransformer, SequenceTooLongError
+from tsgp.model.transformer import SdTransformer
 from tsgp.model.vocab import BOS, PAD
 from tsgp.verify import causality_probe, gradient_check, random_pairs
 
@@ -81,7 +81,7 @@ class TestForward:
                             n_decoder_layers=1, max_len=8)
         model = SdTransformer(hyper, vocab, rng=np.random.default_rng(0))
         ids = np.full((1, 9), 3, dtype=np.int64)
-        with pytest.raises(SequenceTooLongError):
+        with pytest.raises(ValueError, match="encoder sequence 9 > max_len 8"):
             model.encode(ids, np.array([0.1]))
 
     def test_all_pad_target_rejected(self, tiny_model, vocab):
@@ -130,7 +130,7 @@ class TestIncrementalDecode:
             np.testing.assert_allclose(step[:, 0], ref[:, -1], rtol=0,
                                        atol=1e-12)
         assert cache.length == model.hyper.max_len + 2
-        with pytest.raises(SequenceTooLongError):
+        with pytest.raises(ValueError, match="decoder sequence"):
             model.decode(full[rows, :1], sd[rows], None, None, cache=cache)
 
 
@@ -371,14 +371,14 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[:8] = b"NOTMAGIC"
         path.write_bytes(bytes(blob))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(DataError, match="bad magic"):
             load_checkpoint(path)
 
     def test_truncated(self, tiny_model, tmp_path):
         path = self._saved(tiny_model, tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-100])
-        with pytest.raises(TruncatedError):
+        with pytest.raises(DataError, match="payload too short"):
             load_checkpoint(path)
 
     def _with_header(self, path, edit):
@@ -394,7 +394,7 @@ class TestCheckpoint:
     def test_header_without_vocabulary(self, tiny_model, tmp_path):
         path = self._saved(tiny_model, tmp_path)
         self._with_header(path, lambda h: h.pop("vocabulary"))
-        with pytest.raises(ManifestMismatchError, match="vocabulary"):
+        with pytest.raises(DataError, match="vocabulary"):
             load_checkpoint(path)
 
     def test_legacy_dropout_key_ignored(self, tiny_model, tmp_path):
@@ -412,7 +412,7 @@ class TestCheckpoint:
         path = self._saved(tiny_model, tmp_path)
         self._with_header(
             path, lambda h: h["hyperparams"].update(n_experts=4))
-        with pytest.raises(ManifestMismatchError, match="n_experts"):
+        with pytest.raises(DataError, match="n_experts"):
             load_checkpoint(path)
 
     def test_wrong_tensor_shape(self, tiny_model, tmp_path):
@@ -422,7 +422,7 @@ class TestCheckpoint:
             entry = next(e for e in h["tensors"] if e["name"] == "out.b")
             entry["shape"] = [1] + entry["shape"]
         self._with_header(path, row_vector_bias)
-        with pytest.raises(ManifestMismatchError, match="out.b"):
+        with pytest.raises(DataError, match="out.b"):
             load_checkpoint(path)
 
     def test_missing_and_unknown_tensors(self, tiny_model, tmp_path):
@@ -432,7 +432,7 @@ class TestCheckpoint:
             entry = next(e for e in h["tensors"] if e["name"] == "out.b")
             entry["name"] = "out.bias"
         self._with_header(path, rename)
-        with pytest.raises(ManifestMismatchError, match="out.bias"):
+        with pytest.raises(DataError, match="out.bias"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key,value", [
@@ -451,7 +451,7 @@ class TestCheckpoint:
             else:
                 h["hyperparams"][key] = value
         self._with_header(path, edit)
-        with pytest.raises(ManifestMismatchError, match="malformed header"):
+        with pytest.raises(DataError, match="malformed header"):
             load_checkpoint(path)
 
     def test_param_spec_matches_init(self, tiny_model):
@@ -489,13 +489,27 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         try:
             load_checkpoint(path)
-        except ckpt.CheckpointError:
+        except DataError:
             assert main(["verify-model", "--model", str(path)]) == 2
+
+    @pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800001, 0xFF800000],
+                             ids=["nan", "signalling nan", "-inf"])
+    def test_non_finite_weights(self, tiny_model, tmp_path, bits):
+        path = self._saved(tiny_model, tmp_path)
+        blob = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        entry = next(e for e in json.loads(blob[12:12 + hlen])["tensors"]
+                     if e["name"] == "out.b")
+        pos = 12 + hlen + entry["offset"] + 4 * 3  # the fourth bias
+        blob[pos:pos + 4] = struct.pack("<I", bits)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="tensor out.b has non-finite"):
+            load_checkpoint(path)
 
     def test_corrupt_header(self, tiny_model, tmp_path):
         path = self._saved(tiny_model, tmp_path)
         blob = bytearray(path.read_bytes())
         blob[12] = ord("X")  # break the JSON header
         path.write_bytes(bytes(blob))
-        with pytest.raises(ManifestMismatchError):
+        with pytest.raises(DataError, match="unreadable header"):
             load_checkpoint(path)

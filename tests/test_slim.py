@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsgp import expr, semantics, slim
-from tsgp.slim import (Block, SlimConfig, deflate, inflate, make_individual,
+from tsgp.slim import (Block, SlimConfig, deflate, inflate, make_individuals,
                        run_slim, sigmoid, slim_evaluate)
 
 
@@ -43,8 +43,8 @@ class TestBlocks:
 class TestOperators:
     def test_inflate_incremental_cache_matches_full(self, ds, prims):
         rng = np.random.default_rng(0)
-        ind = make_individual(expr.from_string("ADD v1 v2"),
-                              ds.X_train, ds.y_train)
+        ind = make_individuals([expr.from_string("ADD v1 v2")],
+                               ds.X_train, ds.y_train)[0]
         for _ in range(20):
             ind = inflate(ind, prims, rng, ds.X_train, ds.y_train)
             full = slim_evaluate(ind, ds.X_train)
@@ -52,7 +52,8 @@ class TestOperators:
 
     def test_inflate_semantics_delta(self, ds, prims):
         rng = np.random.default_rng(1)
-        ind = make_individual(expr.from_string("v1"), ds.X_train, ds.y_train)
+        ind = make_individuals([expr.from_string("v1")],
+                               ds.X_train, ds.y_train)[0]
         child = inflate(ind, prims, rng, ds.X_train, ds.y_train)
         b = child.blocks[-1]
         expected = ind.train_semantics + b.ms * (
@@ -62,7 +63,8 @@ class TestOperators:
 
     def test_deflate_shrinks_and_cache_consistent(self, ds, prims):
         rng = np.random.default_rng(2)
-        ind = make_individual(expr.from_string("v1"), ds.X_train, ds.y_train)
+        ind = make_individuals([expr.from_string("v1")],
+                               ds.X_train, ds.y_train)[0]
         for _ in range(5):
             ind = inflate(ind, prims, rng, ds.X_train, ds.y_train)
         smaller = deflate(ind, rng, ds.X_train, ds.y_train)
@@ -73,8 +75,8 @@ class TestOperators:
                                    atol=1e-10)
 
     def test_deflate_never_removes_base(self, ds):
-        ind = make_individual(expr.from_string("ADD v1 v2"),
-                              ds.X_train, ds.y_train)
+        ind = make_individuals([expr.from_string("ADD v1 v2")],
+                               ds.X_train, ds.y_train)[0]
         out = deflate(ind, np.random.default_rng(3), ds.X_train, ds.y_train)
         assert out.base == ind.base
         assert out.blocks == []
@@ -110,8 +112,8 @@ class TestSemanticsCache:
 
     def test_deflate_evaluates_no_tree(self, ds, prims, monkeypatch):
         rng = np.random.default_rng(6)
-        ind = make_individual(expr.from_string("SUB v3 v1"),
-                              ds.X_train, ds.y_train)
+        ind = make_individuals([expr.from_string("SUB v3 v1")],
+                               ds.X_train, ds.y_train)[0]
         for _ in range(4):
             ind = inflate(ind, prims, rng, ds.X_train, ds.y_train)
         real = expr.evaluate, expr.evaluate_many
@@ -132,8 +134,8 @@ class TestSemanticsCache:
         ds = _ToyDataset(seed=seed % 7)
         prims = expr.PrimitiveSet()
         rng = np.random.default_rng(seed)
-        ind = make_individual(expr.random_tree(expr.GROW, 1, 4, prims, rng),
-                              ds.X_train, ds.y_train)
+        ind = make_individuals([expr.random_tree(expr.GROW, 1, 4, prims, rng)],
+                               ds.X_train, ds.y_train)[0]
         lineage = [ind]
         for grow, fill_parent in steps:
             if fill_parent:  # as run_slim does before logging a variation
@@ -148,8 +150,8 @@ class TestSemanticsCache:
     def test_child_evaluates_only_its_new_block(self, ds, prims, monkeypatch):
         real = expr.evaluate, expr.evaluate_many
         rng = np.random.default_rng(4)
-        parent = make_individual(expr.from_string("MUL v1 v2"),
-                                 ds.X_train, ds.y_train)
+        parent = make_individuals([expr.from_string("MUL v1 v2")],
+                                  ds.X_train, ds.y_train)[0]
         for _ in range(3):
             parent = inflate(parent, prims, rng, ds.X_train, ds.y_train)
         parent.semantics_on_test(ds.X_test)
