@@ -15,8 +15,9 @@ import numpy as np
 
 from . import semantics
 from .errors import DataError
-from .semantics import StandardizationParams
 from .trace import RunTrace
+
+ALPHA = 0.05  # significance level of stats.csv
 
 
 @dataclass
@@ -26,8 +27,6 @@ class Dataset:
     name: str
     X: np.ndarray
     Y: np.ndarray
-    params_X: StandardizationParams
-    params_Y: StandardizationParams
     train_idx: np.ndarray
     test_idx: np.ndarray
     seed: int = -1
@@ -64,14 +63,13 @@ def make_dataset(name: str, X: np.ndarray, Y: np.ndarray, seed: int) -> Dataset:
     Standardization before the split mirrors the experimental protocol; the
     mild train/test leakage is accepted for faithfulness.
     """
-    Xs, px = semantics.standardize(np.asarray(X, dtype=np.float64))
-    Ys, py = semantics.standardize(np.asarray(Y, dtype=np.float64))
+    Xs, _ = semantics.standardize(np.asarray(X, dtype=np.float64))
+    Ys, _ = semantics.standardize(np.asarray(Y, dtype=np.float64))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(Xs))
     half = len(Xs) // 2
-    return Dataset(name=name, X=Xs, Y=Ys, params_X=px, params_Y=py,
-                   train_idx=np.sort(perm[:half]), test_idx=np.sort(perm[half:]),
-                   seed=seed)
+    return Dataset(name=name, X=Xs, Y=Ys, train_idx=np.sort(perm[:half]),
+                   test_idx=np.sort(perm[half:]), seed=seed)
 
 
 def load_csv(path, target_column: str = "target", split_seed: int = 0) -> Dataset:
@@ -296,8 +294,7 @@ def write_series_csv(aggregates: dict, metric: str, dataset_name: str, path):
                             repr(pt.median), repr(pt.q25), repr(pt.q75)])
 
 
-def write_stats_csv(traces_by_method: dict, dataset_name: str, path,
-                    alpha: float = 0.05):
+def write_stats_csv(traces_by_method: dict, dataset_name: str, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["method_a", "method_b", "dataset", "p_value", "significant"])
@@ -305,7 +302,7 @@ def write_stats_csv(traces_by_method: dict, dataset_name: str, path,
             p = wilcoxon_ranksum(
                 [t.final_best_test_rmse for t in traces_by_method[ma]],
                 [t.final_best_test_rmse for t in traces_by_method[mb]])
-            w.writerow([ma, mb, dataset_name, repr(p), int(p < alpha)])
+            w.writerow([ma, mb, dataset_name, repr(p), int(p < ALPHA)])
 
 
 # --- orchestration -----------------------------------------------------------

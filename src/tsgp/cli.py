@@ -145,7 +145,14 @@ def cli(ctx, seed, threads, deterministic, config_path):
         if not isinstance(config, dict):
             raise click.UsageError(
                 f"--config {config_path} must hold a JSON object")
-        ctx.default_map = {name: config for name in cli.commands}
+        # every key must name an option of the subcommand that runs
+        command = cli.commands[ctx.invoked_subcommand]
+        flags = {p.name: p.opts[0] for p in cli.params}
+        for key in sorted(config.keys() - {p.name for p in command.params}):
+            hint = (f"is a global option; pass it as the flag {flags[key]}"
+                    if key in flags else f"names no option of {command.name}")
+            raise click.UsageError(f"--config {config_path}: {key!r} {hint}")
+        ctx.default_map = {command.name: config}
 
 
 @cli.command("gen-corpus")
@@ -208,6 +215,9 @@ def mine_pairs_cmd(ctx, corpus_path, k, sd_max, max_len, ivf_clusters,
                                 np.random.default_rng(ctx.obj["seed"]))
     pairs, dropped = mine_pairs(entries, k, sd_max, max_len, index=index,
                                 n_probe=n_probe)
+    if not pairs:
+        raise DataError(f"{corpus_path} yields no training pairs "
+                        f"({dropped} dropped for length)")
     write_pairs_jsonl(pairs, out)
     _write_manifest(ctx, out)
     click.echo(f"wrote {len(pairs)} pairs to {out} "

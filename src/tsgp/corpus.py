@@ -11,8 +11,10 @@ import numpy as np
 
 from . import expr, semantics, stdgp
 from .errors import DataError
-from .expr import PrimitiveSet
 from .stdgp import GPConfig, DOUBLE_TOURNAMENT
+
+IVF_ITERATIONS = 25  # Lloyd iteration cap of build_ivf_index
+KNN_BLOCK = 512      # query rows per distance block in _knn_all
 
 
 @dataclass
@@ -143,7 +145,7 @@ class IvfIndex:
 
 
 def build_ivf_index(corpus: list, n_clusters: int,
-                    rng: np.random.Generator, n_iter: int = 25) -> IvfIndex:
+                    rng: np.random.Generator) -> IvfIndex:
     """Seeded Lloyd k-means (fixed iteration cap) over entry semantics."""
     if n_clusters > len(corpus):
         raise ValueError("n_clusters must be <= corpus size")
@@ -151,7 +153,7 @@ def build_ivf_index(corpus: list, n_clusters: int,
     centroids = S[rng.choice(len(S), size=n_clusters, replace=False)].copy()
     assign = None
     sq = (S ** 2).sum(axis=1)
-    for _ in range(n_iter):
+    for _ in range(IVF_ITERATIONS):
         d2 = sq[:, None] - 2.0 * S @ centroids.T + (centroids ** 2).sum(axis=1)
         new_assign = d2.argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
@@ -177,15 +179,15 @@ def query_ivf(index: IvfIndex, query_id: int, k: int, n_probe: int) -> list:
     return _nearest(index.ids[members], sd, query_id, k)
 
 
-def _knn_all(corpus: list, k: int, block: int = 512) -> dict:
+def _knn_all(corpus: list, k: int) -> dict:
     """Brute-force neighbors for every entry at once (blocked distance matrix)."""
     ids = np.array([e.id for e in corpus])
     S = _semantics_matrix(corpus)
     sq = (S ** 2).sum(axis=1)
     out = {}
     shortlist = k + 10  # approximate top-k, then exact re-rank
-    for lo in range(0, len(S), block):
-        hi = min(lo + block, len(S))
+    for lo in range(0, len(S), KNN_BLOCK):
+        hi = min(lo + KNN_BLOCK, len(S))
         d2 = np.maximum(sq[lo:hi, None] - 2.0 * S[lo:hi] @ S.T + sq[None, :], 0.0)
         for r in range(lo, hi):
             row = d2[r - lo]
@@ -229,8 +231,7 @@ def mine_pairs(corpus: list, k: int, sd_max: float = 100.0,
 
 def build_corpus(n_problems: int, gp_config: GPConfig, *, d: int = 4,
                  m: int = 200, noise_sigma: float = 0.1, m_sem: int = 100,
-                 rng: np.random.Generator,
-                 prims: PrimitiveSet = None) -> tuple:
+                 rng: np.random.Generator) -> tuple:
     """Full harvesting pass: problems -> functions -> annotated corpus.
 
     One shared m_sem standard-input sample keeps all semantics comparable.

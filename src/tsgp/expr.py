@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DataError
 
 OPERATORS = ("ADD", "SUB", "MUL", "PDIV")
+CONSTANT_VALUES = tuple(round(-0.5 + 0.1 * i, 1) for i in range(11))
 
 FULL = "full"
 GROW = "grow"
@@ -30,11 +31,9 @@ def const_token(value: float) -> str:
 
 @dataclass(frozen=True)
 class PrimitiveSet:
-    """Operators, variables v1..vd and the 11-value constant grid."""
+    """``OPERATORS``, variables v1..vd and the ``CONSTANT_VALUES`` grid."""
 
     n_variables: int = 4
-    operators: tuple = OPERATORS
-    constant_values: tuple = tuple(round(-0.5 + 0.1 * i, 1) for i in range(11))
 
     @cached_property
     def variables(self) -> tuple:
@@ -42,20 +41,11 @@ class PrimitiveSet:
 
     @cached_property
     def constants(self) -> tuple:
-        return tuple(const_token(v) for v in self.constant_values)
+        return tuple(const_token(v) for v in CONSTANT_VALUES)
 
     @cached_property
     def terminals(self) -> tuple:
         return self.variables + self.constants
-
-    def constant_value(self, token: str) -> float:
-        return float(token[1:])
-
-    def is_operator(self, token: str) -> bool:
-        return token in self.operators
-
-    def is_terminal(self, token: str) -> bool:
-        return token in self.terminals
 
 
 @dataclass(frozen=True)
@@ -123,11 +113,11 @@ def parse_prefix(tokens, prims: PrimitiveSet = None) -> Node:
             raise ParseError("tokens exhausted with open operator slots")
         tok = tokens[pos]
         pos += 1
-        if prims.is_operator(tok):
+        if tok in OPERATORS:
             left = build()
             right = build()
             return Node(tok, (left, right))
-        if prims.is_terminal(tok):
+        if tok in prims.terminals:
             return Node(tok)
         raise ParseError(f"unknown token {tok!r}")
 
@@ -137,8 +127,8 @@ def parse_prefix(tokens, prims: PrimitiveSet = None) -> Node:
     return tree
 
 
-def from_string(text: str, prims: PrimitiveSet = None) -> Node:
-    return parse_prefix(text.split(), prims)
+def from_string(text: str) -> Node:
+    return parse_prefix(text.split())
 
 
 def _input_matrix(inputs) -> np.ndarray:
@@ -283,14 +273,14 @@ def random_tree(method: str, depth_min: int, depth_max: int,
         raise ValueError("need 0 <= depth_min <= depth_max")
     height = int(rng.integers(depth_min, depth_max + 1))
     terminals = prims.terminals
-    t_ratio = len(terminals) / (len(terminals) + len(prims.operators))
+    t_ratio = len(terminals) / (len(terminals) + len(OPERATORS))
 
     def gen(d: int) -> Node:
         if d == height:
             return Node(terminals[rng.integers(len(terminals))])
         if method == GROW and d >= depth_min and rng.random() < t_ratio:
             return Node(terminals[rng.integers(len(terminals))])
-        op = prims.operators[rng.integers(len(prims.operators))]
+        op = OPERATORS[rng.integers(len(OPERATORS))]
         return Node(op, (gen(d + 1), gen(d + 1)))
 
     return gen(0)

@@ -10,6 +10,8 @@ from . import blocks
 from .transformer import Hyperparams, SdTransformer
 from .vocab import Vocabulary, PAD, BOS, EOS
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def make_batch(pairs, vocab: Vocabulary, max_len: int):
     """Pack (input tokens, output tokens, sd) records into padded id arrays.
@@ -102,30 +104,29 @@ class AdamWState:
 
 
 def adamw_step(model: SdTransformer, grads: dict, state: AdamWState,
-               lr: float, weight_decay: float = 0.0,
-               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+               lr: float, weight_decay: float = 0.0):
     """One decoupled-weight-decay Adam update of ``model.flat``, in place.
 
     One vectorised update over all parameters, with the arithmetic of
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
     ``update = m_hat / (sqrt(v_hat) + eps) [+ weight_decay w]`` and
-    ``w -= lr update`` per entry.
+    ``w -= lr update`` per entry; b1, b2 and eps are the ``ADAM_*`` constants.
     """
     state.t += 1
     t = state.t
     g, tmp, update = state.g, state.tmp, state.update
     np.concatenate([grads[k].reshape(-1) for k in model.params], out=g)
-    np.multiply(g, 1 - beta1, out=tmp)
-    state.m *= beta1
+    np.multiply(g, 1 - ADAM_BETA1, out=tmp)
+    state.m *= ADAM_BETA1
     state.m += tmp
-    np.multiply(g, 1 - beta2, out=tmp)
+    np.multiply(g, 1 - ADAM_BETA2, out=tmp)
     tmp *= g
-    state.v *= beta2
+    state.v *= ADAM_BETA2
     state.v += tmp
-    np.divide(state.m, 1 - beta1 ** t, out=update)
-    np.divide(state.v, 1 - beta2 ** t, out=tmp)
+    np.divide(state.m, 1 - ADAM_BETA1 ** t, out=update)
+    np.divide(state.v, 1 - ADAM_BETA2 ** t, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += eps
+    tmp += ADAM_EPS
     update /= tmp
     if weight_decay:
         np.multiply(model.flat, weight_decay, out=tmp)
@@ -173,10 +174,9 @@ def train(pairs, hyper: Hyperparams, vocab: Vocabulary = None, seed: int = 0,
             return model, curve
 
 
-def token_accuracy(model: SdTransformer, pairs, vocab: Vocabulary = None) -> float:
+def token_accuracy(model: SdTransformer, pairs) -> float:
     """Teacher-forced next-token accuracy over non-PAD targets."""
-    vocab = vocab or model.vocab
-    enc_ids, sd, dec_ids, targets = make_batch(pairs, vocab,
+    enc_ids, sd, dec_ids, targets = make_batch(pairs, model.vocab,
                                                model.hyper.max_len)
     pred = model.forward(enc_ids, sd, dec_ids).argmax(axis=-1)
     mask = targets != PAD

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..expr import PrimitiveSet
+from ..expr import OPERATORS, PrimitiveSet
 
 PAD, BOS, EOS = 0, 1, 2
 
@@ -19,7 +19,7 @@ class Vocabulary:
     @classmethod
     def from_primitives(cls, prims: PrimitiveSet) -> "Vocabulary":
         return cls(symbols=("<pad>", "<bos>", "<eos>")
-                   + tuple(prims.operators) + prims.variables + prims.constants)
+                   + OPERATORS + prims.variables + prims.constants)
 
     @property
     def size(self) -> int:

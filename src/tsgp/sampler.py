@@ -16,9 +16,11 @@ from . import expr
 from .expr import PrimitiveSet
 from .model.transformer import SdTransformer
 from .model.vocab import Vocabulary, PAD, BOS, EOS
-from .stdgp import (Individual, assess, evaluated, evolve,
+from .stdgp import (TOURNAMENT_SIZE, Individual, assess, evaluated, evolve,
                     fill_test_semantics, tournament_select)
 from .trace import RunTrace
+
+RESAMPLE_LIMIT = 3  # resample rounds for offspring identical to their parent
 
 
 def primitives_from_vocab(vocab: Vocabulary) -> PrimitiveSet:
@@ -215,10 +217,6 @@ class SearchConfig:
     sd_desired: float = 0.1
     pop_size: int = 100
     generations: int = 50
-    tournament_size: int = 5
-    max_depth: int = 17
-    resample_limit: int = 3
-    temperature: float = 1.0
     init_depth_min: int = 2
     init_depth_max: int = 5
 
@@ -234,24 +232,23 @@ def run_tsgp(model: SdTransformer, dataset, config: SearchConfig,
     trace = RunTrace(method="tsgp", seed=getattr(dataset, "seed", -1))
 
     def vary(pop):
-        parents = [tournament_select(pop, config.tournament_size, rng)
+        parents = [tournament_select(pop, TOURNAMENT_SIZE, rng)
                    for _ in range(config.pop_size)]
         parent_tokens = [expr.serialize_prefix(p.tree) for p in parents]
         rngs = [np.random.default_rng(s)
                 for s in rng.integers(0, 2 ** 63, size=config.pop_size)]
         offspring_tokens = sample_tokens_batch(
-            model, parent_tokens, config.sd_desired, rngs,
-            config.temperature, config.max_depth)
+            model, parent_tokens, config.sd_desired, rngs)
 
         # resample offspring that came back token-identical to their parent
-        for _ in range(config.resample_limit):
+        for _ in range(RESAMPLE_LIMIT):
             stuck = [i for i in range(config.pop_size)
                      if offspring_tokens[i] == parent_tokens[i]]
             if not stuck:
                 break
             redo = sample_tokens_batch(
                 model, [parent_tokens[i] for i in stuck], config.sd_desired,
-                [rngs[i] for i in stuck], config.temperature, config.max_depth)
+                [rngs[i] for i in stuck])
             for i, toks in zip(stuck, redo):
                 offspring_tokens[i] = toks
 

@@ -10,7 +10,7 @@ evaluating the block again. Test-set semantics, needed only to log
 variations, are built from parts that are each evaluated once per run: the
 base tree's output, which children inherit, and each block's contribution,
 which the block keeps.
-No geometric crossover: variation is inflate (probability ``inflate_prob``)
+No geometric crossover: variation is inflate (probability ``INFLATE_PROB``)
 or deflate.
 """
 
@@ -24,8 +24,10 @@ import numpy as np
 
 from . import expr, semantics
 from .expr import Node, PrimitiveSet
-from .stdgp import evolve, tournament_select
+from .stdgp import TOURNAMENT_SIZE, evolve, tournament_select
 from .trace import RunTrace
+
+INFLATE_PROB = 0.2
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
@@ -145,30 +147,28 @@ def deflate(ind: SlimIndividual, rng: np.random.Generator,
 class SlimConfig:
     pop_size: int = 100
     generations: int = 50
-    tournament_size: int = 5
-    inflate_prob: float = 0.2
     init_depth_min: int = 2
     init_depth_max: int = 5
 
 
 def run_slim(config: SlimConfig, dataset, rng: np.random.Generator,
-             prims: PrimitiveSet = None, log_variations: bool = True) -> RunTrace:
+             log_variations: bool = True) -> RunTrace:
     """Generational loop; trace schema identical to the stdGP engine.
 
     With ``log_variations`` a parent's test semantics are filled before it
     is varied, so its child inherits the base tree's test output.
     """
-    prims = prims or PrimitiveSet(n_variables=dataset.X_train.shape[1])
+    prims = PrimitiveSet(dataset.X_train.shape[1])
     Xtr, ytr = dataset.X_train, dataset.y_train
     trace = RunTrace(method="slim", seed=getattr(dataset, "seed", -1))
 
     def vary(pop):
         offspring, variations = [], []
         for _ in range(config.pop_size):
-            parent = tournament_select(pop, config.tournament_size, rng)
+            parent = tournament_select(pop, TOURNAMENT_SIZE, rng)
             if log_variations:
                 parent.semantics_on_test(dataset.X_test)
-            if rng.random() < config.inflate_prob:
+            if rng.random() < INFLATE_PROB:
                 child = inflate(parent, prims, rng, Xtr, ytr)
             else:
                 child = deflate(parent, rng, Xtr, ytr)

@@ -20,6 +20,11 @@ from .trace import RunTrace
 TOURNAMENT = "tournament"
 DOUBLE_TOURNAMENT = "double_tournament"
 
+TOURNAMENT_SIZE = 5   # every engine's selection tournament
+TERMINAL_BIAS = 0.1   # chance that crossover picks a terminal node
+FITNESS_SIZE = 5      # double tournament: fitness round size
+PARSIMONY_PROB = 0.7  # double tournament: chance the smaller finalist wins
+
 
 @dataclass
 class Individual:
@@ -42,16 +47,12 @@ class Individual:
 class GPConfig:
     pop_size: int = 100
     generations: int = 50
-    tournament_size: int = 5
     crossover_prob: float = 0.9
     mutation_prob: float = 0.1
-    terminal_bias: float = 0.1
     max_depth: int = 17
     init_depth_min: int = 2
     init_depth_max: int = 5
     selection: str = TOURNAMENT
-    fitness_size: int = 5      # double tournament only
-    parsimony_prob: float = 0.7  # double tournament only
 
     def __post_init__(self):
         if not 0 <= self.crossover_prob <= 1 or not 0 <= self.mutation_prob <= 1:
@@ -153,9 +154,8 @@ def subtree_mutation(p: Node, prims: PrimitiveSet, rng: np.random.Generator,
 
 def _select(pop, config: GPConfig, rng) -> Individual:
     if config.selection == DOUBLE_TOURNAMENT:
-        return double_tournament_select(pop, config.fitness_size,
-                                        config.parsimony_prob, rng)
-    return tournament_select(pop, config.tournament_size, rng)
+        return double_tournament_select(pop, FITNESS_SIZE, PARSIMONY_PROB, rng)
+    return tournament_select(pop, TOURNAMENT_SIZE, rng)
 
 
 def assess(individuals: list, dataset) -> list:
@@ -231,8 +231,7 @@ def evolve(trace: RunTrace, config, dataset, rng: np.random.Generator,
 
 
 def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
-              prims: PrimitiveSet = None, on_generation=None,
-              log_variations: bool = True) -> RunTrace:
+              on_generation=None, log_variations: bool = True) -> RunTrace:
     """Generational loop on a standardized, split dataset.
 
     ``dataset`` needs X_train, y_train, X_test, y_test attributes.
@@ -245,7 +244,7 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
     generation is built, and the logged rows' missing test semantics in one
     more batch; evaluation draws nothing from ``rng``.
     """
-    prims = prims or PrimitiveSet(n_variables=dataset.X_train.shape[1])
+    prims = PrimitiveSet(dataset.X_train.shape[1])
     trace = RunTrace(method="stdgp", seed=getattr(dataset, "seed", -1))
 
     def vary(pop):
@@ -255,9 +254,8 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
             p1 = p2 = _select(pop, config, rng)
             if r < config.crossover_prob:
                 p2 = _select(pop, config, rng)
-                child_tree = subtree_crossover(p1.tree, p2.tree,
-                                               config.terminal_bias, rng,
-                                               config.max_depth)
+                child_tree = subtree_crossover(p1.tree, p2.tree, TERMINAL_BIAS,
+                                               rng, config.max_depth)
             elif r < config.crossover_prob + config.mutation_prob:
                 child_tree = subtree_mutation(p1.tree, prims, rng,
                                               config.max_depth)

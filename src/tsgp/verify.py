@@ -11,14 +11,18 @@ from .model.training import grad, make_batch
 from .model.transformer import SdTransformer
 from .sampler import primitives_from_vocab
 
+PAIR_DEPTH_MAX = 3  # depth cap of random_pairs' trees
+FD_STEP = 1e-5      # central-difference step of gradient_check
+PROBE_LEN = 12      # encoder and decoder tokens of causality_probe
+
 
 def random_pairs(model: SdTransformer, rng: np.random.Generator,
-                 n: int = 4, depth_max: int = 3) -> list:
+                 n: int = 4) -> list:
     prims = primitives_from_vocab(model.vocab)
     pairs = []
     for _ in range(n):
-        a = expr.random_tree(expr.GROW, 1, depth_max, prims, rng)
-        b = expr.random_tree(expr.GROW, 1, depth_max, prims, rng)
+        a = expr.random_tree(expr.GROW, 1, PAIR_DEPTH_MAX, prims, rng)
+        b = expr.random_tree(expr.GROW, 1, PAIR_DEPTH_MAX, prims, rng)
         pairs.append(TrainingPair(expr.serialize_prefix(a),
                                   expr.serialize_prefix(b),
                                   float(rng.random())))
@@ -26,14 +30,13 @@ def random_pairs(model: SdTransformer, rng: np.random.Generator,
 
 
 def gradient_check(model: SdTransformer, rng: np.random.Generator,
-                   n_probes: int = 200, step: float = 1e-5,
-                   pairs: list = None) -> float:
+                   n_probes: int = 200) -> float:
     """Central finite differences on randomly probed scalar parameters.
 
     Returns the maximum relative error against the analytic gradient.
     """
-    pairs = pairs or random_pairs(model, rng)
-    batch = make_batch(pairs, model.vocab, model.hyper.max_len)
+    batch = make_batch(random_pairs(model, rng), model.vocab,
+                       model.hyper.max_len)
     _, grads = grad(model, batch)
 
     def loss_value() -> float:
@@ -46,12 +49,12 @@ def gradient_check(model: SdTransformer, rng: np.random.Generator,
         flat = model.params[name].reshape(-1)
         i = int(rng.integers(flat.size))
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + FD_STEP
         up = loss_value()
-        flat[i] = orig - step
+        flat[i] = orig - FD_STEP
         down = loss_value()
         flat[i] = orig
-        fd = (up - down) / (2 * step)
+        fd = (up - down) / (2 * FD_STEP)
         an = grads[name].reshape(-1)[i]
         rel = abs(fd - an) / max(abs(fd), abs(an), 1e-6)
         max_rel = max(max_rel, rel)
@@ -59,7 +62,7 @@ def gradient_check(model: SdTransformer, rng: np.random.Generator,
 
 
 def causality_probe(model: SdTransformer, rng: np.random.Generator,
-                    n_positions: int = 20, seq_len: int = 12) -> tuple:
+                    n_positions: int = 20) -> tuple:
     """Perturb decoder tokens and measure leakage into earlier logit rows.
 
     Also returns the worst attention row-sum deviation from 1.
@@ -67,8 +70,8 @@ def causality_probe(model: SdTransformer, rng: np.random.Generator,
     """
     vocab = model.vocab
     content = [i for i in range(vocab.size) if i > 2]
-    enc_ids = np.array([rng.choice(content, size=seq_len)])
-    dec_ids = np.array([[1] + list(rng.choice(content, size=seq_len))])
+    enc_ids = np.array([rng.choice(content, size=PROBE_LEN)])
+    dec_ids = np.array([[1] + list(rng.choice(content, size=PROBE_LEN))])
     sd = np.array([0.1])
 
     acts = {}

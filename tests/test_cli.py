@@ -237,6 +237,12 @@ class TestExitCodes:
                        '"semantics": [1.0]}\n'),
         ("mine-pairs", '{"id": 0, "problem_id": 0, "tokens": "v1", '
                        '"semantics": [1.0]}\n'),
+        ("mine-pairs", '{"id": 0, "problem_id": 0, "tokens": ["v1"], '
+                       '"semantics": [1.0]}\n'),
+        ("mine-pairs", '{"id": 0, "problem_id": 0, "tokens": ["v1"], '
+                       '"semantics": [1.0, 2.0]}\n'
+                       '{"id": 1, "problem_id": 0, "tokens": ["MUL", "v1", '
+                       '"C+0.5"], "semantics": [1.0, 2.0]}\n'),
         ("train", ""),
         ("train", '{"input": ["v1"], "output": ["v2"]}\n'),
         ("train", '{"input": ["v1"], "output": ["v2"], "sd": "x"}\n'),
@@ -254,7 +260,8 @@ class TestExitCodes:
     ], ids=["empty corpus", "no problem_id", "list line",
             "non-numeric semantics", "semantics lengths differ",
             "non-finite semantics", "empty semantics", "duplicate ids",
-            "string id", "string tokens", "no pairs", "no sd", "string sd",
+            "string id", "string tokens", "one entry",
+            "identical semantics", "no pairs", "no sd", "string sd",
             "null sd", "NaN sd", "negative sd", "infinite sd",
             "huge integer sd", "string input", "non-string output token",
             "output too long"])
@@ -456,6 +463,27 @@ class TestConfigFile:
             (workdir / "p_cfg.jsonl.manifest.json").read_text())
         assert manifest["config"]["k"] == 1        # from config file
         assert manifest["config"]["sd_max"] == 75.0  # flag wins
+
+    @pytest.mark.parametrize("config,message", [
+        ({"kk": 5}, "'kk' names no option of mine-pairs"),
+        ({"k": 2, "epochs": 3}, "'epochs' names no option of mine-pairs"),
+        ({"seed": 3, "threads": 1},
+         "'seed' is a global option; pass it as the flag --seed"),
+        ({"deterministic": True},
+         "'deterministic' is a global option; pass it as the flag "
+         "--deterministic"),
+    ], ids=["typo", "other subcommand", "seed and threads", "deterministic"])
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, corpus_file,
+                                        config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "p.jsonl"
+        assert main(["--config", str(cfg), "mine-pairs", "--corpus",
+                     str(corpus_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config {cfg}: {message}")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("p.jsonl*"))
 
     def test_config_value_recorded_in_manifest(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,22 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from tsgp import expr
 from tsgp.errors import DataError
-from tsgp.expr import FULL, GROW, OPERATORS, Node, ParseError, PrimitiveSet
+from tsgp.expr import (CONSTANT_VALUES, FULL, GROW, OPERATORS, Node,
+                       ParseError, PrimitiveSet)
 
 
 class TestPrimitiveSet:
-    def test_constant_grid(self, prims):
-        assert len(prims.constant_values) == 11
-        assert prims.constant_values[0] == -0.5
-        assert prims.constant_values[-1] == 0.5
+    def test_constant_grid(self):
+        assert len(CONSTANT_VALUES) == 11
+        assert CONSTANT_VALUES[0] == -0.5
+        assert CONSTANT_VALUES[-1] == 0.5
         # symmetric about zero
-        assert sorted(-v for v in prims.constant_values) == \
-            sorted(prims.constant_values)
+        assert sorted(-v for v in CONSTANT_VALUES) == sorted(CONSTANT_VALUES)
 
     def test_constant_tokens(self, prims):
         assert "C+0.3" in prims.constants
         assert "C-0.5" in prims.constants
-        assert prims.constant_value("C+0.3") == pytest.approx(0.3)
 
 
 class TestEvaluate:
