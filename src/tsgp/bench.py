@@ -31,14 +31,6 @@ class Dataset:
     test_idx: np.ndarray
     seed: int = -1
 
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.X.shape[0]
-
     # the splits are taken once: the engines read them for every individual
     @cached_property
     def X_train(self):
@@ -63,8 +55,8 @@ def make_dataset(name: str, X: np.ndarray, Y: np.ndarray, seed: int) -> Dataset:
     Standardization before the split mirrors the experimental protocol; the
     mild train/test leakage is accepted for faithfulness.
     """
-    Xs, _ = semantics.standardize(np.asarray(X, dtype=np.float64))
-    Ys, _ = semantics.standardize(np.asarray(Y, dtype=np.float64))
+    Xs = semantics.standardize(np.asarray(X, dtype=np.float64))
+    Ys = semantics.standardize(np.asarray(Y, dtype=np.float64))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(Xs))
     half = len(Xs) // 2

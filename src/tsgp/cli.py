@@ -203,6 +203,9 @@ def mine_pairs_cmd(ctx, corpus_path, k, sd_max, max_len, ivf_clusters,
     from .corpus import (read_corpus_jsonl, mine_pairs, build_ivf_index,
                          write_pairs_jsonl)
 
+    if n_probe is not None and not ivf_clusters:
+        raise click.UsageError("--n-probe needs --ivf-clusters (an IVF "
+                               "index to probe)")
     entries = read_corpus_jsonl(corpus_path)
     if not entries:
         raise DataError(f"{corpus_path} holds no corpus entries")
@@ -236,7 +239,7 @@ def mine_pairs_cmd(ctx, corpus_path, k, sd_max, max_len, ivf_clusters,
 @click.option("--batch-size", type=AtLeast(1), default=32, show_default=True)
 @click.option("--weight-decay", type=AtLeast(0, STRICT_FLOAT), default=0.01,
               show_default=True)
-@click.option("--features", type=STRICT_INT, default=4, show_default=True)
+@click.option("--features", type=AtLeast(1), default=4, show_default=True)
 @click.option("--out", type=click.Path(), default="model.tsgp",
               show_default=True)
 @click.option("--curve", type=click.Path(), default=None,

@@ -22,9 +22,7 @@ class SyntheticProblem:
     """Linear target with Gaussian noise on standard-normal inputs."""
 
     X: np.ndarray
-    w: np.ndarray
     y: np.ndarray
-    noise_sigma: float
 
     # split view consumed by the GP engines (harvesting trains on all rows)
     @property
@@ -67,8 +65,7 @@ def gen_synthetic_problem(d: int, m: int, noise_sigma: float,
     X = rng.standard_normal((m, d))
     w = rng.standard_normal(d)
     raw = X @ w + noise_sigma * rng.standard_normal(m)
-    y, _ = semantics.standardize(raw)
-    return SyntheticProblem(X=X, w=w, y=y, noise_sigma=noise_sigma)
+    return SyntheticProblem(X=X, y=semantics.standardize(raw))
 
 
 def harvest_functions(problem: SyntheticProblem, gp_config: GPConfig,

@@ -16,6 +16,7 @@ from .errors import DataError
 
 OPERATORS = ("ADD", "SUB", "MUL", "PDIV")
 CONSTANT_VALUES = tuple(round(-0.5 + 0.1 * i, 1) for i in range(11))
+MAX_DEPTH = 17  # default depth cap of offspring trees, in every engine
 
 FULL = "full"
 GROW = "grow"
@@ -102,9 +103,8 @@ def to_string(tree: Node) -> str:
     return " ".join(serialize_prefix(tree))
 
 
-def parse_prefix(tokens, prims: PrimitiveSet = None) -> Node:
+def parse_prefix(tokens, prims: PrimitiveSet) -> Node:
     """Parse a preorder token sequence back into the unique tree it encodes."""
-    prims = prims or PrimitiveSet()
     pos = 0
 
     def build():
@@ -125,10 +125,6 @@ def parse_prefix(tokens, prims: PrimitiveSet = None) -> Node:
     if pos != len(tokens):
         raise ParseError(f"{len(tokens) - pos} tokens left after tree closed")
     return tree
-
-
-def from_string(text: str) -> Node:
-    return parse_prefix(text.split())
 
 
 def _input_matrix(inputs) -> np.ndarray:

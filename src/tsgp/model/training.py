@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NumericError
-from ..expr import PrimitiveSet
 from . import blocks
 from .transformer import Hyperparams, SdTransformer
 from .vocab import Vocabulary, PAD, BOS, EOS
@@ -135,7 +134,7 @@ def adamw_step(model: SdTransformer, grads: dict, state: AdamWState,
     model.flat -= update
 
 
-def train(pairs, hyper: Hyperparams, vocab: Vocabulary = None, seed: int = 0,
+def train(pairs, hyper: Hyperparams, vocab: Vocabulary, seed: int = 0,
           max_steps: int = None):
     """Train a fresh model on the given pairs.
 
@@ -148,7 +147,6 @@ def train(pairs, hyper: Hyperparams, vocab: Vocabulary = None, seed: int = 0,
     """
     if not pairs:
         raise ValueError("no training pairs")
-    vocab = vocab or Vocabulary.from_primitives(PrimitiveSet())
     rng = np.random.default_rng(seed)
     model = SdTransformer(hyper, vocab, rng=rng)
     state = AdamWState(model.params)

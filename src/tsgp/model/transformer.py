@@ -126,7 +126,8 @@ class SdTransformer:
     lives in ``training``.
 
     ``params`` maps each name of ``param_spec`` to a float64 view into
-    ``flat``, in spec order; update them in place.
+    ``flat``, in spec order; update them in place. A new model copies the
+    ``params`` it is given (a checkpoint's), or else draws them with ``rng``.
     """
 
     INIT_STD = 0.02
@@ -145,8 +146,6 @@ class SdTransformer:
             for name, arr in self.params.items():
                 arr[...] = params[name]
         else:
-            if rng is None:
-                rng = np.random.default_rng(0)
             self._init_params(rng)
 
     def views(self, flat: np.ndarray) -> dict:
@@ -199,30 +198,24 @@ class SdTransformer:
         return blocks.layer_norm(p, "enc.ln_f", x, acts), valid
 
     def start_decoding(self, enc_out: np.ndarray, enc_valid: np.ndarray,
-                       rows: np.ndarray = None) -> "DecodeCache":
+                       rows: np.ndarray) -> "DecodeCache":
         """Empty decode cache for a batch, holding the cross-attention keys
         and values projected once from the encoder output.
 
-        Decode row i attends to encoder row ``rows[i]`` (default: row i), so
-        several offspring of one parent share that parent's projection. The
-        default copies nothing per row.
+        Decode row i attends to encoder row ``rows[i]``, so several
+        offspring of one parent share that parent's projection.
         """
         h = self.hyper
-
-        def per_row(a):
-            return a if rows is None else a[rows]
-
-        n = len(enc_out) if rows is None else len(rows)
-        shape = (n, h.n_heads, SELF_KV_CAPACITY,
+        shape = (len(rows), h.n_heads, SELF_KV_CAPACITY,
                  h.d_model // h.n_heads)
         layers = range(h.n_decoder_layers)
         return DecodeCache(
             self_kv=[(np.empty(shape), np.empty(shape)) for _ in layers],
-            cross_kv=[tuple(per_row(np.ascontiguousarray(heads)) for heads in
+            cross_kv=[tuple(np.ascontiguousarray(heads)[rows] for heads in
                             blocks.project_heads(self.params, f"dec.{i}.cross",
                                                  "kv", enc_out, h.n_heads))
                       for i in layers],
-            cross_bias=self._key_bias(per_row(enc_valid)))
+            cross_bias=self._key_bias(enc_valid[rows]))
 
     def decode(self, dec_ids: np.ndarray, sd: np.ndarray, enc_out: np.ndarray,
                enc_valid: np.ndarray, cache: "DecodeCache" = None,

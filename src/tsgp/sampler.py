@@ -51,8 +51,8 @@ class SamplerState:
             self.need -= 1
 
 
-def legal_mask(state: SamplerState, vocab: Vocabulary,
-               max_len: int = 100, max_depth: int = 17) -> np.ndarray:
+def legal_mask(state: SamplerState, vocab: Vocabulary, max_len: int = 100,
+               max_depth: int = expr.MAX_DEPTH) -> np.ndarray:
     """Boolean legality per vocabulary id for one sequence's next token;
     ``batch_legal_mask`` is the vectorised form the sampler uses.
 
@@ -86,7 +86,7 @@ def operator_ids(vocab: Vocabulary) -> tuple:
 
 def batch_legal_mask(emitted: np.ndarray, need: np.ndarray,
                      depth: np.ndarray, kinds: tuple, max_len: int = 100,
-                     max_depth: int = 17) -> np.ndarray:
+                     max_depth: int = expr.MAX_DEPTH) -> np.ndarray:
     """``legal_mask`` for a batch of rows, (B, V).
 
     ``emitted``/``need`` are the rows' counters, ``depth`` the depth of each
@@ -153,8 +153,7 @@ def _encode_bucketed(model: SdTransformer, ids: list, sds: np.ndarray):
 
 def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
                         sd_desired: float, rngs: list,
-                        temperature: float = 1.0,
-                        max_depth: int = 17) -> list:
+                        temperature: float = 1.0) -> list:
     """Sample one offspring token sequence per parent (lockstep batch).
 
     Each sequence consumes only its own rng stream, so results are
@@ -178,9 +177,7 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
         for t in parents_tokens])
     enc_out, enc_valid = _encode_bucketed(model, list(distinct),
                                           sds[:len(distinct)])
-    # with no repeats the row index is the identity: skip the gather copy
-    cache = model.start_decoding(enc_out, enc_valid,
-                                 parent_row if len(distinct) < B else None)
+    cache = model.start_decoding(enc_out, enc_valid, parent_row)
 
     # per-parent counters; depth[i, need[i] - 1] is the open slot's depth
     emitted = np.zeros(B, dtype=np.int64)
@@ -194,7 +191,7 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
                               cache=cache)[:, -1, :]
         top = depth[rows, np.maximum(need[rows] - 1, 0)]
         mask = batch_legal_mask(emitted[rows], need[rows], top, kinds,
-                                max_len, max_depth)
+                                max_len)
         toks = _draw_batch(_softmax(logits / temperature), mask,
                            [rngs[i] for i in rows])
         going = toks != EOS

@@ -3,19 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-
-
-@dataclass(frozen=True)
-class StandardizationParams:
-    """Per-column mean and population standard deviation."""
-
-    mean: np.ndarray
-    std: np.ndarray
 
 
 def sample_standard_inputs(m_sem: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -56,24 +47,19 @@ def rmse(y, y_hat) -> float:
     return float(np.linalg.norm(a - b) / np.sqrt(len(a)))
 
 
-def standardize(matrix: np.ndarray, params: StandardizationParams = None):
-    """Scale columns to zero mean, unit population std.
-
-    When ``params`` is given, applies it; otherwise fits on the data.
-    Returns (transformed, params). 1-D input is treated as a single column.
-    """
+def standardize(matrix: np.ndarray) -> np.ndarray:
+    """Scale columns to zero mean, unit population std; 1-D input is
+    treated as a single column."""
     arr = np.asarray(matrix, dtype=np.float64)
     squeeze = arr.ndim == 1
     if squeeze:
         arr = arr[:, None]
-    if params is None:
-        mean = arr.mean(axis=0)
-        std = arr.std(axis=0)  # population convention (divide by n)
-        if np.any(std == 0.0):
-            bad = int(np.flatnonzero(std == 0.0)[0])
-            raise DataError(f"column {bad} is constant")
-        params = StandardizationParams(mean=mean, std=std)
-    out = (arr - params.mean) / params.std
+    mean = arr.mean(axis=0)
+    std = arr.std(axis=0)  # population convention (divide by n)
+    if np.any(std == 0.0):
+        bad = int(np.flatnonzero(std == 0.0)[0])
+        raise DataError(f"column {bad} is constant")
+    out = (arr - mean) / std
     if squeeze:
         out = out[:, 0]
-    return out, params
+    return out

@@ -51,12 +51,6 @@ class Block:
         return self.ms * (sigmoid(expr.evaluate(self.r1, X))
                           - sigmoid(expr.evaluate(self.r2, X)))
 
-    def semantics_on_train(self, X_train) -> np.ndarray:
-        """Contribution on the run's train inputs, evaluated on first use."""
-        if self.train_semantics is None:
-            self.train_semantics = self.contribution(X_train)
-        return self.train_semantics
-
     def semantics_on_test(self, X_test) -> np.ndarray:
         """Contribution on the run's test inputs, evaluated on first use."""
         if self.test_semantics is None:
@@ -79,8 +73,9 @@ class SlimIndividual:
         return expr.size(self.base) + sum(b.size for b in self.blocks)
 
     def semantics_on_test(self, X_test) -> np.ndarray:
-        """``slim_evaluate(self, X_test)`` from the cached parts, summed in
-        the same order, so the result is bit-identical."""
+        """Output on the run's test inputs from the cached parts: the base
+        tree's output plus each block's contribution, summed in block
+        order."""
         if self.test_semantics is None:
             if self.base_test is None:
                 self.base_test = expr.evaluate(self.base, X_test)
@@ -89,14 +84,6 @@ class SlimIndividual:
                 out = out + b.semantics_on_test(X_test)
             self.test_semantics = out
         return self.test_semantics
-
-
-def slim_evaluate(ind: SlimIndividual, X: np.ndarray) -> np.ndarray:
-    """Full (non-cached) evaluation on arbitrary inputs."""
-    out = expr.evaluate(ind.base, X)
-    for b in ind.blocks:
-        out = out + b.contribution(X)
-    return out
 
 
 def _with_fitness(ind: SlimIndividual, y_train) -> SlimIndividual:
@@ -118,17 +105,17 @@ def inflate(ind: SlimIndividual, prims: PrimitiveSet, rng: np.random.Generator,
     block = Block(ms=float(rng.random()),
                   r1=expr.random_tree(expr.GROW, 0, 2, prims, rng),
                   r2=expr.random_tree(expr.GROW, 0, 2, prims, rng))
+    block.train_semantics = block.contribution(X_train)
     child = SlimIndividual(
         base=ind.base,
         blocks=ind.blocks + [block],
-        train_semantics=(ind.train_semantics
-                         + block.semantics_on_train(X_train)),
+        train_semantics=ind.train_semantics + block.train_semantics,
         base_test=ind.base_test)
     return _with_fitness(child, y_train)
 
 
 def deflate(ind: SlimIndividual, rng: np.random.Generator,
-            X_train, y_train) -> SlimIndividual:
+            y_train) -> SlimIndividual:
     """Remove one uniformly chosen block; the base tree is never removed."""
     if not ind.blocks:
         return ind
@@ -137,8 +124,7 @@ def deflate(ind: SlimIndividual, rng: np.random.Generator,
     child = SlimIndividual(
         base=ind.base,
         blocks=ind.blocks[:i] + ind.blocks[i + 1:],
-        train_semantics=(ind.train_semantics
-                         - removed.semantics_on_train(X_train)),
+        train_semantics=ind.train_semantics - removed.train_semantics,
         base_test=ind.base_test)
     return _with_fitness(child, y_train)
 
@@ -171,7 +157,7 @@ def run_slim(config: SlimConfig, dataset, rng: np.random.Generator,
             if rng.random() < INFLATE_PROB:
                 child = inflate(parent, prims, rng, Xtr, ytr)
             else:
-                child = deflate(parent, rng, Xtr, ytr)
+                child = deflate(parent, rng, ytr)
             offspring.append(child)
             if log_variations:
                 variations.append((parent, child, child.size != parent.size))

@@ -49,7 +49,7 @@ class GPConfig:
     generations: int = 50
     crossover_prob: float = 0.9
     mutation_prob: float = 0.1
-    max_depth: int = 17
+    max_depth: int = expr.MAX_DEPTH
     init_depth_min: int = 2
     init_depth_max: int = 5
     selection: str = TOURNAMENT
@@ -135,7 +135,8 @@ def _pick_node(tree: Node, terminal_bias: float, rng: np.random.Generator):
 
 
 def subtree_crossover(p1: Node, p2: Node, terminal_bias: float,
-                      rng: np.random.Generator, max_depth: int = 17) -> Node:
+                      rng: np.random.Generator,
+                      max_depth: int = expr.MAX_DEPTH) -> Node:
     """Graft a biased-chosen subtree of p2 into a biased-chosen slot of p1."""
     slot_path, _ = _pick_node(p1, terminal_bias, rng)
     _, donor = _pick_node(p2, terminal_bias, rng)
@@ -144,7 +145,7 @@ def subtree_crossover(p1: Node, p2: Node, terminal_bias: float,
 
 
 def subtree_mutation(p: Node, prims: PrimitiveSet, rng: np.random.Generator,
-                     max_depth: int = 17) -> Node:
+                     max_depth: int = expr.MAX_DEPTH) -> Node:
     """Replace a uniformly chosen subtree with a FULL tree of depth in {0, 1, 2}."""
     slot_path, _ = _nth_node(p, int(rng.integers(p.n_nodes)), True, True)
     new = expr.random_tree(expr.FULL, 0, 2, prims, rng)

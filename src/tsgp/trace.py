@@ -60,23 +60,3 @@ def write_variation_csv(trace: RunTrace, path):
             w.writerow([trace.method, trace.seed, v.generation, v.parent_size,
                         v.offspring_size, repr(float(v.sd_test)),
                         int(v.structurally_different)])
-
-
-def read_trace_csv(path) -> RunTrace:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValueError(f"empty trace file {path}")
-    trace = RunTrace(method=rows[0]["method"], seed=int(rows[0]["seed"]))
-    for r in rows:
-        trace.record(int(r["generation"]), float(r["best_train_rmse"]),
-                     int(r["best_size"]))
-    return trace
-
-
-def read_variation_csv(path, trace: RunTrace):
-    with open(path, newline="") as fh:
-        for r in csv.DictReader(fh):
-            trace.log_variation(int(r["generation"]), int(r["parent_size"]),
-                                int(r["offspring_size"]), float(r["sd_test"]),
-                                bool(int(r["structurally_different"])))

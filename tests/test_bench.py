@@ -10,7 +10,9 @@ from tsgp.bench import (aggregate_runs, fetch_pmlb, load_csv, make_dataset,
                         wilcoxon_ranksum, write_results_csv, write_series_csv,
                         write_stats_csv)
 from tsgp.errors import DataError
-from tsgp.trace import RunTrace, read_trace_csv, write_trace_csv
+from tsgp.trace import RunTrace, write_trace_csv, write_variation_csv
+
+from reference import read_trace_csv, read_variation_csv
 
 
 def _write_csv(path, header, rows, delim=","):
@@ -52,13 +54,13 @@ class TestLoadCsv:
         path = tmp_path / "esl.csv"
         _write_csv(path, ["f1", "f2", "f3", "f4", "target"], self._rows(488))
         ds = load_csv(path)
-        assert ds.d == 4 and ds.m == 488
+        assert ds.X.shape == (488, 4)
 
     def test_tab_delimited(self, tmp_path):
         path = tmp_path / "t.tsv"
         _write_csv(path, ["a", "b", "target"], self._rows(30, d=2),
                    delim="\t")
-        assert load_csv(path).d == 2
+        assert load_csv(path).X.shape[1] == 2
 
     def test_missing_target(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -238,3 +240,13 @@ class TestCsvReports:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert 0.0 < float(rows[0]["p_value"]) <= 1.0
+
+    def test_variation_csv_round_trip(self, tmp_path):
+        t = _mk_trace("slim", 3, [1.0], 0.5)
+        t.log_variation(1, 3, 5, 0.1 + 0.2, True)
+        t.log_variation(2, 3, 3, math.nan, False)
+        write_variation_csv(t, tmp_path / "variations.csv")
+        reread = RunTrace(method="slim", seed=3)
+        read_variation_csv(tmp_path / "variations.csv", reread)
+        # repr: NaN compares unequal to itself
+        assert repr(reread.variations) == repr(t.variations)

@@ -140,6 +140,7 @@ class TestExitCodes:
         ["train", "--pairs", "PAIRS", "--lr", "-1"],
         ["train", "--pairs", "PAIRS", "--lr", "0"],
         ["train", "--pairs", "PAIRS", "--weight-decay", "-5"],
+        ["train", "--pairs", "PAIRS", "--features", "-2"],
         ["gen-corpus", "--noise", "-1"],
         ["search", "--method", "stdgp", "--synthetic", "--noise", "-1"],
         ["bench", "--methods", "stdgp", "--synthetic", "--noise", "-1"],
@@ -157,6 +158,16 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not list(workdir.glob("bad_input*"))
 
+    def test_usage_error_n_probe_without_ivf(self, workdir, capsys,
+                                             corpus_file):
+        out = workdir / "probe_pairs.jsonl"
+        assert main(["mine-pairs", "--corpus", str(corpus_file),
+                     "--n-probe", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n-probe needs --ivf-clusters")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_data_error_corrupt_pairs(self, workdir):
         bad = workdir / "bad.jsonl"
         bad.write_text("{not json\n")
@@ -165,11 +176,11 @@ class TestExitCodes:
     def test_data_error_pairs_outside_vocabulary(self, workdir, pairs_file,
                                                  capsys):
         out = workdir / "few_features.tsgp"
-        assert main(["train", "--pairs", str(pairs_file), "--features", "0",
+        assert main(["train", "--pairs", str(pairs_file), "--features", "1",
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
-        assert "outside the vocabulary of --features 0: v1" in err
+        assert "outside the vocabulary of --features 1: v2" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -10,6 +10,7 @@ from tsgp.corpus import (CorpusEntry, build_corpus, build_ivf_index,
                          knn_neighbors, mine_pairs, query_ivf,
                          read_corpus_jsonl, read_pairs_jsonl, write_corpus_jsonl,
                          write_pairs_jsonl)
+from tsgp.expr import PrimitiveSet
 from tsgp.stdgp import DOUBLE_TOURNAMENT, GPConfig
 
 
@@ -38,7 +39,8 @@ class TestHarvest:
         cfg = GPConfig(pop_size=10, generations=2, selection=DOUBLE_TOURNAMENT)
         entries = harvest_functions(problem, cfg, pts, rng)
         assert len(entries) <= 30  # init + 2 generations, deduplicated
-        keys = {expr.to_string(expr.parse_prefix(e.tokens)) for e in entries}
+        keys = {expr.to_string(expr.parse_prefix(e.tokens, PrimitiveSet()))
+                for e in entries}
         assert len(keys) == len(entries)
         assert all(len(e.semantics) == 20 for e in entries)
 
@@ -56,7 +58,8 @@ class TestHarvest:
         pts = semantics.sample_standard_inputs(15, 4, rng)
         cfg = GPConfig(pop_size=8, generations=1, selection=DOUBLE_TOURNAMENT)
         for e in harvest_functions(problem, cfg, pts, rng):
-            recomputed = expr.evaluate(expr.parse_prefix(e.tokens), pts)
+            recomputed = expr.evaluate(
+                expr.parse_prefix(e.tokens, PrimitiveSet()), pts)
             np.testing.assert_array_equal(e.semantics, recomputed)
 
 

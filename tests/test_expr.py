@@ -10,6 +10,8 @@ from tsgp.errors import DataError
 from tsgp.expr import (CONSTANT_VALUES, FULL, GROW, OPERATORS, Node,
                        ParseError, PrimitiveSet)
 
+from reference import from_string
+
 
 class TestPrimitiveSet:
     def test_constant_grid(self):
@@ -26,33 +28,33 @@ class TestPrimitiveSet:
 
 class TestEvaluate:
     def test_protected_division_by_zero(self, prims):
-        tree = expr.from_string("PDIV v1 v2")
+        tree = from_string("PDIV v1 v2")
         out = expr.evaluate(tree, np.array([[3.0, 0.0, 0, 0]]))
         assert out[0] == 1.0
 
     def test_simple_arithmetic(self):
-        tree = expr.from_string("ADD v1 MUL v2 C+0.3")
+        tree = from_string("ADD v1 MUL v2 C+0.3")
         out = expr.evaluate(tree, np.array([[1.0, 2.0, 0, 0]]))
         assert out[0] == pytest.approx(1.6)
 
     def test_variable_identity(self):
         X = np.random.default_rng(0).standard_normal((10, 4))
-        out = expr.evaluate(expr.from_string("v3"), X)
+        out = expr.evaluate(from_string("v3"), X)
         np.testing.assert_array_equal(out, X[:, 2])
 
     def test_variable_out_of_range(self):
         with pytest.raises(DataError, match="variable v4 out of range"):
-            expr.evaluate(expr.from_string("v4"), np.zeros((3, 2)))
+            expr.evaluate(from_string("v4"), np.zeros((3, 2)))
 
     def test_protected_division_constant_zero(self):
-        tree = expr.from_string("PDIV v1 C+0.0")
+        tree = from_string("PDIV v1 C+0.0")
         out = expr.evaluate(tree, np.array([[3.0, 0, 0, 0], [-1.0, 0, 0, 0]]))
         np.testing.assert_array_equal(out, [1.0, 1.0])
 
 
 class TestSerializeParse:
     def test_prefix_order(self):
-        tree = expr.from_string("ADD v1 MUL v2 C+0.3")
+        tree = from_string("ADD v1 MUL v2 C+0.3")
         assert expr.serialize_prefix(tree) == ["ADD", "v1", "MUL", "v2", "C+0.3"]
 
     def test_single_node(self):
@@ -64,21 +66,21 @@ class TestSerializeParse:
         with pytest.raises(ValueError, match="terminal v1 cannot have"):
             Node("v1", (Node("v2"),))
 
-    def test_parse_simple(self):
-        tree = expr.parse_prefix(["ADD", "v1", "v2"])
+    def test_parse_simple(self, prims):
+        tree = expr.parse_prefix(["ADD", "v1", "v2"], prims)
         assert tree == Node("ADD", (Node("v1"), Node("v2")))
 
-    def test_incomplete(self):
+    def test_incomplete(self, prims):
         with pytest.raises(ParseError, match="tokens exhausted"):
-            expr.parse_prefix(["ADD", "v1"])
+            expr.parse_prefix(["ADD", "v1"], prims)
 
-    def test_trailing(self):
+    def test_trailing(self, prims):
         with pytest.raises(ParseError, match="1 tokens left"):
-            expr.parse_prefix(["v1", "v2"])
+            expr.parse_prefix(["v1", "v2"], prims)
 
-    def test_unknown_token(self):
+    def test_unknown_token(self, prims):
         with pytest.raises(ParseError, match="unknown token 'SIN'"):
-            expr.parse_prefix(["SIN", "v1"])
+            expr.parse_prefix(["SIN", "v1"], prims)
 
     def test_round_trip_random_trees(self, prims):
         rng = np.random.default_rng(42)
@@ -124,7 +126,7 @@ class TestSizeDepth:
         assert expr.depth(Node("v1")) == 0
 
     def test_small_tree(self):
-        t = expr.from_string("ADD v1 v2")
+        t = from_string("ADD v1 v2")
         assert expr.size(t) == 3
         assert expr.depth(t) == 1
 
@@ -167,12 +169,13 @@ _INPUTS = hnp.arrays(np.float64, (6, 4), elements=st.sampled_from(
 class TestRoundTripProperty:
     @settings(max_examples=300, deadline=None)
     @given(tree=_TREES)
-    def test_parse_serialize_parse(self, tree):
+    def test_parse_serialize_parse(self, prims, tree):
         tokens = expr.serialize_prefix(tree)
-        parsed = expr.parse_prefix(tokens)
+        parsed = expr.parse_prefix(tokens, prims)
         assert parsed == tree
         assert expr.serialize_prefix(parsed) == tokens
-        assert expr.parse_prefix(expr.serialize_prefix(parsed)) == parsed
+        assert expr.parse_prefix(expr.serialize_prefix(parsed),
+                                 prims) == parsed
         assert (parsed.n_nodes, parsed.height) == (tree.n_nodes, tree.height)
         assert len(tokens) == expr.size(tree)
 
@@ -194,7 +197,7 @@ class TestEvaluateOracle:
         X = np.array([[1e200, 1e200, -1e300, 1e-300],
                       [0.0, -1e300, 1e200, 0.0],
                       [-2.5, 3.0, 1.0, -0.0]])
-        tree = expr.from_string(text)
+        tree = from_string(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = expr.evaluate(tree, X)
@@ -203,7 +206,7 @@ class TestEvaluateOracle:
 
     def test_error_state_restored(self):
         before = np.geterr()
-        expr.evaluate(expr.from_string("PDIV MUL v1 v1 v2"),
+        expr.evaluate(from_string("PDIV MUL v1 v1 v2"),
                       np.array([[1e200, 0.0]]))
         assert np.geterr() == before
 
@@ -270,12 +273,12 @@ class TestEvaluateMany:
     def test_edge_trees(self, text):
         X = np.array([[1e200, 0.0, -0.0, 2.0], [0.0, 1e-300, 3.0, -1.0],
                       [-1e300, -2.5, 1.0, 0.0]])
-        tree = expr.from_string(text)
+        tree = from_string(text)
         shared = Node("ADD", (tree, tree))
         assert _same_bytes([tree, shared, tree], X)
 
     def test_all_constant_tree_broadcast(self):
-        out, = expr.evaluate_many([expr.from_string("PDIV C+0.3 C+0.0")],
+        out, = expr.evaluate_many([from_string("PDIV C+0.3 C+0.0")],
                                   np.zeros((5, 2)))
         assert out.shape == (5,) and np.array_equal(out, np.ones(5))
 
@@ -284,7 +287,7 @@ class TestEvaluateMany:
         Node("ADD", (Node("v1"), Node("MUL", (Node("v2"), Node("v5")))))],
         ids=["v5", "v0", "nested v5"])
     def test_variable_out_of_range(self, bad):
-        good = expr.from_string("ADD v1 v2")
+        good = from_string("ADD v1 v2")
         with pytest.raises(DataError, match="out of range for d=4"):
             expr.evaluate(bad, np.zeros((3, 4)))
         with pytest.raises(DataError, match="out of range for d=4"):
@@ -292,7 +295,7 @@ class TestEvaluateMany:
 
     def test_outputs_own_their_memory(self):
         X = np.arange(12.0).reshape(4, 3)
-        trees = [expr.from_string(t) for t in ("v1", "ADD v1 v2", "v1")]
+        trees = [from_string(t) for t in ("v1", "ADD v1 v2", "v1")]
         outs = expr.evaluate_many(trees, X)
         assert outs[0] is not outs[2]
         for i, out in enumerate(outs):
@@ -302,7 +305,7 @@ class TestEvaluateMany:
     def test_empty_batch_and_error_state(self):
         before = np.geterr()
         assert expr.evaluate_many([], np.zeros((3, 2))) == []
-        expr.evaluate_many([expr.from_string("PDIV MUL v1 v1 v2")],
+        expr.evaluate_many([from_string("PDIV MUL v1 v1 v2")],
                            np.array([[1e200, 0.0]]))
         assert np.geterr() == before
         with pytest.raises(ValueError):

@@ -113,7 +113,7 @@ class TestIncrementalDecode:
         full = np.concatenate([np.full((len(dec), 1), BOS), dec], axis=1)
         rows = np.arange(len(dec))
         enc_out, enc_valid = model.encode(enc, sd)
-        cache = model.start_decoding(enc_out, enc_valid)
+        cache = model.start_decoding(enc_out, enc_valid, rows)
         step = model.decode(full[:, :1], sd, None, None, cache=cache)
         ref = model.decode(full[:, :1], sd, enc_out, enc_valid)
         np.testing.assert_allclose(step, ref, rtol=0, atol=1e-12)

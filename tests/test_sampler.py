@@ -10,6 +10,8 @@ from tsgp.sampler import (SamplerState, SearchConfig, _draw_batch,
                           batch_legal_mask, legal_mask, operator_ids,
                           primitives_from_vocab, run_tsgp, sample_tokens_batch)
 
+from reference import from_string
+
 
 class TestSamplerState:
     def test_terminal_completes(self):
@@ -170,7 +172,7 @@ def _random_model(vocab, seed: int, operator_bias: float) -> SdTransformer:
     the operators' output logits."""
     model = SdTransformer(Hyperparams(d_model=16, n_heads=2,
                                       n_encoder_layers=1, n_decoder_layers=1),
-                          vocab)
+                          vocab, rng=np.random.default_rng(seed))
     model.flat[:] = np.random.default_rng(seed).normal(0.0, 0.5,
                                                        model.flat.size)
     for i, sym in enumerate(vocab.symbols):
@@ -196,6 +198,8 @@ class TestSampling:
         rng = np.random.default_rng(1)
         parents = [expr.serialize_prefix(t) for t in
                    expr.ramped_half_and_half(8, 2, 4, prims, rng)]
+        # no parent repeats: every decode row has an encoder row of its own
+        assert len({tuple(p) for p in parents}) == 8
         batched = sample_tokens_batch(
             tiny_model, parents, 0.1,
             [np.random.default_rng(100 + i) for i in range(8)])
@@ -226,7 +230,7 @@ class TestSampling:
         model = _random_model(vocab, 7, operator_bias=1.0)
         rng = np.random.default_rng(6)
         if n_distinct == 1:
-            parents = [expr.serialize_prefix(expr.from_string("ADD v1 v2"))] * 20
+            parents = [expr.serialize_prefix(from_string("ADD v1 v2"))] * 20
         else:
             distinct = [expr.serialize_prefix(t) for t in
                         expr.ramped_half_and_half(n_distinct, 2, 4, prims,
@@ -244,7 +248,7 @@ class TestSampling:
         assert len({tuple(t) for t in batched}) > 1
 
     def test_single_offspring_deterministic(self, tiny_model, prims):
-        parent = expr.serialize_prefix(expr.from_string("ADD v1 v2"))
+        parent = expr.serialize_prefix(from_string("ADD v1 v2"))
         a, = sample_tokens_batch(tiny_model, [parent], 0.1,
                                  [np.random.default_rng(5)])
         b, = sample_tokens_batch(tiny_model, [parent], 0.1,
@@ -283,9 +287,10 @@ class _ToyDataset:
         self.X_train = rng.standard_normal((m, 4))
         self.X_test = rng.standard_normal((m, 4))
         y = self.X_train[:, 0] + self.X_train[:, 1]
-        self.y_train, params = semantics.standardize(y)
-        self.y_test, _ = semantics.standardize(
-            self.X_test[:, 0] + self.X_test[:, 1], params)
+        self.y_train = semantics.standardize(y)
+        # the test target takes the train target's scaling
+        self.y_test = ((self.X_test[:, 0] + self.X_test[:, 1] - y.mean())
+                       / y.std())
         self.seed = seed
 
 
