@@ -17,7 +17,8 @@ from . import semantics
 from .errors import DataError
 from .trace import RunTrace
 
-ALPHA = 0.05  # significance level of stats.csv
+ALPHA = 0.05      # significance level of stats.csv
+EXACT_CUTOFF = 16  # largest tie-free pooled sample with an exact rank-sum p
 
 
 @dataclass
@@ -94,6 +95,8 @@ def load_csv(path, target_column: str = "target", split_seed: int = 0) -> Datase
         raise DataError(
             f"non-finite value in data row {row + 1}, column {header[col]!r}")
     feat = [i for i in range(len(header)) if i != t]
+    if not feat:
+        raise DataError(f"{path.name} has no feature column")
     return make_dataset(path.stem, data[:, feat], data[:, t], split_seed)
 
 
@@ -174,10 +177,10 @@ def _approx_p(ranks: np.ndarray, n1: int, n2: int, w: float) -> float:
     return float(min(1.0, math.erfc(z / math.sqrt(2))))
 
 
-def wilcoxon_ranksum(a, b, exact_cutoff: int = 16) -> float:
+def wilcoxon_ranksum(a, b) -> float:
     """Two-sided rank-sum p-value.
 
-    Exact by enumeration when |a| + |b| <= exact_cutoff and there are no
+    Exact by enumeration when |a| + |b| <= EXACT_CUTOFF and there are no
     ties; otherwise a tie- and continuity-corrected normal approximation
     over midranks.
     """
@@ -189,7 +192,7 @@ def wilcoxon_ranksum(a, b, exact_cutoff: int = 16) -> float:
     ranks = _midranks(combined)
     w = ranks[:len(a)].sum()
     no_ties = len(np.unique(combined)) == len(combined)
-    if len(combined) <= exact_cutoff and no_ties:
+    if len(combined) <= EXACT_CUTOFF and no_ties:
         return _exact_p(len(a), len(b), w)
     return _approx_p(ranks, len(a), len(b), w)
 
@@ -213,18 +216,8 @@ class SeriesPoint:
     q75: float
 
 
-@dataclass
-class SummaryStats:
-    method: str
-    n_runs: int
-    median_test_rmse: float
-    q25_test_rmse: float
-    q75_test_rmse: float
-    median_size: float
-
-
 def aggregate_runs(traces: list) -> dict:
-    """Per-generation median/IQR series and final-result summary for one method.
+    """Per-generation median/IQR series of one method's runs.
 
     The semantic-distance series covers only structurally different
     variations with finite distances, pooled across runs per generation.
@@ -253,15 +246,7 @@ def aggregate_runs(traces: list) -> dict:
         if sds:
             q25, q75 = _quartiles(sds)
             series_sd.append(SeriesPoint(gen_no, _median(sds), q25, q75))
-
-    finals = [t.final_best_test_rmse for t in traces]
-    q25, q75 = _quartiles(finals)
-    summary = SummaryStats(
-        method=traces[0].method, n_runs=len(traces),
-        median_test_rmse=_median(finals), q25_test_rmse=q25, q75_test_rmse=q75,
-        median_size=_median([t.final_best_size for t in traces]))
-    return {"summary": summary, "train_rmse": series_rmse,
-            "size": series_size, "sd": series_sd}
+    return {"train_rmse": series_rmse, "size": series_size, "sd": series_sd}
 
 
 # --- CSV emission ------------------------------------------------------------
@@ -332,12 +317,14 @@ def variation_probe(model, dataset: Dataset, n_parents: int,
     """
     from . import expr as _expr
     from .sampler import primitives_from_vocab, sample_tokens_batch
-    from .stdgp import Individual, subtree_mutation
+    from .stdgp import (INIT_DEPTH_MAX, INIT_DEPTH_MIN, Individual,
+                        subtree_mutation)
 
     prims = primitives_from_vocab(model.vocab)
     rng = np.random.default_rng(seed)
     parents = [Individual(t) for t in
-               _expr.ramped_half_and_half(n_parents, 2, 5, prims, rng)]
+               _expr.ramped_half_and_half(n_parents, INIT_DEPTH_MIN,
+                                          INIT_DEPTH_MAX, prims, rng)]
     parent_tokens = [_expr.serialize_prefix(p.tree) for p in parents]
 
     rngs = [np.random.default_rng(s)

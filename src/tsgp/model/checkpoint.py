@@ -4,41 +4,47 @@ Layout: 8-byte magic ``TSGPMDL1``, little-endian u32 JSON header length,
 JSON header (hyperparams, vocabulary, tensor manifest with name/shape/byte
 offset), then concatenated little-endian float32 tensor payloads in
 manifest order. Saving is deterministic: sorted tensor names, canonical
-JSON. Loading reproduces exactly the float32 values that were stored.
+JSON. Loading accepts only the manifest ``tensor_layout`` gives the header's
+hyperparameters and vocabulary, and only the vocabulary of its own variable
+count; it reproduces exactly the float32 values that were stored.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
 from ..errors import DataError
 from .transformer import Hyperparams, SdTransformer, param_spec
-from .vocab import Vocabulary
+from .vocab import Vocabulary, primitives_from_vocab
 
 MAGIC = b"TSGPMDL1"
 
 SD_CONDITIONING = "affine-scalar-prepended"  # recorded for provenance
 
 
+def tensor_layout(hyper: Hyperparams, vocab_size: int) -> list:
+    """The header's tensor manifest: every parameter in sorted name order,
+    with its ``param_spec`` shape and the byte offset of its float32
+    payload."""
+    spec = param_spec(hyper, vocab_size)
+    layout, offset = [], 0
+    for name in sorted(spec):
+        shape = spec[name][0]
+        layout.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 4 * math.prod(shape)
+    return layout
+
+
 def save_checkpoint(model: SdTransformer, path):
-    names = sorted(model.params)
-    manifest = []
-    offset = 0
-    payloads = []
-    for name in names:
-        data = model.params[name].astype("<f4")
-        manifest.append({"name": name, "shape": list(data.shape),
-                         "offset": offset})
-        payloads.append(data.tobytes())
-        offset += data.nbytes
     header = {
         "hyperparams": model.hyper.to_json(),
         "vocabulary": model.vocab.to_json(),
         "sd_conditioning": SD_CONDITIONING,
-        "tensors": manifest,
+        "tensors": tensor_layout(model.hyper, model.vocab.size),
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
@@ -46,8 +52,8 @@ def save_checkpoint(model: SdTransformer, path):
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        for p in payloads:
-            fh.write(p)
+        for name in sorted(model.params):
+            fh.write(model.params[name].astype("<f4").tobytes())
 
 
 def load_checkpoint(path) -> SdTransformer:
@@ -68,42 +74,40 @@ def load_checkpoint(path) -> SdTransformer:
     try:
         hyper = Hyperparams.from_json(header["hyperparams"])
         vocab = Vocabulary.from_json(header["vocabulary"])
-        manifest = [(str(e["name"]), tuple(e["shape"]), e["offset"])
-                    for e in header["tensors"]]
+        # the sampler and search take the primitives from the vocabulary
+        prims = primitives_from_vocab(vocab)
+        if vocab != Vocabulary.from_primitives(prims):
+            raise ValueError("vocabulary is not the one of "
+                             f"{prims.n_variables} variables")
+        tensors = list(header["tensors"])
         # every layer has tensors: check before param_spec lists them all
         layers = hyper.n_encoder_layers + hyper.n_decoder_layers
-        if layers > len(manifest):
-            raise ValueError(f"{layers} layers but {len(manifest)} tensors")
-        spec = param_spec(hyper, vocab.size)
+        if layers > len(tensors):
+            raise ValueError(f"{layers} layers but {len(tensors)} tensors")
+        layout = tensor_layout(hyper, vocab.size)
     except (AttributeError, KeyError, TypeError, ValueError,
             ArithmeticError) as e:
         raise DataError(f"malformed header: {type(e).__name__}: {e}") from None
+    if tensors != layout:
+        i = next((i for i, (g, w) in enumerate(zip(tensors, layout))
+                  if g != w), min(len(tensors), len(layout)))
+        got = tensors[i] if i < len(tensors) else "missing"
+        want = layout[i] if i < len(layout) else "nothing"
+        raise DataError(f"tensor entry {i} is {got}, the layout has {want}")
     payload = blob[12 + hlen:]
+    last = layout[-1]
+    end = last["offset"] + 4 * math.prod(last["shape"])
+    if len(payload) > end:
+        raise DataError(f"payload has {len(payload) - end} trailing bytes")
 
     params = {}
-    expected_offset = 0
-    for name, shape, offset in manifest:
-        if name in params or name not in spec:
-            raise DataError(f"unexpected tensor {name!r}")
-        if shape != spec[name][0]:
-            raise DataError(
-                f"tensor {name} has shape {shape}, expected {spec[name][0]}")
-        nbytes = int(np.prod(shape)) * 4
-        if offset != expected_offset:
-            raise DataError(
-                f"tensor {name} offset {offset} != {expected_offset}")
-        if offset + nbytes > len(payload):
+    for entry in layout:
+        name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+        count = math.prod(shape)
+        if offset + 4 * count > len(payload):
             raise DataError(f"payload too short for tensor {name}")
-        flat = np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape)),
-                             offset=offset)
+        flat = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         if not np.isfinite(flat).all():
             raise DataError(f"tensor {name} has non-finite weights")
         params[name] = flat.reshape(shape).astype(np.float64)
-        expected_offset += nbytes
-    if expected_offset != len(payload):
-        raise DataError(
-            f"payload has {len(payload) - expected_offset} trailing bytes")
-    if len(params) != len(spec):
-        missing = sorted(set(spec) - set(params))
-        raise DataError(f"missing tensors {missing}")
     return SdTransformer(hyper, vocab, params=params)

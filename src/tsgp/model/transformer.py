@@ -56,6 +56,8 @@ class Hyperparams:
                                  f"not {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
+        if self.d_model % 2:  # the position table pairs sin and cos columns
+            raise ValueError(f"d_model must be even, not {self.d_model}")
         if self.max_len > MAX_LEN_LIMIT:
             raise ValueError(f"max_len must be <= {MAX_LEN_LIMIT}, "
                              f"not {self.max_len}")

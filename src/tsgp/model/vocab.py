@@ -42,3 +42,9 @@ class Vocabulary:
     @classmethod
     def from_json(cls, obj) -> "Vocabulary":
         return cls(symbols=tuple(obj))
+
+
+def primitives_from_vocab(vocab: Vocabulary) -> PrimitiveSet:
+    n_vars = sum(1 for s in vocab.symbols
+                 if s.startswith("v") and s[1:].isdigit())
+    return PrimitiveSet(n_variables=n_vars)

@@ -13,20 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr
-from .expr import PrimitiveSet
 from .model.transformer import SdTransformer
-from .model.vocab import Vocabulary, PAD, BOS, EOS
+from .model.vocab import Vocabulary, PAD, BOS, EOS, primitives_from_vocab
 from .stdgp import (TOURNAMENT_SIZE, Individual, assess, evaluated, evolve,
                     fill_test_semantics, tournament_select)
 from .trace import RunTrace
 
 RESAMPLE_LIMIT = 3  # resample rounds for offspring identical to their parent
-
-
-def primitives_from_vocab(vocab: Vocabulary) -> PrimitiveSet:
-    n_vars = sum(1 for s in vocab.symbols
-                 if s.startswith("v") and s[1:].isdigit())
-    return PrimitiveSet(n_variables=n_vars)
 
 
 @dataclass
@@ -214,8 +207,6 @@ class SearchConfig:
     sd_desired: float = 0.1
     pop_size: int = 100
     generations: int = 50
-    init_depth_min: int = 2
-    init_depth_max: int = 5
 
     def __post_init__(self):
         if self.sd_desired < 0:

@@ -133,8 +133,6 @@ def deflate(ind: SlimIndividual, rng: np.random.Generator,
 class SlimConfig:
     pop_size: int = 100
     generations: int = 50
-    init_depth_min: int = 2
-    init_depth_max: int = 5
 
 
 def run_slim(config: SlimConfig, dataset, rng: np.random.Generator,

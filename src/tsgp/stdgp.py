@@ -21,7 +21,9 @@ TOURNAMENT = "tournament"
 DOUBLE_TOURNAMENT = "double_tournament"
 
 TOURNAMENT_SIZE = 5   # every engine's selection tournament
+CROSSOVER_PROB = 0.9  # a selected parent that does not cross over is mutated
 TERMINAL_BIAS = 0.1   # chance that crossover picks a terminal node
+INIT_DEPTH_MIN, INIT_DEPTH_MAX = 2, 5  # every engine's ramped initial trees
 FITNESS_SIZE = 5      # double tournament: fitness round size
 PARSIMONY_PROB = 0.7  # double tournament: chance the smaller finalist wins
 
@@ -47,18 +49,7 @@ class Individual:
 class GPConfig:
     pop_size: int = 100
     generations: int = 50
-    crossover_prob: float = 0.9
-    mutation_prob: float = 0.1
-    max_depth: int = expr.MAX_DEPTH
-    init_depth_min: int = 2
-    init_depth_max: int = 5
     selection: str = TOURNAMENT
-
-    def __post_init__(self):
-        if not 0 <= self.crossover_prob <= 1 or not 0 <= self.mutation_prob <= 1:
-            raise ValueError("probabilities must be in [0, 1]")
-        if self.crossover_prob + self.mutation_prob > 1:
-            raise ValueError("crossover_prob + mutation_prob must be <= 1")
 
 
 def tournament_select(pop: list, k: int, rng: np.random.Generator) -> Individual:
@@ -196,7 +187,8 @@ def evolve(trace: RunTrace, config, dataset, rng: np.random.Generator,
     variations)``, where
     ``variations`` lists ``(parent, child, structurally_different)`` for
     each row to log (none when the run does not log). ``config`` supplies
-    pop_size, generations and the init depths. ``on_generation(generation,
+    pop_size and generations; the initial trees have depths
+    ``INIT_DEPTH_MIN`` to ``INIT_DEPTH_MAX``. ``on_generation(generation,
     population)`` is called after every generation, the initial one
     included.
 
@@ -205,7 +197,7 @@ def evolve(trace: RunTrace, config, dataset, rng: np.random.Generator,
     generations.
     """
     pop = make(expr.ramped_half_and_half(
-        config.pop_size, config.init_depth_min, config.init_depth_max, prims, rng))
+        config.pop_size, INIT_DEPTH_MIN, INIT_DEPTH_MAX, prims, rng))
     best = min(pop, key=lambda ind: ind.fitness)
     trace.record(0, best.fitness, best.size)
     if on_generation is not None:
@@ -238,7 +230,8 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
     ``dataset`` needs X_train, y_train, X_test, y_test attributes.
     ``on_generation(generation, population)`` is called after evaluation of
     every generation (including the initial one); used by corpus harvesting.
-    A child that is a parent's whole tree (reproduction, a crossover or
+    Each child is a crossover with probability ``CROSSOVER_PROB``, else a
+    mutation. A child that is a parent's whole tree (a crossover or
     mutation rejected for depth, or a crossover of both roots) is that
     parent individual, so its fitness, size and test semantics are not
     computed again. The new children are evaluated together once the
@@ -253,16 +246,12 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
         for _ in range(config.pop_size):
             r = rng.random()
             p1 = p2 = _select(pop, config, rng)
-            if r < config.crossover_prob:
+            if r < CROSSOVER_PROB:
                 p2 = _select(pop, config, rng)
                 child_tree = subtree_crossover(p1.tree, p2.tree, TERMINAL_BIAS,
-                                               rng, config.max_depth)
-            elif r < config.crossover_prob + config.mutation_prob:
-                child_tree = subtree_mutation(p1.tree, prims, rng,
-                                              config.max_depth)
-            else:  # reproduction: not a variation, so never logged
-                offspring.append(p1)
-                continue
+                                               rng)
+            else:
+                child_tree = subtree_mutation(p1.tree, prims, rng)
             if child_tree is p1.tree:
                 child = p1
             elif child_tree is p2.tree:  # crossover of both roots

@@ -14,6 +14,7 @@ from .sampler import primitives_from_vocab
 PAIR_DEPTH_MAX = 3  # depth cap of random_pairs' trees
 FD_STEP = 1e-5      # central-difference step of gradient_check
 PROBE_LEN = 12      # encoder and decoder tokens of causality_probe
+PROBE_PERTURBATIONS = 20  # decoder tokens causality_probe perturbs
 
 
 def random_pairs(model: SdTransformer, rng: np.random.Generator,
@@ -61,8 +62,7 @@ def gradient_check(model: SdTransformer, rng: np.random.Generator,
     return max_rel
 
 
-def causality_probe(model: SdTransformer, rng: np.random.Generator,
-                    n_positions: int = 20) -> tuple:
+def causality_probe(model: SdTransformer, rng: np.random.Generator) -> tuple:
     """Perturb decoder tokens and measure leakage into earlier logit rows.
 
     Also returns the worst attention row-sum deviation from 1.
@@ -82,7 +82,7 @@ def causality_probe(model: SdTransformer, rng: np.random.Generator,
                   if name.endswith((".attn", ".self", ".cross")))
 
     leak = 0.0
-    for _ in range(n_positions):
+    for _ in range(PROBE_PERTURBATIONS):
         t = int(rng.integers(1, dec_ids.shape[1]))  # keep BOS fixed
         perturbed = dec_ids.copy()
         choices = [c for c in content if c != perturbed[0, t]]

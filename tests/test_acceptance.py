@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from tsgp import expr, semantics
+from tsgp import bench, expr, semantics
 from tsgp.bench import make_dataset, variation_probe, wilcoxon_ranksum
 from tsgp.corpus import (CorpusEntry, build_corpus, build_ivf_index,
                          gen_synthetic_problem, knn_neighbors, mine_pairs,
@@ -119,8 +119,7 @@ def test_criterion_06_causality_and_attention(vocab):
     hyper = Hyperparams(d_model=32, n_heads=4, n_encoder_layers=1,
                         n_decoder_layers=1)
     model = SdTransformer(hyper, vocab, rng=np.random.default_rng(6))
-    leak, row_err = causality_probe(model, np.random.default_rng(7),
-                                    n_positions=20)
+    leak, row_err = causality_probe(model, np.random.default_rng(7))
     _report(6, "decoder causality + attention normalization",
             leak == 0.0 and row_err < 1e-6,
             f"max leakage {leak:.1e}, attention row-sum error {row_err:.1e}")
@@ -202,15 +201,16 @@ def test_criterion_09_checkpoint_exactness(vocab, tmp_path):
             f"logits reproduced exactly: {logits_ok}")
 
 
-def test_criterion_10_wilcoxon():
+def test_criterion_10_wilcoxon(monkeypatch):
     p = wilcoxon_ranksum([1, 2, 3], [4, 5, 6])
     exact_ok = abs(p - 0.1) < 1e-12
     rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(500):
-        a, b = rng.standard_normal(8), rng.standard_normal(8)
-        worst = max(worst, abs(wilcoxon_ranksum(a, b, exact_cutoff=16)
-                               - wilcoxon_ranksum(a, b, exact_cutoff=0)))
+    samples = [(rng.standard_normal(8), rng.standard_normal(8))
+               for _ in range(500)]
+    exact = [wilcoxon_ranksum(a, b) for a, b in samples]
+    monkeypatch.setattr(bench, "EXACT_CUTOFF", 0)  # normal approximation
+    worst = max(abs(e - wilcoxon_ranksum(a, b))
+                for e, (a, b) in zip(exact, samples))
     _report(10, "Wilcoxon rank-sum", exact_ok and worst < 0.02,
             f"p([1,2,3],[4,5,6]) = {p}; max exact-vs-approx gap {worst:.4f} "
             f"over 500 8-vs-8 instances")

@@ -142,13 +142,14 @@ class TestWilcoxon:
         a = list(range(10))
         assert wilcoxon_ranksum(a, a) > 0.9
 
-    def test_exact_vs_approx_agreement(self):
+    def test_exact_vs_approx_agreement(self, monkeypatch):
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            a, b = rng.standard_normal(8), rng.standard_normal(8)
-            exact = wilcoxon_ranksum(a, b, exact_cutoff=16)
-            approx = wilcoxon_ranksum(a, b, exact_cutoff=0)
-            assert abs(exact - approx) < 0.02
+        samples = [(rng.standard_normal(8), rng.standard_normal(8))
+                   for _ in range(100)]
+        exact = [wilcoxon_ranksum(a, b) for a, b in samples]
+        monkeypatch.setattr(bench, "EXACT_CUTOFF", 0)
+        approx = [wilcoxon_ranksum(a, b) for a, b in samples]
+        assert max(abs(e - x) for e, x in zip(exact, approx)) < 0.02
 
     def test_ties_use_approximation(self):
         p = wilcoxon_ranksum([1, 1, 2], [1, 2, 3])
@@ -170,16 +171,17 @@ def _mk_trace(method, seed, bests, final_rmse, final_size=5):
 
 class TestAggregate:
     def test_median_of_finals(self):
-        traces = [_mk_trace("stdgp", s, [1.0, 0.5], f)
+        traces = [_mk_trace("stdgp", s, [1.0, f], f)
                   for s, f in enumerate([0.3, 0.5, 0.4])]
-        agg = aggregate_runs(traces)
-        assert agg["summary"].median_test_rmse == pytest.approx(0.4)
+        last = aggregate_runs(traces)["train_rmse"][-1]
+        assert last.generation == 1
+        assert last.median == pytest.approx(0.4)
 
     def test_single_run_degenerate_iqr(self):
         agg = aggregate_runs([_mk_trace("slim", 0, [1.0], 0.7)])
-        s = agg["summary"]
-        assert s.median_test_rmse == 0.7
-        assert s.q75_test_rmse - s.q25_test_rmse == 0.0
+        (point,) = agg["train_rmse"]
+        assert point.median == 1.0
+        assert point.q75 - point.q25 == 0.0
 
     def test_mixed_methods_rejected(self):
         with pytest.raises(DataError, match="mixed methods"):

@@ -1,11 +1,17 @@
 import csv
 import json
+import math
 import struct
+from types import SimpleNamespace
 
 import pytest
 
 from tsgp.cli import STRICT_FLOAT, STRICT_INT, Above, AtLeast, cli, main
 from tsgp.corpus import read_pairs_jsonl
+from tsgp.expr import PrimitiveSet
+from tsgp.model import Vocabulary
+
+CANONICAL_VOCAB = list(Vocabulary.from_primitives(PrimitiveSet(1)).symbols)
 
 
 @pytest.fixture(scope="module")
@@ -195,8 +201,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("rows", [
         [], ["x,target"] + [f"{i},1.0" for i in range(30)],
-        ["x,y,target"] + [f"{i},{i % 7}" for i in range(30)]],
-        ids=["empty", "constant column", "rows narrower than header"])
+        ["x,y,target"] + [f"{i},{i % 7}" for i in range(30)],
+        ["target"] + [f"{i % 7}" for i in range(30)]],
+        ids=["empty", "constant column", "rows narrower than header",
+             "no feature column"])
     def test_data_error_bad_csv(self, tmp_path, capsys, rows):
         bad = tmp_path / "bad.csv"
         bad.write_text("".join(r + "\n" for r in rows))
@@ -225,6 +233,35 @@ class TestExitCodes:
                         + blob[12 + hlen:])
         assert main(["verify-model", "--model", str(bad)]) == 2
 
+    @pytest.mark.parametrize("hyper,vocab", [
+        ({"d_model": 9, "n_heads": 3}, CANONICAL_VOCAB),
+        ({"d_model": 8, "n_heads": 2}, ["ADD", "v1"]),
+        ({"d_model": 8, "n_heads": 2},
+         ["<pad>", "<bos>", "<eos>", "v1", "C+0.1"])],
+        ids=["odd d_model", "no specials", "no operators"])
+    def test_data_error_consistent_checkpoint(self, tmp_path, capsys, hyper,
+                                              vocab):
+        """Hand-built checkpoints whose tensors have exactly the shapes their
+        own header implies."""
+        from tsgp.model.checkpoint import MAGIC
+        from tsgp.model.transformer import param_spec
+        hyper = dict(hyper, n_encoder_layers=1, n_decoder_layers=1,
+                     ffn_dim=4 * hyper["d_model"])
+        spec = param_spec(SimpleNamespace(**hyper), len(vocab))
+        tensors, offset = [], 0
+        for name in sorted(spec):
+            shape = list(spec[name][0])
+            tensors.append({"name": name, "shape": shape, "offset": offset})
+            offset += 4 * math.prod(shape)
+        raw = json.dumps({"hyperparams": hyper, "vocabulary": vocab,
+                          "tensors": tensors}).encode()
+        weights = struct.pack(f"<{offset // 4}f", *[0.1] * (offset // 4))
+        bad = tmp_path / "bad.tsgp"
+        bad.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + weights)
+        assert main(["verify-model", "--model", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed header: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command,content", [
         ("mine-pairs", ""),

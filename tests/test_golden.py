@@ -46,11 +46,6 @@ ENGINE_DIGESTS = {
     "stdgp": "aa7d9b7916164590dbbf113b39cbe2eda94437902c880411982aadd6891f2d6c",
     "slim": "84a7a909869baa90ded421497a41a5d72bdd4781b911844d47c89cd6abd44141",
 }
-# run_stdgp with reproduction and a depth cap that rejects crossovers
-REPRODUCTION_DIGEST = (
-    "f1df3defa1327d387010ffabefec81359c3005ee4669b1998b915ccac72dffbb")
-REPRODUCTION_RNG_STATE = (
-    "ca726b0964ddb3d5ab425b11f3d02317 a7043c160277735a2ed88b8bc66abe1f")
 # build_corpus(2 problems, double tournament pop 60 x 6 generations, seed 12)
 CORPUS_DIGEST = (
     "8b867d8e8b30536e10ad4d0c852a7a7bbc400105db4514676c750752b5ee7a1a")
@@ -192,17 +187,6 @@ def test_seeded_engine_trace_pinned(method):
                           pop_size=40)
     assert sum(v.structurally_different for v in tr.variations) > 0
     assert _sha(trace_lines(tr)) == ENGINE_DIGESTS[method]
-
-
-def test_stdgp_reproduction_trace_pinned():
-    cfg = GPConfig(pop_size=40, generations=6, crossover_prob=0.6,
-                   mutation_prob=0.2, max_depth=6)
-    rng = np.random.default_rng(3)
-    tr = run_stdgp(cfg, golden_dataset(0), rng)
-    assert len(tr.variations) < 6 * 40  # some children were reproduced
-    assert any(not v.structurally_different for v in tr.variations)
-    assert _sha(trace_lines(tr)) == REPRODUCTION_DIGEST
-    assert rng_state(rng) == REPRODUCTION_RNG_STATE
 
 
 @pytest.mark.parametrize("logged", [True, False])
