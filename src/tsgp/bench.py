@@ -76,6 +76,10 @@ def load_csv(path, target_column: str = "target", split_seed: int = 0) -> Datase
     if not rows:
         raise DataError(f"{path.name} is empty")
     header, body = rows[0], rows[1:]
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise DataError(f"{path.name} repeats header column(s) "
+                        f"{', '.join(map(repr, repeated))}")
     if target_column not in header:
         raise DataError(f"no column {target_column!r} in {path.name}")
     if len(body) < 20:

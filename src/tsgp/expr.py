@@ -7,7 +7,7 @@ space-separated prefix enumeration, e.g. ``ADD v1 MUL v2 C+0.3``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -49,32 +49,46 @@ class PrimitiveSet:
         return self.variables + self.constants
 
 
-@dataclass(frozen=True)
 class Node:
     """One tree node; operators have exactly two children, terminals none.
 
     ``n_nodes`` and ``height`` (edges on the longest downward path) are set
     when the node is built, from its children's, so they cost O(1) to read.
+    Nodes are immutable by convention: nothing assigns to a built node, so
+    trees share subtrees freely. Equality and hashing are structural.
     """
 
-    symbol: str
-    children: tuple = field(default_factory=tuple)
-    # a terminal reads these class values; an operator stores its own
-    n_nodes = 1
-    height = 0
+    __slots__ = ("symbol", "children", "n_nodes", "height")
 
-    def __post_init__(self):
-        if self.symbol in OPERATORS:
-            if len(self.children) != 2:
+    def __init__(self, symbol: str, children: tuple = ()):
+        self.symbol = symbol
+        self.children = children
+        if symbol in OPERATORS:
+            if len(children) != 2:
                 raise ValueError(
-                    f"operator {self.symbol} needs 2 children, got {len(self.children)}"
-                )
-            left, right = self.children
-            # the dataclass is frozen: store past its __setattr__
-            self.__dict__["n_nodes"] = 1 + left.n_nodes + right.n_nodes
-            self.__dict__["height"] = 1 + max(left.height, right.height)
-        elif self.children:
-            raise ValueError(f"terminal {self.symbol} cannot have children")
+                    f"operator {symbol} needs 2 children, got {len(children)}")
+            left, right = children
+            self.n_nodes = 1 + left.n_nodes + right.n_nodes
+            lh, rh = left.height, right.height
+            self.height = 1 + (lh if lh > rh else rh)
+        elif children:
+            raise ValueError(f"terminal {symbol} cannot have children")
+        else:
+            self.n_nodes = 1
+            self.height = 0
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Node:
+            return NotImplemented
+        return self.symbol == other.symbol and self.children == other.children
+
+    def __hash__(self):
+        return hash((self.symbol, self.children))
+
+    def __repr__(self):
+        return f"Node(symbol={self.symbol!r}, children={self.children!r})"
 
 
 def size(tree: Node) -> int:

@@ -89,11 +89,20 @@ def embed_backward(key: str, dx: np.ndarray, acts: dict, grads: dict):
 
 def layer_norm(p: dict, prefix: str, x: np.ndarray,
                acts: dict = None) -> np.ndarray:
-    """Normalize the last axis, then scale by ``.g`` and shift by ``.b``."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    """Normalize the last axis, then scale by ``.g`` and shift by ``.b``.
+
+    The mean and variance are the sums and divides ``x.mean``/``x.var``
+    perform, without their Python-level wrappers, so they are bit-identical.
+    """
+    D = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= D
+    xhat = x - mu
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= D
+    var += LN_EPS
+    inv = 1.0 / np.sqrt(var, out=var)
+    xhat *= inv
     if acts is not None:
         acts[prefix] = (xhat, inv)
     return xhat * p[f"{prefix}.g"] + p[f"{prefix}.b"]
@@ -106,8 +115,12 @@ def layer_norm_backward(p: dict, prefix: str, dy: np.ndarray, acts: dict,
     grads[f"{prefix}.g"] += (dy * xhat).reshape(-1, D).sum(axis=0)
     grads[f"{prefix}.b"] += dy.reshape(-1, D).sum(axis=0)
     gx = dy * p[f"{prefix}.g"]
-    return inv * (gx - gx.mean(axis=-1, keepdims=True)
-                  - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    # the means as in ``layer_norm``: a sum, then a divide by D
+    gmean = np.add.reduce(gx, axis=-1, keepdims=True)
+    gmean /= D
+    dot = np.add.reduce(gx * xhat, axis=-1, keepdims=True)
+    dot /= D
+    return inv * (gx - gmean - xhat * dot)
 
 
 # -- attention -----------------------------------------------------------------

@@ -5,8 +5,9 @@ JSON header (hyperparams, vocabulary, tensor manifest with name/shape/byte
 offset), then concatenated little-endian float32 tensor payloads in
 manifest order. Saving is deterministic: sorted tensor names, canonical
 JSON. Loading accepts only the manifest ``tensor_layout`` gives the header's
-hyperparameters and vocabulary, and only the vocabulary of its own variable
-count; it reproduces exactly the float32 values that were stored.
+hyperparameters and vocabulary, only the vocabulary of its own variable
+count, and only the ``SD_CONDITIONING`` scheme; it reproduces exactly the
+float32 values that were stored.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .vocab import Vocabulary, primitives_from_vocab
 
 MAGIC = b"TSGPMDL1"
 
-SD_CONDITIONING = "affine-scalar-prepended"  # recorded for provenance
+SD_CONDITIONING = "affine-scalar-prepended"  # the only scheme loaded
 
 
 def tensor_layout(hyper: Hyperparams, vocab_size: int) -> list:
@@ -85,6 +86,10 @@ def load_checkpoint(path) -> SdTransformer:
         if layers > len(tensors):
             raise ValueError(f"{layers} layers but {len(tensors)} tensors")
         layout = tensor_layout(hyper, vocab.size)
+        if header.get("sd_conditioning") != SD_CONDITIONING:
+            raise ValueError(
+                f"sd_conditioning is {header.get('sd_conditioning')!r}, "
+                f"this build reads {SD_CONDITIONING!r}")
     except (AttributeError, KeyError, TypeError, ValueError,
             ArithmeticError) as e:
         raise DataError(f"malformed header: {type(e).__name__}: {e}") from None

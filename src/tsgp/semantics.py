@@ -26,25 +26,31 @@ def sd_on_test(parent, child, X_test) -> float:
 
     ``parent`` and ``child`` are engine individuals; ``semantics_on_test``
     evaluates each at most once per run, however many children it has.
+    The norm is ``math.sqrt(d.dot(d))``: for a 1-D float64 ``d`` that is
+    exactly what ``np.linalg.norm(d)`` computes, without its Python-level
+    wrapper.
     """
     sp = parent.semantics_on_test(X_test)
     sc = child.semantics_on_test(X_test)
     if not (np.isfinite(sp).all() and np.isfinite(sc).all()):
         return math.nan
-    return float(np.linalg.norm(sp - sc))
+    d = sp - sc
+    return math.sqrt(d.dot(d))
 
 
 def rmse(y, y_hat) -> float:
     """Root mean squared error, ||Y - Yhat||_2 / sqrt(m).
 
-    Non-finite predictions yield +inf (worst fitness) rather than NaN.
+    Non-finite predictions yield +inf (worst fitness) rather than NaN. The
+    norm is taken as in ``sd_on_test``.
     """
     a, b = _vals(y), _vals(y_hat)
     if a.shape != b.shape:
         raise ValueError(f"lengths {a.shape} vs {b.shape}")
-    if not np.all(np.isfinite(b)):
-        return float("inf")
-    return float(np.linalg.norm(a - b) / np.sqrt(len(a)))
+    if not np.isfinite(b).all():
+        return math.inf
+    d = a - b
+    return math.sqrt(d.dot(d)) / math.sqrt(len(a))
 
 
 def standardize(matrix: np.ndarray) -> np.ndarray:

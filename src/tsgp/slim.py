@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -43,9 +42,9 @@ class Block:
     train_semantics: np.ndarray = field(default=None, compare=False, repr=False)
     test_semantics: np.ndarray = field(default=None, compare=False, repr=False)
 
-    @cached_property
+    @property
     def size(self) -> int:
-        return expr.size(self.r1) + expr.size(self.r2)
+        return self.r1.n_nodes + self.r2.n_nodes
 
     def contribution(self, X: np.ndarray) -> np.ndarray:
         return self.ms * (sigmoid(expr.evaluate(self.r1, X))
@@ -61,16 +60,13 @@ class Block:
 @dataclass
 class SlimIndividual:
     base: Node
+    size: int  # nodes of the base tree and of every block, set when built
     blocks: list = field(default_factory=list)
     train_semantics: np.ndarray = None
     fitness: float = math.inf
     # base tree's output on the test inputs, shared by all its descendants
     base_test: np.ndarray = field(default=None, compare=False, repr=False)
     test_semantics: np.ndarray = field(default=None, compare=False, repr=False)
-
-    @cached_property
-    def size(self) -> int:
-        return expr.size(self.base) + sum(b.size for b in self.blocks)
 
     def semantics_on_test(self, X_test) -> np.ndarray:
         """Output on the run's test inputs from the cached parts: the base
@@ -94,7 +90,8 @@ def _with_fitness(ind: SlimIndividual, y_train) -> SlimIndividual:
 def make_individuals(bases: list, X_train, y_train) -> list:
     """Individuals with no blocks, their train semantics from one batched
     evaluation of ``bases``."""
-    return [_with_fitness(SlimIndividual(base=base, train_semantics=out),
+    return [_with_fitness(SlimIndividual(base=base, size=base.n_nodes,
+                                         train_semantics=out),
                           y_train)
             for base, out in zip(bases, expr.evaluate_many(bases, X_train))]
 
@@ -108,6 +105,7 @@ def inflate(ind: SlimIndividual, prims: PrimitiveSet, rng: np.random.Generator,
     block.train_semantics = block.contribution(X_train)
     child = SlimIndividual(
         base=ind.base,
+        size=ind.size + block.size,
         blocks=ind.blocks + [block],
         train_semantics=ind.train_semantics + block.train_semantics,
         base_test=ind.base_test)
@@ -123,6 +121,7 @@ def deflate(ind: SlimIndividual, rng: np.random.Generator,
     removed = ind.blocks[i]
     child = SlimIndividual(
         base=ind.base,
+        size=ind.size - removed.size,
         blocks=ind.blocks[:i] + ind.blocks[i + 1:],
         train_semantics=ind.train_semantics - removed.train_semantics,
         base_test=ind.base_test)

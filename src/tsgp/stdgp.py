@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +33,9 @@ class Individual:
     fitness: float = math.inf
     test_semantics: np.ndarray = field(default=None, compare=False, repr=False)
 
-    @cached_property
+    @property
     def size(self) -> int:
-        return expr.size(self.tree)
+        return self.tree.n_nodes
 
     def semantics_on_test(self, X_test) -> np.ndarray:
         """Output on the run's test inputs, evaluated on first use."""

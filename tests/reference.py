@@ -1,10 +1,12 @@
 """Test-side helpers with no caller in ``tsgp``: parsing a tree from its
-text form, reading the trace CSVs back, and the uncached SLIM evaluation
-that is the reference for ``SlimIndividual.semantics_on_test``."""
+text form, reading the trace CSVs back, the uncached SLIM evaluation that
+is the reference for ``SlimIndividual.semantics_on_test``, and the
+``np.linalg.norm`` forms of ``semantics.rmse`` and ``sd_on_test``."""
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -26,6 +28,23 @@ def slim_evaluate(ind: SlimIndividual, X: np.ndarray) -> np.ndarray:
     for b in ind.blocks:
         out = out + b.contribution(X)
     return out
+
+
+def rmse_norm(y, y_hat) -> float:
+    """``semantics.rmse`` through ``np.linalg.norm``."""
+    a = np.asarray(y, dtype=np.float64)
+    b = np.asarray(y_hat, dtype=np.float64)
+    if not np.all(np.isfinite(b)):
+        return math.inf
+    return float(np.linalg.norm(a - b) / np.sqrt(len(a)))
+
+
+def sd_norm(sp: np.ndarray, sc: np.ndarray) -> float:
+    """``semantics.sd_on_test`` of two test outputs, through
+    ``np.linalg.norm``."""
+    if not (np.isfinite(sp).all() and np.isfinite(sc).all()):
+        return math.nan
+    return float(np.linalg.norm(sp - sc))
 
 
 def read_trace_csv(path) -> RunTrace:

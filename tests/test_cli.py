@@ -14,6 +14,20 @@ from tsgp.model import Vocabulary
 CANONICAL_VOCAB = list(Vocabulary.from_primitives(PrimitiveSet(1)).symbols)
 
 
+def _with_header(model_file, bad, edit):
+    """Write to ``bad`` the checkpoint ``model_file`` with its JSON header
+    changed by ``edit``; returns ``bad``."""
+    from tsgp.model.checkpoint import MAGIC
+    blob = model_file.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    edit(header)
+    raw = json.dumps(header).encode()
+    bad.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw
+                    + blob[12 + hlen:])
+    return bad
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
@@ -202,9 +216,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("rows", [
         [], ["x,target"] + [f"{i},1.0" for i in range(30)],
         ["x,y,target"] + [f"{i},{i % 7}" for i in range(30)],
-        ["target"] + [f"{i % 7}" for i in range(30)]],
+        ["target"] + [f"{i % 7}" for i in range(30)],
+        ["x,target,target"] + [f"{i},{i % 7},{i % 7}" for i in range(30)]],
         ids=["empty", "constant column", "rows narrower than header",
-             "no feature column"])
+             "no feature column", "repeated column"])
     def test_data_error_bad_csv(self, tmp_path, capsys, rows):
         bad = tmp_path / "bad.csv"
         bad.write_text("".join(r + "\n" for r in rows))
@@ -222,16 +237,20 @@ class TestExitCodes:
         assert main(["verify-model", "--model", str(bad)]) == 2
 
     def test_data_error_header_without_vocabulary(self, workdir, model_file):
-        from tsgp.model.checkpoint import MAGIC
-        blob = model_file.read_bytes()
-        (hlen,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12:12 + hlen])
-        del header["vocabulary"]
-        raw = json.dumps(header).encode()
-        bad = workdir / "novocab.tsgp"
-        bad.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw
-                        + blob[12 + hlen:])
+        bad = _with_header(model_file, workdir / "novocab.tsgp",
+                           lambda h: h.pop("vocabulary"))
         assert main(["verify-model", "--model", str(bad)]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(sd_conditioning="cross-attention-token"),
+        lambda h: h.pop("sd_conditioning")], ids=["other scheme", "missing"])
+    def test_data_error_sd_conditioning(self, tmp_path, capsys, model_file,
+                                        edit):
+        bad = _with_header(model_file, tmp_path / "bad.tsgp", edit)
+        assert main(["verify-model", "--model", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed header: ")
+        assert "sd_conditioning" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("hyper,vocab", [
         ({"d_model": 9, "n_heads": 3}, CANONICAL_VOCAB),
@@ -327,15 +346,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("max_len", [-5, 1.5])
     def test_data_error_header_bad_max_len(self, tmp_path, capsys, model_file,
                                            max_len):
-        from tsgp.model.checkpoint import MAGIC
-        blob = model_file.read_bytes()
-        (hlen,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12:12 + hlen])
-        header["hyperparams"]["max_len"] = max_len
-        raw = json.dumps(header).encode()
-        bad = tmp_path / "bad_max_len.tsgp"
-        bad.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw
-                        + blob[12 + hlen:])
+        bad = _with_header(
+            model_file, tmp_path / "bad_max_len.tsgp",
+            lambda h: h["hyperparams"].update(max_len=max_len))
         assert main(["verify-model", "--model", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: malformed header: ")

@@ -92,6 +92,54 @@ class TestSerializeParse:
             assert len(tokens) == expr.size(t)
 
 
+class TestNodeContract:
+    """``Node`` is a slotted class with structural equality and hashing."""
+
+    def test_structural_equality(self):
+        a, b = from_string("ADD v1 MUL v2 C+0.3"), from_string(
+            "ADD v1 MUL v2 C+0.3")
+        assert a is not b and a == b and not a != b
+        assert a != from_string("ADD v1 MUL v2 C+0.2")
+        assert a != from_string("SUB v1 MUL v2 C+0.3")
+        assert Node("v1") != Node("v2")
+
+    def test_deep_tree_equals_itself(self):
+        deep = Node("v1")
+        for i in range(5000):
+            deep = Node(OPERATORS[i % 4], (deep, Node("C+0.1")))
+        assert deep == deep and not deep != deep
+
+    def test_hash_is_structural(self):
+        a, b = from_string("PDIV v3 C-0.5"), from_string("PDIV v3 C-0.5")
+        assert hash(a) == hash(b) == hash((a.symbol, a.children))
+        assert len({a, b, Node("v3")}) == 2
+
+    def test_repr(self):
+        tree = Node("ADD", (Node("v1"), Node("C+0.3")))
+        assert repr(tree) == ("Node(symbol='ADD', children=("
+                              "Node(symbol='v1', children=()), "
+                              "Node(symbol='C+0.3', children=())))")
+
+    @pytest.mark.parametrize("other", ["v1", ("v1", ()), None, 1])
+    def test_not_equal_to_other_types(self, other):
+        assert Node("v1") != other and not Node("v1") == other
+
+    @pytest.mark.parametrize("symbol,children,match", [
+        ("MUL", (), "MUL needs 2 children, got 0"),
+        ("PDIV", (Node("v1"),) * 3, "PDIV needs 2 children, got 3"),
+        ("C+0.1", (Node("v1"), Node("v2")), "terminal C\\+0.1 cannot have")])
+    def test_arity_errors(self, symbol, children, match):
+        with pytest.raises(ValueError, match=match):
+            Node(symbol, children)
+
+    def test_slotted(self):
+        node = from_string("SUB v1 v2")
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(AttributeError):
+            node.cache = 1
+        assert (node.n_nodes, node.height) == (3, 1)
+
+
 class TestRandomTree:
     def test_full_depth2_complete(self, prims):
         rng = np.random.default_rng(1)

@@ -1,11 +1,17 @@
+import struct
+import warnings
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsgp import expr, semantics
 from tsgp.errors import DataError
+from tsgp.expr import OPERATORS, Node, PrimitiveSet
 from tsgp.stdgp import Individual
 
-from reference import from_string
+from reference import from_string, rmse_norm, sd_norm
 
 
 class TestSampleInputs:
@@ -126,3 +132,66 @@ class TestStandardize:
         # std divides by n, not n-1
         x = np.array([0.0, 2.0])
         np.testing.assert_array_equal(semantics.standardize(x), [-1.0, 1.0])
+
+
+_TREES = st.recursive(
+    st.sampled_from(PrimitiveSet().terminals).map(Node),
+    lambda kids: st.builds(lambda op, a, b: Node(op, (a, b)),
+                           st.sampled_from(OPERATORS), kids, kids),
+    max_leaves=30)
+# values whose squares and sums of squares overflow, underflow or are not
+# finite, as grown trees produce them
+_EDGE = [0.0, -0.0, 2.5, 1e-160, 1e153, -1.3e154, 1e200, np.inf, -np.inf,
+         np.nan]
+
+
+def _same_as_reference(new, ref):
+    """Both calls return the same float bits and raise the same warnings."""
+    results = []
+    for call in (new, ref):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = call()
+        results.append((struct.pack("<d", value),
+                        [str(w.message) for w in caught]))
+    assert results[0] == results[1]
+
+
+class TestNormFormsProperty:
+    """``rmse`` and ``sd_on_test`` equal their ``np.linalg.norm`` forms bit
+    for bit, with the same overflow warnings, on the outputs the engines
+    compute."""
+
+    @staticmethod
+    def _check(y, outs):
+        for out in outs:
+            _same_as_reference(lambda: semantics.rmse(y, out),
+                               lambda: rmse_norm(y, out))
+        inds = [Individual(Node("v1"), test_semantics=out) for out in outs]
+        for a, sa in zip(inds, outs):
+            for b, sb in zip(inds, outs):
+                _same_as_reference(lambda: semantics.sd_on_test(a, b, None),
+                                   lambda: sd_norm(sa, sb))
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees=st.lists(_TREES, min_size=1, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 60),
+           spikes=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                     st.sampled_from(_EDGE[:7])),
+                           max_size=4))
+    def test_tree_outputs_on_standardized_inputs(self, trees, seed, m,
+                                                 spikes):
+        rng = np.random.default_rng(seed)
+        X = semantics.standardize(rng.standard_normal((m, 4)))
+        y = semantics.standardize(rng.standard_normal(m))
+        for flat, value in spikes:  # exact zeros and near-overflow inputs
+            X.flat[flat % X.size] = value
+        self._check(y, expr.evaluate_many(trees, X))
+
+    @settings(max_examples=300, deadline=None)
+    @given(outs=st.lists(hnp.arrays(np.float64, 7, elements=st.one_of(
+        st.sampled_from(_EDGE), st.floats(-1e3, 1e3))), min_size=1,
+        max_size=4))
+    def test_non_finite_and_near_overflow(self, outs):
+        y = semantics.standardize(np.arange(7.0) ** 2)
+        self._check(y, outs)

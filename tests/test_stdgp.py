@@ -155,7 +155,7 @@ class TestEvaluatedOnce:
             assert child.test_semantics is not None
             np.testing.assert_array_equal(child.test_semantics,
                                           expr.evaluate(child.tree, ds.X_test))
-            assert child.__dict__["size"] == expr.size(child.tree)
+            assert child.size == expr.size(child.tree)
         same = [v for v in trace.variations if not v.structurally_different]
         assert same and all(v.sd_test == 0.0 for v in same)
 
