@@ -68,11 +68,14 @@ def make_dataset(name: str, X: np.ndarray, Y: np.ndarray, seed: int) -> Dataset:
 def load_csv(path, target_column: str = "target", split_seed: int = 0) -> Dataset:
     """Load a numeric CSV/TSV with a header row into a standardized Dataset."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        delim = "\t" if "\t" in first else ","
-        fh.seek(0)
-        rows = list(csv.reader(fh, delimiter=delim))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            first = fh.readline()
+            delim = "\t" if "\t" in first else ","
+            fh.seek(0)
+            rows = list(csv.reader(fh, delimiter=delim))
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path.name} is not UTF-8 text ({e.reason})") from None
     if not rows:
         raise DataError(f"{path.name} is empty")
     header, body = rows[0], rows[1:]
@@ -322,7 +325,7 @@ def variation_probe(model, dataset: Dataset, n_parents: int,
     from . import expr as _expr
     from .sampler import primitives_from_vocab, sample_tokens_batch
     from .stdgp import (INIT_DEPTH_MAX, INIT_DEPTH_MIN, Individual,
-                        subtree_mutation)
+                        fill_test_semantics, subtree_mutation)
 
     prims = primitives_from_vocab(model.vocab)
     rng = np.random.default_rng(seed)
@@ -336,12 +339,11 @@ def variation_probe(model, dataset: Dataset, n_parents: int,
     tsgp_tokens = sample_tokens_batch(model, parent_tokens, sd_desired, rngs)
 
     def sds(offspring_trees):
-        out = []
-        for p, c in zip(parents, offspring_trees):
-            sd = semantics.sd_on_test(p, Individual(c), dataset.X_test)
-            if not math.isnan(sd):
-                out.append(sd)
-        return out
+        children = [Individual(c) for c in offspring_trees]
+        fill_test_semantics(parents + children, dataset.X_test)
+        sd = [semantics.sd_on_test(p, c, dataset.X_test)
+              for p, c in zip(parents, children)]
+        return [d for d in sd if not math.isnan(d)]
 
     tsgp_sd = sds([_expr.parse_prefix(t, prims) for t in tsgp_tokens])
     mut_sd = sds([subtree_mutation(p.tree, prims, rng) for p in parents])

@@ -141,7 +141,11 @@ def cli(ctx, seed, threads, deterministic, config_path):
     _thread_env(threads)
     ctx.obj = {"seed": seed, "threads": threads, "deterministic": deterministic}
     if config_path:
-        config = json.loads(Path(config_path).read_text())
+        try:
+            config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as e:
+            raise DataError(f"--config {config_path} is not UTF-8 text "
+                            f"({e.reason})") from None
         if not isinstance(config, dict):
             raise click.UsageError(
                 f"--config {config_path} must hold a JSON object")
@@ -342,7 +346,8 @@ def _load_dataset(run: dict, split_seed: int):
 @cli.command("search")
 @click.option("--method", type=click.Choice(METHODS), required=True)
 @_run_options
-@click.option("--out", type=click.Path(), default="run", show_default=True)
+@click.option("--out", type=click.Path(file_okay=False), default="run",
+              show_default=True)
 @click.pass_context
 def search_cmd(ctx, method, out, **run):
     """Run one seeded search and write its trace CSVs."""
@@ -379,7 +384,7 @@ def _method_list(ctx, param, value) -> list:
 @click.option("--runs", type=AtLeast(1), default=30, show_default=True)
 @click.option("--probe/--no-probe", default=True, show_default=True,
               help="Also run the variation-distance replication probe.")
-@click.option("--out", type=click.Path(), default="bench_out",
+@click.option("--out", type=click.Path(file_okay=False), default="bench_out",
               show_default=True)
 @click.pass_context
 def bench_cmd(ctx, methods, runs, probe, out, **run):

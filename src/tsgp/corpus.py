@@ -256,11 +256,10 @@ def write_corpus_jsonl(corpus: list, path):
 
 def _read_jsonl(path, make) -> list:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for n, line in enumerate(fh, 1):
-            obj = json.loads(line)
             try:
-                out.append(make(obj))
+                out.append(make(json.loads(line.decode("utf-8"))))
             except (KeyError, OverflowError, TypeError, ValueError) as e:
                 raise DataError(f"{path} line {n}: malformed record "
                                 f"({type(e).__name__}: {e})") from None

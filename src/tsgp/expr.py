@@ -141,13 +141,6 @@ def parse_prefix(tokens, prims: PrimitiveSet) -> Node:
     return tree
 
 
-def _input_matrix(inputs) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2:
-        raise ValueError("inputs must be a 2-D matrix")
-    return inputs
-
-
 def _leaf(sym: str, inputs: np.ndarray):
     """A variable leaf's input column, or a constant leaf's value."""
     if sym[0] == "v":
@@ -160,63 +153,31 @@ def _leaf(sym: str, inputs: np.ndarray):
 
 
 def evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate the tree row-wise on an (m, d) input matrix; returns shape (m,).
-
-    Constant leaves, and subtrees made of constants only, stay ``np.float64``
-    scalars; they are broadcast to (m,) only if the whole tree is constant.
-    Division with a denominator that is exactly zero yields 1 for that
-    subexpression. Overflow is not clamped; non-finite outputs are the
-    caller's concern (fitness policy lives in :mod:`tsgp.semantics`). One
-    ``np.errstate`` covers the whole tree, so no floating-point warning
-    escapes.
-    """
-    inputs = _input_matrix(inputs)
-    m = inputs.shape[0]
-
-    def rec(node: Node):
-        sym = node.symbol
-        children = node.children
-        if not children:
-            return _leaf(sym, inputs)
-        a = rec(children[0])
-        b = rec(children[1])
-        if sym == "ADD":
-            return a + b
-        if sym == "SUB":
-            return a - b
-        if sym == "MUL":
-            return a * b
-        # protected division: exact-zero denominator -> 1
-        if b.ndim == 0:
-            if b == 0.0:
-                return np.ones(m) if a.ndim else np.float64(1.0)
-            return a / b
-        out = np.ones(m)
-        np.divide(a, b, out=out, where=b != 0.0)
-        return out
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = rec(tree)
-    return np.full(m, out) if out.ndim == 0 else out
+    """``evaluate_many`` of one tree; the benchmark traces this name."""
+    return evaluate_many([tree], inputs)[0]
 
 
 _UFUNCS = {"ADD": np.add, "SUB": np.subtract, "MUL": np.multiply}
 
 
 def evaluate_many(trees, inputs: np.ndarray) -> list:
-    """``[evaluate(t, inputs) for t in trees]``, byte for byte, in one pass.
+    """Each tree's output on an (m, d) input matrix, shape (m,), in one pass.
 
     Each distinct node is computed once. The walk does not descend into an
     operator node it has reached before (the same object, shared by several
     trees or within one), and leaves with the same symbol share one row.
     Operator nodes are then computed in order of height: one gather of the
     children's rows per height, one NumPy call per (height, operator) group.
-    Add, subtract, multiply and divide round each element on its own, so a
-    row holds exactly what ``evaluate`` computes for that node, constant-only
-    subtrees included. Every output is a copy of its row, so keeping one
-    does not keep the batch alive.
+    Each element is rounded on its own, so a row holds exactly what that
+    node alone evaluates to. A denominator that is exactly zero yields 1.
+    Overflow is not clamped (fitness policy lives in :mod:`tsgp.semantics`),
+    and one ``np.errstate`` covers the batch, so no warning escapes. Every
+    output is a copy of its row, so keeping one does not keep the batch
+    alive.
     """
-    inputs = _input_matrix(inputs)
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2:
+        raise ValueError("inputs must be a 2-D matrix")
     row = {}     # id(node) -> row of ``values``; operators get theirs below
     leaves = {}  # leaf symbol -> (row, value)
     levels = {}  # height -> {operator: nodes}

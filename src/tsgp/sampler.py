@@ -253,7 +253,8 @@ def run_tsgp(model: SdTransformer, dataset, config: SearchConfig,
             if log_variations:
                 variations.append((parent, child, varied))
         assess(fresh, dataset)
-        fill_test_semantics(variations, dataset.X_test)
+        fill_test_semantics([ind for row in variations for ind in row[:2]],
+                            dataset.X_test)
         return offspring, variations
 
     return evolve(trace, config, dataset, rng, prims,

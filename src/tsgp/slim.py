@@ -2,14 +2,14 @@
 
 An individual is a base tree plus an ordered list of blocks; its output is
 
-    evaluate(base) + sum_i ms_i * (sigmoid(evaluate(R1_i)) - sigmoid(evaluate(R2_i)))
+    base(X) + sum_i ms_i * (sigmoid(R1_i(X)) - sigmoid(R2_i(X)))
 
-Train-set semantics are cached and updated incrementally by the operators;
-a block keeps its train contribution, so deflate subtracts it without
-evaluating the block again. Test-set semantics, needed only to log
-variations, are built from parts that are each evaluated once per run: the
-base tree's output, which children inherit, and each block's contribution,
-which the block keeps.
+Each part is evaluated once per input set. ``inflate`` only draws a block;
+once a generation is built, ``add_new_blocks`` evaluates all its new blocks
+on the train inputs in one ``expr.evaluate_many`` call, and a logged run
+their test contributions in one more. A block keeps both contributions,
+so deflate evaluates nothing. A base tree's test output is evaluated when
+its first individual needs it, and every descendant inherits it.
 No geometric crossover: variation is inflate (probability ``INFLATE_PROB``)
 or deflate.
 """
@@ -46,16 +46,6 @@ class Block:
     def size(self) -> int:
         return self.r1.n_nodes + self.r2.n_nodes
 
-    def contribution(self, X: np.ndarray) -> np.ndarray:
-        return self.ms * (sigmoid(expr.evaluate(self.r1, X))
-                          - sigmoid(expr.evaluate(self.r2, X)))
-
-    def semantics_on_test(self, X_test) -> np.ndarray:
-        """Contribution on the run's test inputs, evaluated on first use."""
-        if self.test_semantics is None:
-            self.test_semantics = self.contribution(X_test)
-        return self.test_semantics
-
 
 @dataclass
 class SlimIndividual:
@@ -69,17 +59,34 @@ class SlimIndividual:
     test_semantics: np.ndarray = field(default=None, compare=False, repr=False)
 
     def semantics_on_test(self, X_test) -> np.ndarray:
-        """Output on the run's test inputs from the cached parts: the base
-        tree's output plus each block's contribution, summed in block
-        order."""
+        """Output on the run's test inputs: the base tree's output plus each
+        block's contribution, summed in block order. A missing base output
+        is evaluated alone, the missing contributions in one batch."""
         if self.test_semantics is None:
             if self.base_test is None:
                 self.base_test = expr.evaluate(self.base, X_test)
-            out = self.base_test
-            for b in self.blocks:
-                out = out + b.semantics_on_test(X_test)
-            self.test_semantics = out
+            add_test_contributions(self.blocks, X_test)
+            self.test_semantics = sum((b.test_semantics for b in self.blocks),
+                                      self.base_test)
         return self.test_semantics
+
+
+def _contributions(blocks: list, X) -> list:
+    """Each block's ``ms * (sigmoid(R1) - sigmoid(R2))`` on ``X``, from one
+    batched evaluation; none for no blocks."""
+    if not blocks:
+        return []
+    outs = expr.evaluate_many([t for b in blocks for t in (b.r1, b.r2)], X)
+    return [b.ms * (sigmoid(o1) - sigmoid(o2))
+            for b, o1, o2 in zip(blocks, outs[::2], outs[1::2])]
+
+
+def add_test_contributions(blocks: list, X_test) -> None:
+    """Give each of ``blocks`` that has no test contribution its own, all
+    from one batched evaluation."""
+    todo = [b for b in blocks if b.test_semantics is None]
+    for b, out in zip(todo, _contributions(todo, X_test)):
+        b.test_semantics = out
 
 
 def _with_fitness(ind: SlimIndividual, y_train) -> SlimIndividual:
@@ -96,20 +103,26 @@ def make_individuals(bases: list, X_train, y_train) -> list:
             for base, out in zip(bases, expr.evaluate_many(bases, X_train))]
 
 
-def inflate(ind: SlimIndividual, prims: PrimitiveSet, rng: np.random.Generator,
-            X_train, y_train) -> SlimIndividual:
-    """Append one block: ms ~ U(0,1), R1/R2 fresh GROW trees of depth <= 2."""
+def inflate(ind: SlimIndividual, prims: PrimitiveSet,
+            rng: np.random.Generator) -> SlimIndividual:
+    """Append one block: ms ~ U(0,1), R1/R2 fresh GROW trees of depth <= 2;
+    the child's train semantics wait for ``add_new_blocks``."""
     block = Block(ms=float(rng.random()),
                   r1=expr.random_tree(expr.GROW, 0, 2, prims, rng),
                   r2=expr.random_tree(expr.GROW, 0, 2, prims, rng))
-    block.train_semantics = block.contribution(X_train)
-    child = SlimIndividual(
-        base=ind.base,
-        size=ind.size + block.size,
-        blocks=ind.blocks + [block],
-        train_semantics=ind.train_semantics + block.train_semantics,
-        base_test=ind.base_test)
-    return _with_fitness(child, y_train)
+    return SlimIndividual(base=ind.base, size=ind.size + block.size,
+                          blocks=ind.blocks + [block], base_test=ind.base_test)
+
+
+def add_new_blocks(inflated: list, X_train, y_train) -> None:
+    """Set the train semantics and fitness of each ``child =
+    inflate(parent, ...)`` of the ``(parent, child)`` pairs ``inflated``,
+    evaluating all the new blocks in one batch."""
+    new = [child.blocks[-1] for _, child in inflated]
+    for (parent, child), out in zip(inflated, _contributions(new, X_train)):
+        child.blocks[-1].train_semantics = out
+        child.train_semantics = parent.train_semantics + out
+        _with_fitness(child, y_train)
 
 
 def deflate(ind: SlimIndividual, rng: np.random.Generator,
@@ -139,25 +152,34 @@ def run_slim(config: SlimConfig, dataset, rng: np.random.Generator,
     """Generational loop; trace schema identical to the stdGP engine.
 
     With ``log_variations`` a parent's test semantics are filled before it
-    is varied, so its child inherits the base tree's test output.
+    is varied, so its child inherits the base tree's test output; after
+    the first generation that needs no evaluation. Once a generation's
+    offspring are drawn, its new blocks are evaluated on the train inputs
+    in one batch, and when logging on the test inputs in one more.
+    Evaluation draws nothing from ``rng``.
     """
     prims = PrimitiveSet(dataset.X_train.shape[1])
     Xtr, ytr = dataset.X_train, dataset.y_train
     trace = RunTrace(method="slim", seed=getattr(dataset, "seed", -1))
 
     def vary(pop):
-        offspring, variations = [], []
+        offspring, variations, inflated = [], [], []
         for _ in range(config.pop_size):
             parent = tournament_select(pop, TOURNAMENT_SIZE, rng)
             if log_variations:
                 parent.semantics_on_test(dataset.X_test)
             if rng.random() < INFLATE_PROB:
-                child = inflate(parent, prims, rng, Xtr, ytr)
+                child = inflate(parent, prims, rng)
+                inflated.append((parent, child))
             else:
                 child = deflate(parent, rng, ytr)
             offspring.append(child)
             if log_variations:
                 variations.append((parent, child, child.size != parent.size))
+        add_new_blocks(inflated, Xtr, ytr)
+        if log_variations:
+            add_test_contributions([child.blocks[-1] for _, child in inflated],
+                                   dataset.X_test)
         return offspring, variations
 
     return evolve(trace, config, dataset, rng, prims,

@@ -165,12 +165,11 @@ def evaluated(trees: list, dataset) -> list:
     return assess([Individual(t) for t in trees], dataset)
 
 
-def fill_test_semantics(variations: list, X_test) -> None:
-    """Give each parent and child of the logged ``variations`` that has no
-    test semantics yet its output on ``X_test``, from one batched
-    evaluation; an individual in several rows is evaluated once."""
-    todo = {id(ind): ind for parent, child, _ in variations
-            for ind in (parent, child) if ind.test_semantics is None}
+def fill_test_semantics(individuals: list, X_test) -> None:
+    """Give each of ``individuals`` that has no test semantics yet its
+    output on ``X_test``, from one batched evaluation; an individual listed
+    several times is evaluated once."""
+    todo = {id(ind): ind for ind in individuals if ind.test_semantics is None}
     outs = expr.evaluate_many([ind.tree for ind in todo.values()], X_test)
     for ind, out in zip(todo.values(), outs):
         ind.test_semantics = out
@@ -262,7 +261,8 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
             if log_variations:
                 variations.append((p1, child, child_tree != p1.tree))
         assess(fresh, dataset)
-        fill_test_semantics(variations, dataset.X_test)
+        fill_test_semantics([ind for row in variations for ind in row[:2]],
+                            dataset.X_test)
         return offspring, variations
 
     return evolve(trace, config, dataset, rng, prims,

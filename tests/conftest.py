@@ -63,13 +63,11 @@ def harvested():
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """``(tree, inputs)`` for every tree evaluated through ``expr.evaluate``
-    or the batched ``expr.evaluate_many``, in call order."""
+    """``(tree, inputs)`` for every tree evaluated, in call order. Every
+    evaluation, ``expr.evaluate`` included, passes through
+    ``expr.evaluate_many``, so that is where they are recorded."""
     seen = []
-    one, many = expr.evaluate, expr.evaluate_many
-    monkeypatch.setattr(
-        expr, "evaluate",
-        lambda tree, X: seen.append((tree, X)) or one(tree, X))
+    many = expr.evaluate_many
     monkeypatch.setattr(
         expr, "evaluate_many",
         lambda trees, X: seen.extend((t, X) for t in trees) or many(trees, X))

@@ -1,7 +1,8 @@
 """Test-side helpers with no caller in ``tsgp``: parsing a tree from its
-text form, reading the trace CSVs back, the uncached SLIM evaluation that
-is the reference for ``SlimIndividual.semantics_on_test``, and the
-``np.linalg.norm`` forms of ``semantics.rmse`` and ``sd_on_test``."""
+text form, reading the trace CSVs back, the recursive tree evaluator that
+is the oracle of ``expr.evaluate_many``, the uncached SLIM evaluation built
+on it, and the ``np.linalg.norm`` forms of ``semantics.rmse`` and
+``sd_on_test``."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from tsgp import expr
 from tsgp.expr import Node, PrimitiveSet
-from tsgp.slim import SlimIndividual
+from tsgp.slim import SlimIndividual, sigmoid
 from tsgp.trace import RunTrace
 
 
@@ -22,11 +23,37 @@ def from_string(text: str) -> Node:
     return expr.parse_prefix(text.split(), PrimitiveSet())
 
 
+def reference_evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
+    """The evaluator as first written: a recursive walk with full-length
+    constant arrays and one ``np.errstate`` per operator node."""
+    m = inputs.shape[0]
+
+    def rec(node: Node) -> np.ndarray:
+        if not node.children:
+            if node.symbol.startswith("v"):
+                return inputs[:, int(node.symbol[1:]) - 1]
+            return np.full(m, float(node.symbol[1:]))
+        a, b = rec(node.children[0]), rec(node.children[1])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if node.symbol == "ADD":
+                return a + b
+            if node.symbol == "SUB":
+                return a - b
+            if node.symbol == "MUL":
+                return a * b
+            out = np.ones(m)
+            np.divide(a, b, out=out, where=b != 0.0)
+            return out
+
+    return rec(tree)
+
+
 def slim_evaluate(ind: SlimIndividual, X: np.ndarray) -> np.ndarray:
     """Full (non-cached) evaluation on arbitrary inputs."""
-    out = expr.evaluate(ind.base, X)
+    out = reference_evaluate(ind.base, X)
     for b in ind.blocks:
-        out = out + b.contribution(X)
+        out = out + b.ms * (sigmoid(reference_evaluate(b.r1, X))
+                            - sigmoid(reference_evaluate(b.r2, X)))
     return out
 
 

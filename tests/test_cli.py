@@ -217,12 +217,13 @@ class TestExitCodes:
         [], ["x,target"] + [f"{i},1.0" for i in range(30)],
         ["x,y,target"] + [f"{i},{i % 7}" for i in range(30)],
         ["target"] + [f"{i % 7}" for i in range(30)],
-        ["x,target,target"] + [f"{i},{i % 7},{i % 7}" for i in range(30)]],
+        ["x,target,target"] + [f"{i},{i % 7},{i % 7}" for i in range(30)],
+        ["x\xe9,target"] + [f"{i},{i % 7}" for i in range(30)]],
         ids=["empty", "constant column", "rows narrower than header",
-             "no feature column", "repeated column"])
+             "no feature column", "repeated column", "not UTF-8"])
     def test_data_error_bad_csv(self, tmp_path, capsys, rows):
         bad = tmp_path / "bad.csv"
-        bad.write_text("".join(r + "\n" for r in rows))
+        bad.write_bytes("".join(r + "\n" for r in rows).encode("latin-1"))
         out = tmp_path / "out"
         assert main(["search", "--method", "stdgp", "--data", str(bad),
                      "--pop", "10", "--gens", "1", "--out", str(out)]) == 2
@@ -324,6 +325,9 @@ class TestExitCodes:
         ("train", '{"input": ["v1"], "output": ["v2"], "sd": 0.5}\n'
                   '{"input": ["v1"], "output": ' + json.dumps(["v2"] * 101)
                   + ', "sd": 0.5}\n'),
+        ("mine-pairs", '{"id": 0, "problem_id": "\xe9", "tokens": ["v1"], '
+                       '"semantics": [1.0]}\n'),
+        ("train", '{"input": ["v1"], "output": ["v2"], "sd": 0.5}\n\xff\n'),
     ], ids=["empty corpus", "no problem_id", "list line",
             "non-numeric semantics", "semantics lengths differ",
             "non-finite semantics", "empty semantics", "duplicate ids",
@@ -331,10 +335,10 @@ class TestExitCodes:
             "identical semantics", "no pairs", "no sd", "string sd",
             "null sd", "NaN sd", "negative sd", "infinite sd",
             "huge integer sd", "string input", "non-string output token",
-            "output too long"])
+            "output too long", "corpus not UTF-8", "pairs not UTF-8"])
     def test_data_error_bad_jsonl(self, tmp_path, capsys, command, content):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(content)
+        bad.write_bytes(content.encode("latin-1"))
         flag = "--corpus" if command == "mine-pairs" else "--pairs"
         out = tmp_path / "out"
         assert main([command, flag, str(bad), "--out", str(out)]) == 2
@@ -380,6 +384,30 @@ class TestExitCodes:
     def test_usage_error_directory_as_input_file(self, tmp_path, capsys):
         assert main(["mine-pairs", "--corpus", str(tmp_path)]) == 1
         assert "is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["search", "--method", "stdgp"],
+                                         ["bench", "--methods", "stdgp"]],
+                             ids=["search", "bench"])
+    def test_usage_error_out_names_a_file(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert main(command + ["--synthetic", "--pop", "5", "--gens", "1",
+                               "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Invalid value for '--out': ")
+        assert "is a file" in err and "Traceback" not in err
+        assert out.read_text() == "keep\n"
+
+    def test_data_error_config_not_utf8(self, tmp_path, capsys, corpus_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"k": "\xff"}')
+        out = tmp_path / "p.jsonl"
+        assert main(["--config", str(cfg), "mine-pairs", "--corpus",
+                     str(corpus_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: --config {cfg} is not UTF-8")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("p.jsonl*"))
 
 
 # The smallest valid invocation of each subcommand that has bounded options.

@@ -13,6 +13,8 @@ from tsgp.corpus import (CorpusEntry, build_corpus, build_ivf_index,
 from tsgp.expr import PrimitiveSet
 from tsgp.stdgp import DOUBLE_TOURNAMENT, GPConfig
 
+from reference import reference_evaluate
+
 
 class TestSyntheticProblem:
     def test_seed_reproducible(self):
@@ -58,7 +60,7 @@ class TestHarvest:
         pts = semantics.sample_standard_inputs(15, 4, rng)
         cfg = GPConfig(pop_size=8, generations=1, selection=DOUBLE_TOURNAMENT)
         for e in harvest_functions(problem, cfg, pts, rng):
-            recomputed = expr.evaluate(
+            recomputed = reference_evaluate(
                 expr.parse_prefix(e.tokens, PrimitiveSet()), pts)
             np.testing.assert_array_equal(e.semantics, recomputed)
 

@@ -10,7 +10,7 @@ from tsgp.errors import DataError
 from tsgp.expr import (CONSTANT_VALUES, FULL, GROW, OPERATORS, Node,
                        ParseError, PrimitiveSet)
 
-from reference import from_string
+from reference import from_string, reference_evaluate
 
 
 class TestPrimitiveSet:
@@ -179,30 +179,6 @@ class TestSizeDepth:
         assert expr.depth(t) == 1
 
 
-def _reference_evaluate(tree: Node, inputs: np.ndarray) -> np.ndarray:
-    """The evaluator as first written: one ``np.errstate`` per operator node."""
-    m = inputs.shape[0]
-
-    def rec(node: Node) -> np.ndarray:
-        if not node.children:
-            if node.symbol.startswith("v"):
-                return inputs[:, int(node.symbol[1:]) - 1]
-            return np.full(m, float(node.symbol[1:]))
-        a, b = rec(node.children[0]), rec(node.children[1])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if node.symbol == "ADD":
-                return a + b
-            if node.symbol == "SUB":
-                return a - b
-            if node.symbol == "MUL":
-                return a * b
-            out = np.ones(m)
-            np.divide(a, b, out=out, where=b != 0.0)
-            return out
-
-    return rec(tree)
-
-
 _TREES = st.recursive(
     st.sampled_from(PrimitiveSet().terminals).map(Node),
     lambda kids: st.builds(lambda op, a, b: Node(op, (a, b)),
@@ -235,8 +211,8 @@ class TestEvaluateOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = expr.evaluate(tree, X)
-            ref = _reference_evaluate(tree, X)
-        assert np.array_equal(out, ref, equal_nan=True)
+            ref = reference_evaluate(tree, X)
+        assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("text", [
         "PDIV v1 C+0.0", "MUL v2 MUL v2 v2", "SUB MUL v2 v2 MUL v3 v3",
@@ -249,8 +225,7 @@ class TestEvaluateOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = expr.evaluate(tree, X)
-        assert np.array_equal(out, _reference_evaluate(tree, X),
-                              equal_nan=True)
+        assert out.tobytes() == reference_evaluate(tree, X).tobytes()
 
     def test_error_state_restored(self):
         before = np.geterr()
@@ -262,7 +237,7 @@ class TestEvaluateOracle:
 def _same_bytes(trees, X) -> bool:
     outs = expr.evaluate_many(trees, X)
     return len(outs) == len(trees) and all(
-        out.tobytes() == expr.evaluate(tree, X).tobytes()
+        out.tobytes() == reference_evaluate(tree, X).tobytes()
         for tree, out in zip(trees, outs))
 
 
@@ -276,7 +251,7 @@ def _subtrees(tree: Node) -> list:
 
 
 class TestEvaluateMany:
-    """``evaluate_many`` against ``evaluate``, byte for byte."""
+    """``evaluate_many`` against ``reference_evaluate``, byte for byte."""
 
     @settings(max_examples=200, deadline=None)
     @given(bases=st.lists(_TREES, min_size=1, max_size=6),
@@ -295,20 +270,44 @@ class TestEvaluateMany:
             warnings.simplefilter("error")
             assert _same_bytes(trees, X)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_seeded_stdgp_populations(self, seed):
+    @pytest.mark.parametrize(
+        "source,seed",
+        [("stdgp", 0), ("stdgp", 1), ("stdgp", 2), ("slim", 0), ("slim", 1),
+         ("harvested", 0)],
+        ids=["0", "1", "2", "slim blocks 0", "slim blocks 1", "harvested"])
+    def test_seeded_stdgp_populations(self, request, monkeypatch, source,
+                                      seed):
+        """Each generation of a seeded stdgp run, each generation's new
+        blocks in a seeded slim run, and the trees of a harvested corpus."""
+        from tsgp import slim
         from tsgp.corpus import gen_synthetic_problem
         from tsgp.stdgp import GPConfig, run_stdgp
         problem = gen_synthetic_problem(4, 60, 0.1,
                                         np.random.default_rng(seed))
         pops = []
-        run_stdgp(GPConfig(pop_size=40, generations=6), problem,
-                  np.random.default_rng(seed),
-                  on_generation=lambda g, pop: pops.append(
-                      [ind.tree for ind in pop]))
+        if source == "stdgp":
+            run_stdgp(GPConfig(pop_size=40, generations=6), problem,
+                      np.random.default_rng(seed),
+                      on_generation=lambda g, pop: pops.append(
+                          [ind.tree for ind in pop]))
+        elif source == "slim":
+            add = slim.add_new_blocks
+            monkeypatch.setattr(
+                slim, "add_new_blocks",
+                lambda inflated, X, y: pops.append(
+                    [t for _, child in inflated
+                     for t in (child.blocks[-1].r1, child.blocks[-1].r2)])
+                or add(inflated, X, y))
+            slim.run_slim(slim.SlimConfig(pop_size=40, generations=6),
+                          problem, np.random.default_rng(seed))
+        else:
+            entries, _ = request.getfixturevalue("harvested")
+            pops.append([expr.parse_prefix(e.tokens, PrimitiveSet())
+                         for e in entries])
         X = problem.X.copy()
         X[::7] = 0.0  # exact-zero denominators for PDIV
         X[3] = 1e200  # products overflow to inf, then inf - inf to NaN
+        assert pops and all(pops)
         for trees in pops:
             assert _same_bytes(trees, X)
         assert _same_bytes([t for trees in pops for t in trees], X)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsgp import expr, semantics, slim
-from tsgp.slim import (Block, SlimConfig, deflate, inflate, make_individuals,
-                       run_slim, sigmoid)
+from tsgp.slim import (Block, SlimConfig, add_new_blocks,
+                       add_test_contributions, deflate, inflate,
+                       make_individuals, run_slim, sigmoid)
 
-from reference import from_string, slim_evaluate
+from reference import from_string, reference_evaluate, slim_evaluate
 
 
 class _ToyDataset:
@@ -27,6 +28,19 @@ def ds():
     return _ToyDataset()
 
 
+def _grown(ind, prims, rng, ds):
+    """``inflate(ind)`` with its new block evaluated, as ``run_slim`` does
+    once the generation is built."""
+    child = inflate(ind, prims, rng)
+    add_new_blocks([(ind, child)], ds.X_train, ds.y_train)
+    return child
+
+
+def _contribution(block, X):
+    add_test_contributions([block], X)
+    return block.test_semantics
+
+
 class TestBlocks:
     def test_sigmoid_range(self):
         t = np.array([-1e4, -1.0, 0.0, 1.0, 1e4])
@@ -36,11 +50,11 @@ class TestBlocks:
 
     def test_zero_ms_contribution(self, ds):
         b = Block(ms=0.0, r1=from_string("v1"), r2=from_string("v2"))
-        np.testing.assert_array_equal(b.contribution(ds.X_train), 0.0)
+        np.testing.assert_array_equal(_contribution(b, ds.X_train), 0.0)
 
     def test_identical_randoms_contribute_zero(self, ds):
         b = Block(ms=0.7, r1=from_string("v1"), r2=from_string("v1"))
-        np.testing.assert_array_equal(b.contribution(ds.X_train), 0.0)
+        np.testing.assert_array_equal(_contribution(b, ds.X_train), 0.0)
 
 
 class TestOperators:
@@ -49,7 +63,7 @@ class TestOperators:
         ind = make_individuals([from_string("ADD v1 v2")],
                                ds.X_train, ds.y_train)[0]
         for _ in range(20):
-            ind = inflate(ind, prims, rng, ds.X_train, ds.y_train)
+            ind = _grown(ind, prims, rng, ds)
             full = slim_evaluate(ind, ds.X_train)
             np.testing.assert_allclose(ind.train_semantics, full, atol=1e-10)
 
@@ -57,11 +71,11 @@ class TestOperators:
         rng = np.random.default_rng(1)
         ind = make_individuals([from_string("v1")],
                                ds.X_train, ds.y_train)[0]
-        child = inflate(ind, prims, rng, ds.X_train, ds.y_train)
+        child = _grown(ind, prims, rng, ds)
         b = child.blocks[-1]
         expected = ind.train_semantics + b.ms * (
-            sigmoid(expr.evaluate(b.r1, ds.X_train))
-            - sigmoid(expr.evaluate(b.r2, ds.X_train)))
+            sigmoid(reference_evaluate(b.r1, ds.X_train))
+            - sigmoid(reference_evaluate(b.r2, ds.X_train)))
         np.testing.assert_allclose(child.train_semantics, expected, atol=1e-12)
 
     def test_deflate_shrinks_and_cache_consistent(self, ds, prims):
@@ -69,7 +83,7 @@ class TestOperators:
         ind = make_individuals([from_string("v1")],
                                ds.X_train, ds.y_train)[0]
         for _ in range(5):
-            ind = inflate(ind, prims, rng, ds.X_train, ds.y_train)
+            ind = _grown(ind, prims, rng, ds)
         smaller = deflate(ind, rng, ds.y_train)
         assert smaller.size < ind.size
         assert len(smaller.blocks) == len(ind.blocks) - 1
@@ -118,13 +132,12 @@ class TestSemanticsCache:
         ind = make_individuals([from_string("SUB v3 v1")],
                                ds.X_train, ds.y_train)[0]
         for _ in range(4):
-            ind = inflate(ind, prims, rng, ds.X_train, ds.y_train)
-        real = expr.evaluate, expr.evaluate_many
+            ind = _grown(ind, prims, rng, ds)
+        real = expr.evaluate_many
         with monkeypatch.context() as m:
-            m.setattr(expr, "evaluate", None)  # any evaluation fails
-            m.setattr(expr, "evaluate_many", None)
+            m.setattr(expr, "evaluate_many", None)  # any evaluation fails
             smaller = deflate(ind, rng, ds.y_train)
-        assert (expr.evaluate, expr.evaluate_many) == real
+        assert expr.evaluate_many is real
         np.testing.assert_allclose(smaller.train_semantics,
                                    slim_evaluate(smaller, ds.X_train),
                                    atol=1e-10)
@@ -143,7 +156,7 @@ class TestSemanticsCache:
         for grow, fill_parent in steps:
             if fill_parent:  # as run_slim does before logging a variation
                 ind.semantics_on_test(ds.X_test)
-            ind = (inflate(ind, prims, rng, ds.X_train, ds.y_train) if grow
+            ind = (_grown(ind, prims, rng, ds) if grow
                    else deflate(ind, rng, ds.y_train))
             lineage.append(ind)
         for member in lineage:
@@ -151,22 +164,19 @@ class TestSemanticsCache:
                     == slim_evaluate(member, ds.X_test).tobytes())
 
     def test_child_evaluates_only_its_new_block(self, ds, prims, monkeypatch):
-        real = expr.evaluate, expr.evaluate_many
+        real = expr.evaluate_many
         rng = np.random.default_rng(4)
         parent = make_individuals([from_string("MUL v1 v2")],
                                   ds.X_train, ds.y_train)[0]
         for _ in range(3):
-            parent = inflate(parent, prims, rng, ds.X_train, ds.y_train)
+            parent = _grown(parent, prims, rng, ds)
         parent.semantics_on_test(ds.X_test)
-        child = inflate(parent, prims, rng, ds.X_train, ds.y_train)
+        child = _grown(parent, prims, rng, ds)
         smaller = deflate(parent, rng, ds.y_train)
         seen = []
         monkeypatch.setattr(
-            expr, "evaluate",
-            lambda tree, X: seen.append(tree) or real[0](tree, X))
-        monkeypatch.setattr(
             expr, "evaluate_many",
-            lambda trees, X: seen.extend(trees) or real[1](trees, X))
+            lambda trees, X: seen.extend(trees) or real(trees, X))
         child.semantics_on_test(ds.X_test)
         smaller.semantics_on_test(ds.X_test)
         new = child.blocks[-1]
@@ -191,3 +201,44 @@ class TestSemanticsCache:
         seen = [X is ds.X_test for _, X in evaluations]
         # the final best individual alone is evaluated on the test inputs
         assert 0 < seen.count(True) <= 1 + 2 * 3
+
+    @pytest.mark.parametrize("log", [True, False], ids=["logged", "unlogged"])
+    def test_new_blocks_one_batch_per_input_set_per_generation(
+            self, ds, monkeypatch, log):
+        events = []  # ("inflate", child) and ("evaluate", tree ids, inputs)
+        many, grow = expr.evaluate_many, slim.inflate
+
+        def evaluate_many(trees, X):
+            events.append(("evaluate", [id(t) for t in trees], X))
+            return many(trees, X)
+
+        def inflate(*args):
+            events.append(("inflate", grow(*args)))
+            return events[-1][1]
+
+        monkeypatch.setattr(expr, "evaluate_many", evaluate_many)
+        monkeypatch.setattr(slim, "inflate", inflate)
+        run_slim(SlimConfig(pop_size=10, generations=3), ds,
+                 np.random.default_rng(5), log_variations=log)
+        _, bases, X = events[0]  # the initial population
+        assert X is ds.X_train
+        pattern, new, batch = "", [], None
+        for kind, *rest in events[1:]:
+            if kind == "inflate":
+                block = rest[0].blocks[-1]
+                new += [id(block.r1), id(block.r2)]
+            elif rest[1] is ds.X_train:  # every block since the last batch
+                assert rest[0] == new
+                pattern, new, batch = pattern + "T", [], rest[0]
+            elif len(rest[0]) == 1 and rest[0][0] in bases:
+                pattern += "b"  # a base tree's test output, once per run
+            else:
+                assert not log or rest[0] == batch
+                pattern += "t"
+        assert new == [] and 0 < pattern.count("T") <= 3
+        blocks = pattern.replace("b", "")
+        if log:  # each train batch followed by the same trees on test
+            assert blocks == "Tt" * pattern.count("T")
+        else:  # then the final best's blocks, if it has any
+            assert blocks.rstrip("t") == "T" * pattern.count("T")
+            assert blocks.count("t") <= 1
