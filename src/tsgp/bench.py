@@ -341,7 +341,7 @@ def variation_probe(model, dataset: Dataset, n_parents: int,
     def sds(offspring_trees):
         children = [Individual(c) for c in offspring_trees]
         fill_test_semantics(parents + children, dataset.X_test)
-        sd = [semantics.sd_on_test(p, c, dataset.X_test)
+        sd = [semantics.sd_on_test(p.test_semantics, c.test_semantics)
               for p, c in zip(parents, children)]
         return [d for d in sd if not math.isnan(d)]
 

@@ -119,6 +119,7 @@ class Above(AtLeast):
 
 
 _INPUT_FILE = click.Path(exists=True, dir_okay=False)
+_OUTPUT_FILE = click.Path(dir_okay=False)
 
 
 @click.group()
@@ -168,7 +169,7 @@ def cli(ctx, seed, threads, deterministic, config_path):
 @click.option("--noise", type=AtLeast(0, STRICT_FLOAT), default=0.1,
               show_default=True)
 @click.option("--m-sem", type=AtLeast(2), default=100, show_default=True)
-@click.option("--out", type=click.Path(), default="corpus.jsonl",
+@click.option("--out", type=_OUTPUT_FILE, default="corpus.jsonl",
               show_default=True)
 @click.pass_context
 def gen_corpus(ctx, problems, pop, gens, features, rows, noise, m_sem, out):
@@ -197,7 +198,7 @@ def gen_corpus(ctx, problems, pop, gens, features, rows, noise, m_sem, out):
 @click.option("--ivf-clusters", type=AtLeast(0), default=0,
               help="Use an IVF index with this many clusters (0 = brute force).")
 @click.option("--n-probe", type=AtLeast(1), default=None)
-@click.option("--out", type=click.Path(), default="pairs.jsonl",
+@click.option("--out", type=_OUTPUT_FILE, default="pairs.jsonl",
               show_default=True)
 @click.pass_context
 def mine_pairs_cmd(ctx, corpus_path, k, sd_max, max_len, ivf_clusters,
@@ -244,9 +245,9 @@ def mine_pairs_cmd(ctx, corpus_path, k, sd_max, max_len, ivf_clusters,
 @click.option("--weight-decay", type=AtLeast(0, STRICT_FLOAT), default=0.01,
               show_default=True)
 @click.option("--features", type=AtLeast(1), default=4, show_default=True)
-@click.option("--out", type=click.Path(), default="model.tsgp",
+@click.option("--out", type=_OUTPUT_FILE, default="model.tsgp",
               show_default=True)
-@click.option("--curve", type=click.Path(), default=None,
+@click.option("--curve", type=_OUTPUT_FILE, default=None,
               help="Write the training-loss curve CSV here.")
 @click.pass_context
 def train_cmd(ctx, pairs_path, epochs, lr, d_model, n_heads, layers,
@@ -437,8 +438,8 @@ def bench_cmd(ctx, methods, runs, probe, out, **run):
 
 @cli.command("fetch-data")
 @click.argument("name")
-@click.option("--cache", type=click.Path(), default="pmlb_cache",
-              show_default=True)
+@click.option("--cache", type=click.Path(file_okay=False),
+              default="pmlb_cache", show_default=True)
 @click.pass_context
 def fetch_data(ctx, name, cache):
     """Download a PMLB dataset into the local cache."""

@@ -214,7 +214,7 @@ class SearchConfig:
 
 
 def run_tsgp(model: SdTransformer, dataset, config: SearchConfig,
-             rng: np.random.Generator, log_variations: bool = True) -> RunTrace:
+             rng: np.random.Generator) -> RunTrace:
     """Generational loop with the transformer as the only variation operator."""
     prims = primitives_from_vocab(model.vocab)
     trace = RunTrace(method="tsgp", seed=getattr(dataset, "seed", -1))
@@ -240,7 +240,7 @@ def run_tsgp(model: SdTransformer, dataset, config: SearchConfig,
             for i, toks in zip(stuck, redo):
                 offspring_tokens[i] = toks
 
-        offspring, variations, fresh = [], [], []
+        rows, fresh = [], []
         for parent, before, tokens in zip(parents, parent_tokens,
                                           offspring_tokens):
             varied = tokens != before
@@ -249,13 +249,10 @@ def run_tsgp(model: SdTransformer, dataset, config: SearchConfig,
             if varied:
                 child = Individual(expr.parse_prefix(tokens, prims))
                 fresh.append(child)
-            offspring.append(child)
-            if log_variations:
-                variations.append((parent, child, varied))
+            rows.append((parent, child, varied))
         assess(fresh, dataset)
-        fill_test_semantics([ind for row in variations for ind in row[:2]],
-                            dataset.X_test)
-        return offspring, variations
+        return rows
 
     return evolve(trace, config, dataset, rng, prims,
-                  lambda trees: evaluated(trees, dataset), vary)
+                  lambda trees: evaluated(trees, dataset), vary,
+                  fill_test_semantics)

@@ -20,21 +20,17 @@ def _vals(s) -> np.ndarray:
     return np.asarray(s, dtype=np.float64)
 
 
-def sd_on_test(parent, child, X_test) -> float:
-    """Parent-offspring semantic distance on the test inputs, as the engines
-    log it: NaN when either output is non-finite.
+def sd_on_test(parent: np.ndarray, child: np.ndarray) -> float:
+    """Parent-offspring semantic distance between two outputs on the test
+    inputs, as the engines log it: NaN when either output is non-finite.
 
-    ``parent`` and ``child`` are engine individuals; ``semantics_on_test``
-    evaluates each at most once per run, however many children it has.
     The norm is ``math.sqrt(d.dot(d))``: for a 1-D float64 ``d`` that is
     exactly what ``np.linalg.norm(d)`` computes, without its Python-level
     wrapper.
     """
-    sp = parent.semantics_on_test(X_test)
-    sc = child.semantics_on_test(X_test)
-    if not (np.isfinite(sp).all() and np.isfinite(sc).all()):
+    if not (np.isfinite(parent).all() and np.isfinite(child).all()):
         return math.nan
-    d = sp - sc
+    d = parent - child
     return math.sqrt(d.dot(d))
 
 

@@ -6,10 +6,10 @@ An individual is a base tree plus an ordered list of blocks; its output is
 
 Each part is evaluated once per input set. ``inflate`` only draws a block;
 once a generation is built, ``add_new_blocks`` evaluates all its new blocks
-on the train inputs in one ``expr.evaluate_many`` call, and a logged run
-their test contributions in one more. A block keeps both contributions,
-so deflate evaluates nothing. A base tree's test output is evaluated when
-its first individual needs it, and every descendant inherits it.
+on the train inputs in one ``expr.evaluate_many`` call. A block keeps its
+train and test contributions, so deflate evaluates nothing.
+``fill_test_semantics`` gives test outputs: each base tree's once per
+lineage, and the missing block contributions in one batch.
 No geometric crossover: variation is inflate (probability ``INFLATE_PROB``)
 or deflate.
 """
@@ -58,18 +58,6 @@ class SlimIndividual:
     base_test: np.ndarray = field(default=None, compare=False, repr=False)
     test_semantics: np.ndarray = field(default=None, compare=False, repr=False)
 
-    def semantics_on_test(self, X_test) -> np.ndarray:
-        """Output on the run's test inputs: the base tree's output plus each
-        block's contribution, summed in block order. A missing base output
-        is evaluated alone, the missing contributions in one batch."""
-        if self.test_semantics is None:
-            if self.base_test is None:
-                self.base_test = expr.evaluate(self.base, X_test)
-            add_test_contributions(self.blocks, X_test)
-            self.test_semantics = sum((b.test_semantics for b in self.blocks),
-                                      self.base_test)
-        return self.test_semantics
-
 
 def _contributions(blocks: list, X) -> list:
     """Each block's ``ms * (sigmoid(R1) - sigmoid(R2))`` on ``X``, from one
@@ -81,12 +69,27 @@ def _contributions(blocks: list, X) -> list:
             for b, o1, o2 in zip(blocks, outs[::2], outs[1::2])]
 
 
-def add_test_contributions(blocks: list, X_test) -> None:
-    """Give each of ``blocks`` that has no test contribution its own, all
-    from one batched evaluation."""
-    todo = [b for b in blocks if b.test_semantics is None]
-    for b, out in zip(todo, _contributions(todo, X_test)):
+def fill_test_semantics(individuals: list, X_test) -> None:
+    """Give each of ``individuals`` that has no test semantics yet its
+    output on ``X_test``: the base tree's output plus each block's
+    contribution, summed in block order. Each distinct missing base tree is
+    evaluated once, and the missing contributions in one batch; an
+    individual or block listed several times is evaluated once."""
+    todo = {id(ind): ind for ind in individuals
+            if ind.test_semantics is None}.values()
+    bases = {}
+    for ind in todo:
+        if ind.base_test is None:
+            if id(ind.base) not in bases:
+                bases[id(ind.base)] = expr.evaluate(ind.base, X_test)
+            ind.base_test = bases[id(ind.base)]
+    blocks = list({id(b): b for ind in todo for b in ind.blocks
+                   if b.test_semantics is None}.values())
+    for b, out in zip(blocks, _contributions(blocks, X_test)):
         b.test_semantics = out
+    for ind in todo:
+        ind.test_semantics = sum((b.test_semantics for b in ind.blocks),
+                                 ind.base_test)
 
 
 def _with_fitness(ind: SlimIndividual, y_train) -> SlimIndividual:
@@ -147,40 +150,30 @@ class SlimConfig:
     generations: int = 50
 
 
-def run_slim(config: SlimConfig, dataset, rng: np.random.Generator,
-             log_variations: bool = True) -> RunTrace:
+def run_slim(config: SlimConfig, dataset, rng: np.random.Generator
+             ) -> RunTrace:
     """Generational loop; trace schema identical to the stdGP engine.
 
-    With ``log_variations`` a parent's test semantics are filled before it
-    is varied, so its child inherits the base tree's test output; after
-    the first generation that needs no evaluation. Once a generation's
-    offspring are drawn, its new blocks are evaluated on the train inputs
-    in one batch, and when logging on the test inputs in one more.
-    Evaluation draws nothing from ``rng``.
+    Once a generation's offspring are drawn, its new blocks are evaluated
+    on the train inputs in one batch; evaluation draws nothing from ``rng``.
     """
     prims = PrimitiveSet(dataset.X_train.shape[1])
     Xtr, ytr = dataset.X_train, dataset.y_train
     trace = RunTrace(method="slim", seed=getattr(dataset, "seed", -1))
 
     def vary(pop):
-        offspring, variations, inflated = [], [], []
+        rows, inflated = [], []
         for _ in range(config.pop_size):
             parent = tournament_select(pop, TOURNAMENT_SIZE, rng)
-            if log_variations:
-                parent.semantics_on_test(dataset.X_test)
             if rng.random() < INFLATE_PROB:
                 child = inflate(parent, prims, rng)
                 inflated.append((parent, child))
             else:
                 child = deflate(parent, rng, ytr)
-            offspring.append(child)
-            if log_variations:
-                variations.append((parent, child, child.size != parent.size))
+            rows.append((parent, child, child.size != parent.size))
         add_new_blocks(inflated, Xtr, ytr)
-        if log_variations:
-            add_test_contributions([child.blocks[-1] for _, child in inflated],
-                                   dataset.X_test)
-        return offspring, variations
+        return rows
 
     return evolve(trace, config, dataset, rng, prims,
-                  lambda trees: make_individuals(trees, Xtr, ytr), vary)
+                  lambda trees: make_individuals(trees, Xtr, ytr), vary,
+                  fill_test_semantics)

@@ -37,12 +37,6 @@ class Individual:
     def size(self) -> int:
         return self.tree.n_nodes
 
-    def semantics_on_test(self, X_test) -> np.ndarray:
-        """Output on the run's test inputs, evaluated on first use."""
-        if self.test_semantics is None:
-            self.test_semantics = expr.evaluate(self.tree, X_test)
-        return self.test_semantics
-
 
 @dataclass
 class GPConfig:
@@ -176,19 +170,21 @@ def fill_test_semantics(individuals: list, X_test) -> None:
 
 
 def evolve(trace: RunTrace, config, dataset, rng: np.random.Generator,
-           prims: PrimitiveSet, make, vary, on_generation=None) -> RunTrace:
-    """The generational loop every engine runs; only ``vary`` differs.
+           prims: PrimitiveSet, make, vary, fill_test,
+           log_variations: bool = True, on_generation=None) -> RunTrace:
+    """The generational loop of every engine, and the one place that decides
+    what is logged and when test outputs are evaluated.
 
-    ``make(trees)`` builds the evaluated individuals of the ramped
-    half-and-half initial population, in one batched evaluation.
-    ``vary(pop)`` makes one generation and returns ``(offspring,
-    variations)``, where
-    ``variations`` lists ``(parent, child, structurally_different)`` for
-    each row to log (none when the run does not log). ``config`` supplies
-    pop_size and generations; the initial trees have depths
-    ``INIT_DEPTH_MIN`` to ``INIT_DEPTH_MAX``. ``on_generation(generation,
-    population)`` is called after every generation, the initial one
-    included.
+    ``make(trees)`` builds the evaluated ramped half-and-half initial
+    population (depths ``INIT_DEPTH_MIN`` to ``INIT_DEPTH_MAX``).
+    ``vary(pop)`` returns one ``(parent, child, structurally_different)``
+    row per offspring, the new children evaluated on the train split; the
+    children are the next population. ``fill_test(individuals, X_test)``
+    gives each of ``individuals`` without test semantics its output on
+    ``X_test``, in one batch: once a generation on the rows' parents and
+    children when ``log_variations``, and on the final best.
+    ``on_generation(generation, population)`` is called after every
+    generation, the initial one included.
 
     Fills and returns ``trace``. Each engine builds it from its own
     module's ``RunTrace``, which ``perfbench`` replaces per module to time
@@ -202,12 +198,13 @@ def evolve(trace: RunTrace, config, dataset, rng: np.random.Generator,
         on_generation(0, pop)
 
     for gen in range(1, config.generations + 1):
-        pop, variations = vary(pop)
-        for parent, child, different in variations:
-            trace.log_variation(gen, parent.size, child.size,
-                                semantics.sd_on_test(parent, child,
-                                                     dataset.X_test),
-                                different)
+        rows = vary(pop)
+        pop = [child for _, child, _ in rows]
+        if log_variations:
+            fill_test([ind for row in rows for ind in row[:2]], dataset.X_test)
+            for p, c, different in rows:
+                sd = semantics.sd_on_test(p.test_semantics, c.test_semantics)
+                trace.log_variation(gen, p.size, c.size, sd, different)
         gen_best = min(pop, key=lambda ind: ind.fitness)
         if gen_best.fitness < best.fitness:
             best = gen_best
@@ -215,8 +212,9 @@ def evolve(trace: RunTrace, config, dataset, rng: np.random.Generator,
         if on_generation is not None:
             on_generation(gen, pop)
 
-    trace.final_best_test_rmse = semantics.rmse(
-        dataset.y_test, best.semantics_on_test(dataset.X_test))
+    fill_test([best], dataset.X_test)
+    trace.final_best_test_rmse = semantics.rmse(dataset.y_test,
+                                                best.test_semantics)
     trace.final_best_size = best.size
     return trace
 
@@ -227,20 +225,20 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
 
     ``dataset`` needs X_train, y_train, X_test, y_test attributes.
     ``on_generation(generation, population)`` is called after evaluation of
-    every generation (including the initial one); used by corpus harvesting.
+    every generation (including the initial one); used by corpus harvesting,
+    which also turns ``log_variations`` off.
     Each child is a crossover with probability ``CROSSOVER_PROB``, else a
     mutation. A child that is a parent's whole tree (a crossover or
     mutation rejected for depth, or a crossover of both roots) is that
     parent individual, so its fitness, size and test semantics are not
     computed again. The new children are evaluated together once the
-    generation is built, and the logged rows' missing test semantics in one
-    more batch; evaluation draws nothing from ``rng``.
+    generation is built; evaluation draws nothing from ``rng``.
     """
     prims = PrimitiveSet(dataset.X_train.shape[1])
     trace = RunTrace(method="stdgp", seed=getattr(dataset, "seed", -1))
 
     def vary(pop):
-        offspring, variations, fresh = [], [], []
+        rows, fresh = [], []
         for _ in range(config.pop_size):
             r = rng.random()
             p1 = p2 = _select(pop, config, rng)
@@ -257,13 +255,10 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
             else:
                 child = Individual(child_tree)
                 fresh.append(child)
-            offspring.append(child)
-            if log_variations:
-                variations.append((p1, child, child_tree != p1.tree))
+            rows.append((p1, child, child_tree != p1.tree))
         assess(fresh, dataset)
-        fill_test_semantics([ind for row in variations for ind in row[:2]],
-                            dataset.X_test)
-        return offspring, variations
+        return rows
 
     return evolve(trace, config, dataset, rng, prims,
-                  lambda trees: evaluated(trees, dataset), vary, on_generation)
+                  lambda trees: evaluated(trees, dataset), vary,
+                  fill_test_semantics, log_variations, on_generation)

@@ -241,8 +241,7 @@ def test_criterion_12_end_to_end_pipeline(desk):
         prob = gen_synthetic_problem(4, 200, 0.1,
                                      np.random.default_rng(1000 + seed))
         ds = make_dataset("synthetic", prob.X, prob.y, 1000 + seed)
-        trace = run_tsgp(model, ds, SearchConfig(),
-                         np.random.default_rng(seed), log_variations=False)
+        trace = run_tsgp(model, ds, SearchConfig(), np.random.default_rng(seed))
         best = [g.best_train_rmse for g in trace.generations]
         noninc = noninc and all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
         gains.append(1.0 - best[-1] / best[0])

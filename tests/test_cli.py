@@ -385,18 +385,45 @@ class TestExitCodes:
         assert main(["mine-pairs", "--corpus", str(tmp_path)]) == 1
         assert "is a directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["search", "--method", "stdgp"],
-                                         ["bench", "--methods", "stdgp"]],
-                             ids=["search", "bench"])
-    def test_usage_error_out_names_a_file(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,option", [
+        (["search", "--method", "stdgp", "--synthetic", "--pop", "5",
+          "--gens", "1"], "--out"),
+        (["bench", "--methods", "stdgp", "--synthetic", "--pop", "5",
+          "--gens", "1"], "--out"),
+        (["fetch-data", "192_vineyard"], "--cache"),
+    ], ids=["search", "bench", "fetch-data"])
+    def test_usage_error_out_names_a_file(self, tmp_path, capsys, command,
+                                          option):
         out = tmp_path / "taken"
         out.write_text("keep\n")
-        assert main(command + ["--synthetic", "--pop", "5", "--gens", "1",
-                               "--out", str(out)]) == 1
+        assert main(command + [option, str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: Invalid value for '--out': ")
+        assert err.startswith(f"error: Invalid value for '{option}': ")
         assert "is a file" in err and "Traceback" not in err
         assert out.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("command,option", [
+        (["gen-corpus", "--problems", "1", "--pop", "5", "--gens", "1"],
+         "--out"),
+        (["mine-pairs", "--corpus", "{corpus}"], "--out"),
+        (["train", "--pairs", "{pairs}", "--epochs", "1"], "--out"),
+        (["train", "--pairs", "{pairs}", "--epochs", "1",
+          "--out", "{tmp}/model.tsgp"], "--curve"),
+    ], ids=["gen-corpus", "mine-pairs", "train", "train-curve"])
+    def test_usage_error_output_file_names_a_directory(
+            self, tmp_path, capsys, corpus_file, pairs_file, command, option):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        (taken / "keep").write_text("keep\n")
+        args = [arg.format(corpus=corpus_file, pairs=pairs_file, tmp=tmp_path)
+                for arg in command]
+        assert main(args + [option, str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Invalid value for '{option}': ")
+        assert "is a directory" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["keep",
+                                                                "taken"]
+        assert (taken / "keep").read_text() == "keep\n"
 
     def test_data_error_config_not_utf8(self, tmp_path, capsys, corpus_file):
         cfg = tmp_path / "cfg.json"

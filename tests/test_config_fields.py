@@ -1,9 +1,11 @@
 """The settable surface of the engines. Each config dataclass holds only the
 fields that some caller sets; the paper's fixed hyper-parameters are module
-constants. A new field is a new knob, so it has to be added here on purpose,
-and some call in ``src/`` or ``perfbench/`` has to set it."""
+constants. A new field or engine parameter is a new knob, so it has to be
+added here on purpose, and some call in ``src/`` or ``perfbench/`` has to
+set a new field."""
 
 import ast
+import inspect
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
@@ -11,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from tsgp.expr import PrimitiveSet
-from tsgp.sampler import SearchConfig
-from tsgp.slim import SlimConfig
-from tsgp.stdgp import GPConfig
+from tsgp.sampler import SearchConfig, run_tsgp
+from tsgp.slim import SlimConfig, run_slim
+from tsgp.stdgp import GPConfig, evolve, run_stdgp
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,6 +24,19 @@ FIELDS = {
     SlimConfig: ("pop_size", "generations"),
     SearchConfig: ("sd_desired", "pop_size", "generations"),
     PrimitiveSet: ("n_variables",),
+}
+
+# each engine entry point and the loop they share: its parameters in order,
+# each with its default (``inspect.Parameter.empty`` for none)
+NONE = inspect.Parameter.empty
+SIGNATURES = {
+    run_stdgp: {"config": NONE, "dataset": NONE, "rng": NONE,
+                "on_generation": None, "log_variations": True},
+    run_slim: {"config": NONE, "dataset": NONE, "rng": NONE},
+    run_tsgp: {"model": NONE, "dataset": NONE, "config": NONE, "rng": NONE},
+    evolve: {"trace": NONE, "config": NONE, "dataset": NONE, "rng": NONE,
+             "prims": NONE, "make": NONE, "vary": NONE, "fill_test": NONE,
+             "log_variations": True, "on_generation": None},
 }
 
 
@@ -56,3 +71,10 @@ def test_config_fields_are_pinned(cls):
 def test_every_field_has_a_setter(cls):
     unset = [f.name for f in fields(cls) if f.name not in _set_by_calls()[cls]]
     assert unset == [], "no caller sets it: make it a module constant"
+
+
+@pytest.mark.parametrize("fn", SIGNATURES, ids=lambda fn: fn.__name__)
+def test_engine_signatures_are_pinned(fn):
+    params = inspect.signature(fn).parameters.values()
+    assert ([(p.name, p.default) for p in params]
+            == list(SIGNATURES[fn].items()))

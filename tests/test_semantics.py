@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from tsgp import expr, semantics
 from tsgp.errors import DataError
 from tsgp.expr import OPERATORS, Node, PrimitiveSet
-from tsgp.stdgp import Individual
 
 from reference import from_string, rmse_norm, sd_norm
 
@@ -51,41 +50,30 @@ class TestSemanticsOf:
         assert np.isfinite(s).all()
 
 
-def _with_test_semantics(values) -> Individual:
-    """An individual whose cached test semantics are ``values``."""
-    return Individual(from_string("v1"), test_semantics=values)
-
-
 class TestSemanticDistance:
     """``sd_on_test``: the parent-offspring distance the engines log."""
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)
-        x_test = np.zeros((20, 1))
         for _ in range(200):
-            a = _with_test_semantics(rng.standard_normal(20))
-            b = _with_test_semantics(rng.standard_normal(20))
-            assert semantics.sd_on_test(a, b, x_test) == \
-                semantics.sd_on_test(b, a, x_test)
+            a, b = rng.standard_normal(20), rng.standard_normal(20)
+            assert semantics.sd_on_test(a, b) == semantics.sd_on_test(b, a)
 
     def test_zero_for_identical(self):
-        v = _with_test_semantics(np.arange(5.0))
-        assert semantics.sd_on_test(v, v, np.zeros((5, 1))) == 0.0
+        v = np.arange(5.0)
+        assert semantics.sd_on_test(v, v) == 0.0
 
     def test_non_finite_is_nan(self):
-        a = _with_test_semantics(np.array([np.inf]))
-        b = _with_test_semantics(np.array([0.0]))
-        assert np.isnan(semantics.sd_on_test(a, b, np.zeros((1, 1))))
-        assert np.isnan(semantics.sd_on_test(b, a, np.zeros((1, 1))))
+        a, b = np.array([np.inf]), np.array([0.0])
+        assert np.isnan(semantics.sd_on_test(a, b))
+        assert np.isnan(semantics.sd_on_test(b, a))
 
     def test_accepts_semantic_vectors(self):
-        # individuals evaluated on the test inputs through expr.evaluate
+        # tree outputs on the test inputs
         pts = np.array([[3.0], [4.0]])
-        a = Individual(from_string("C+0.0"))
-        b = Individual(from_string("v1"))
-        assert semantics.sd_on_test(a, b, pts) == pytest.approx(5.0)
-        np.testing.assert_array_equal(
-            a.test_semantics, expr.evaluate(a.tree, pts))
+        a = expr.evaluate(from_string("C+0.0"), pts)
+        b = expr.evaluate(from_string("v1"), pts)
+        assert semantics.sd_on_test(a, b) == pytest.approx(5.0)
 
 
 class TestRmse:
@@ -167,10 +155,9 @@ class TestNormFormsProperty:
         for out in outs:
             _same_as_reference(lambda: semantics.rmse(y, out),
                                lambda: rmse_norm(y, out))
-        inds = [Individual(Node("v1"), test_semantics=out) for out in outs]
-        for a, sa in zip(inds, outs):
-            for b, sb in zip(inds, outs):
-                _same_as_reference(lambda: semantics.sd_on_test(a, b, None),
+        for sa in outs:
+            for sb in outs:
+                _same_as_reference(lambda: semantics.sd_on_test(sa, sb),
                                    lambda: sd_norm(sa, sb))
 
     @settings(max_examples=150, deadline=None)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsgp import expr, semantics, slim
-from tsgp.slim import (Block, SlimConfig, add_new_blocks,
-                       add_test_contributions, deflate, inflate,
-                       make_individuals, run_slim, sigmoid)
+from tsgp import bench, expr, semantics, slim
+from tsgp.slim import (Block, SlimConfig, add_new_blocks, deflate,
+                       fill_test_semantics, inflate, make_individuals,
+                       run_slim, sigmoid)
 
 from reference import from_string, reference_evaluate, slim_evaluate
 
@@ -37,8 +37,7 @@ def _grown(ind, prims, rng, ds):
 
 
 def _contribution(block, X):
-    add_test_contributions([block], X)
-    return block.test_semantics
+    return slim._contributions([block], X)[0]
 
 
 class TestBlocks:
@@ -154,13 +153,14 @@ class TestSemanticsCache:
                                ds.X_train, ds.y_train)[0]
         lineage = [ind]
         for grow, fill_parent in steps:
-            if fill_parent:  # as run_slim does before logging a variation
-                ind.semantics_on_test(ds.X_test)
+            if fill_parent:  # its children inherit the base tree's output
+                fill_test_semantics([ind], ds.X_test)
             ind = (_grown(ind, prims, rng, ds) if grow
                    else deflate(ind, rng, ds.y_train))
             lineage.append(ind)
+        fill_test_semantics(lineage, ds.X_test)
         for member in lineage:
-            assert (member.semantics_on_test(ds.X_test).tobytes()
+            assert (member.test_semantics.tobytes()
                     == slim_evaluate(member, ds.X_test).tobytes())
 
     def test_child_evaluates_only_its_new_block(self, ds, prims, monkeypatch):
@@ -170,39 +170,34 @@ class TestSemanticsCache:
                                   ds.X_train, ds.y_train)[0]
         for _ in range(3):
             parent = _grown(parent, prims, rng, ds)
-        parent.semantics_on_test(ds.X_test)
+        fill_test_semantics([parent], ds.X_test)
         child = _grown(parent, prims, rng, ds)
         smaller = deflate(parent, rng, ds.y_train)
         seen = []
         monkeypatch.setattr(
             expr, "evaluate_many",
             lambda trees, X: seen.extend(trees) or real(trees, X))
-        child.semantics_on_test(ds.X_test)
-        smaller.semantics_on_test(ds.X_test)
+        fill_test_semantics([child, smaller], ds.X_test)
         new = child.blocks[-1]
         assert len(seen) == 2 and seen[0] is new.r1 and seen[1] is new.r2
         assert child.base_test is parent.base_test
 
-    def test_logged_run_evaluates_each_tree_once_on_test(self, ds,
-                                                         evaluations):
-        trace = run_slim(SlimConfig(pop_size=10, generations=3), ds,
-                         np.random.default_rng(5))
+    @pytest.mark.parametrize("method", ["stdgp", "slim", "tsgp"])
+    def test_logged_run_evaluates_each_tree_once_on_test(
+            self, ds, evaluations, tiny_model, method):
+        trace = bench.run_method(method, ds, 5, generations=3, pop_size=10,
+                                 model=tiny_model)
         seen = [tree for tree, X in evaluations if X is ds.X_test]
-        assert len(trace.variations) == 30 and seen
-        # children inherit their base tree's test output from the parent
+        # one logged row per offspring, every engine through stdgp.evolve
+        assert len(trace.variations) == 10 * 3 and seen
+        # no tree twice on test: a slim child inherits its base tree's
+        # output, and a child that is its parent is that individual
         assert len(seen) == len({id(t) for t in seen})
         # base trees and block trees alike, once each on the train inputs
         train = [tree for tree, X in evaluations if X is ds.X_train]
         assert len(train) == len({id(t) for t in train}) > 10
 
-    def test_unlogged_run_computes_no_test_semantics(self, ds, evaluations):
-        run_slim(SlimConfig(pop_size=10, generations=3), ds,
-                 np.random.default_rng(5), log_variations=False)
-        seen = [X is ds.X_test for _, X in evaluations]
-        # the final best individual alone is evaluated on the test inputs
-        assert 0 < seen.count(True) <= 1 + 2 * 3
-
-    @pytest.mark.parametrize("log", [True, False], ids=["logged", "unlogged"])
+    @pytest.mark.parametrize("log", [True], ids=["logged"])
     def test_new_blocks_one_batch_per_input_set_per_generation(
             self, ds, monkeypatch, log):
         events = []  # ("inflate", child) and ("evaluate", tree ids, inputs)
@@ -218,8 +213,9 @@ class TestSemanticsCache:
 
         monkeypatch.setattr(expr, "evaluate_many", evaluate_many)
         monkeypatch.setattr(slim, "inflate", inflate)
-        run_slim(SlimConfig(pop_size=10, generations=3), ds,
-                 np.random.default_rng(5), log_variations=log)
+        trace = run_slim(SlimConfig(pop_size=10, generations=3), ds,
+                         np.random.default_rng(5))
+        assert bool(trace.variations) == log
         _, bases, X = events[0]  # the initial population
         assert X is ds.X_train
         pattern, new, batch = "", [], None
@@ -233,12 +229,8 @@ class TestSemanticsCache:
             elif len(rest[0]) == 1 and rest[0][0] in bases:
                 pattern += "b"  # a base tree's test output, once per run
             else:
-                assert not log or rest[0] == batch
+                assert rest[0] == batch
                 pattern += "t"
         assert new == [] and 0 < pattern.count("T") <= 3
-        blocks = pattern.replace("b", "")
-        if log:  # each train batch followed by the same trees on test
-            assert blocks == "Tt" * pattern.count("T")
-        else:  # then the final best's blocks, if it has any
-            assert blocks.rstrip("t") == "T" * pattern.count("T")
-            assert blocks.count("t") <= 1
+        # each train batch followed by the same trees on test
+        assert pattern.replace("b", "") == "Tt" * pattern.count("T")
