@@ -59,47 +59,19 @@ def _write_manifest(ctx, out_path):
     target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-class StrictInt(click.types.IntParamType):
-    """click's integer type, except that a float or boolean (which only
-    ``--config`` can supply) is a usage error instead of being truncated."""
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, (bool, float)):
-            self.fail(f"{value!r} is not a valid integer.", param, ctx)
-        return super().convert(value, param, ctx)
-
-
-STRICT_INT = StrictInt()
-
-
-class StrictFloat(click.types.FloatParamType):
-    """click's float type, except that a boolean (which only ``--config``
-    can supply) or a value that is not finite is a usage error."""
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, bool):
-            self.fail(f"{value!r} is not a valid float.", param, ctx)
-        value = super().convert(value, param, ctx)
-        if not math.isfinite(value):
-            self.fail(f"{value!r} is not a finite number.", param, ctx)
-        return value
-
-
-STRICT_FLOAT = StrictFloat()
-
-
 class AtLeast(click.ParamType):
-    """A number option with a lower bound; a smaller value (or NaN) is a
-    usage error naming the option, whether it came from a flag or from
-    ``--config``."""
+    """A number option with a lower bound; a smaller value is a usage error
+    naming the option, and so is a float that is not finite."""
 
     relation = ">="
 
-    def __init__(self, low, base: click.ParamType = STRICT_INT):
+    def __init__(self, low, base: click.ParamType = click.INT):
         self.low, self.base, self.name = low, base, base.name
 
     def convert(self, value, param, ctx):
         value = self.base.convert(value, param, ctx)
+        if isinstance(value, float) and not math.isfinite(value):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
         if not self.within(value):
             raise click.UsageError(
                 f"{param.opts[0]} must be {self.relation} {self.low}")
@@ -118,12 +90,22 @@ class Above(AtLeast):
         return value > self.low
 
 
+def _flag_text(source: str, key: str, value) -> str:
+    """A ``--config`` value as the text its flag would take."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, int, float)):
+        return str(value).lower()  # true or false, or the number's repr
+    raise click.UsageError(f"--config {source}: {key!r} must be a string, "
+                           "number or boolean")
+
+
 _INPUT_FILE = click.Path(exists=True, dir_okay=False)
 _OUTPUT_FILE = click.Path(dir_okay=False)
 
 
 @click.group()
-@click.option("--seed", type=STRICT_INT, default=0, show_default=True,
+@click.option("--seed", type=click.INT, default=0, show_default=True,
               help="Master seed for all randomness.")
 @click.option("--threads", type=AtLeast(1), default=None,
               help="Worker thread cap (default: available cores).")
@@ -147,6 +129,8 @@ def cli(ctx, seed, threads, deterministic, config_path):
         except UnicodeDecodeError as e:
             raise DataError(f"--config {config_path} is not UTF-8 text "
                             f"({e.reason})") from None
+        except ValueError as e:  # bad JSON, or an integer too long to read
+            raise DataError(f"--config {config_path}: {e}") from None
         if not isinstance(config, dict):
             raise click.UsageError(
                 f"--config {config_path} must hold a JSON object")
@@ -157,7 +141,9 @@ def cli(ctx, seed, threads, deterministic, config_path):
             hint = (f"is a global option; pass it as the flag {flags[key]}"
                     if key in flags else f"names no option of {command.name}")
             raise click.UsageError(f"--config {config_path}: {key!r} {hint}")
-        ctx.default_map = {command.name: config}
+        ctx.default_map = {command.name: {
+            key: _flag_text(config_path, key, value)
+            for key, value in config.items()}}
 
 
 @cli.command("gen-corpus")
@@ -166,7 +152,7 @@ def cli(ctx, seed, threads, deterministic, config_path):
 @click.option("--gens", type=AtLeast(0), default=15, show_default=True)
 @click.option("--features", type=AtLeast(1), default=4, show_default=True)
 @click.option("--rows", type=AtLeast(10), default=200, show_default=True)
-@click.option("--noise", type=AtLeast(0, STRICT_FLOAT), default=0.1,
+@click.option("--noise", type=AtLeast(0, click.FLOAT), default=0.1,
               show_default=True)
 @click.option("--m-sem", type=AtLeast(2), default=100, show_default=True)
 @click.option("--out", type=_OUTPUT_FILE, default="corpus.jsonl",
@@ -192,7 +178,7 @@ def gen_corpus(ctx, problems, pop, gens, features, rows, noise, m_sem, out):
 @cli.command("mine-pairs")
 @click.option("--corpus", "corpus_path", type=_INPUT_FILE, required=True)
 @click.option("--k", type=AtLeast(1), default=3, show_default=True)
-@click.option("--sd-max", type=Above(0, STRICT_FLOAT), default=100.0,
+@click.option("--sd-max", type=Above(0, click.FLOAT), default=100.0,
               show_default=True)
 @click.option("--max-len", type=AtLeast(1), default=100, show_default=True)
 @click.option("--ivf-clusters", type=AtLeast(0), default=0,
@@ -235,14 +221,14 @@ def mine_pairs_cmd(ctx, corpus_path, k, sd_max, max_len, ivf_clusters,
 @cli.command("train")
 @click.option("--pairs", "pairs_path", type=_INPUT_FILE, required=True)
 @click.option("--epochs", type=AtLeast(1), default=8, show_default=True)
-@click.option("--lr", type=Above(0, STRICT_FLOAT), default=1e-3,
+@click.option("--lr", type=Above(0, click.FLOAT), default=1e-3,
               show_default=True)
 @click.option("--d-model", type=AtLeast(1), default=128, show_default=True)
 @click.option("--n-heads", type=AtLeast(1), default=8, show_default=True)
 @click.option("--layers", type=AtLeast(1), default=2, show_default=True,
               help="Encoder and decoder stack depth.")
 @click.option("--batch-size", type=AtLeast(1), default=32, show_default=True)
-@click.option("--weight-decay", type=AtLeast(0, STRICT_FLOAT), default=0.01,
+@click.option("--weight-decay", type=AtLeast(0, click.FLOAT), default=0.01,
               show_default=True)
 @click.option("--features", type=AtLeast(1), default=4, show_default=True)
 @click.option("--out", type=_OUTPUT_FILE, default="model.tsgp",
@@ -305,11 +291,11 @@ def _run_options(command):
                      help="Search on a fresh seeded synthetic problem."),
         click.option("--rows", type=AtLeast(10), default=200,
                      show_default=True),
-        click.option("--noise", type=AtLeast(0, STRICT_FLOAT), default=0.1,
+        click.option("--noise", type=AtLeast(0, click.FLOAT), default=0.1,
                      show_default=True),
         click.option("--features", type=AtLeast(1), default=4,
                      show_default=True),
-        click.option("--sdd", type=AtLeast(0, STRICT_FLOAT), default=0.1,
+        click.option("--sdd", type=AtLeast(0, click.FLOAT), default=0.1,
                      show_default=True,
                      help="Desired semantic distance fed to the transformer."),
         click.option("--pop", type=AtLeast(1), default=100, show_default=True),
@@ -327,6 +313,18 @@ def _load_model(model_path, methods):
         raise click.UsageError("tsgp needs --model")
     from .model import load_checkpoint
     return load_checkpoint(model_path)
+
+
+def _match_features(model, model_path, dataset):
+    """A tsgp run needs one model variable per dataset feature."""
+    if model is None:
+        return
+    from .model.vocab import primitives_from_vocab
+    n_vars = primitives_from_vocab(model.vocab).n_variables
+    d = dataset.X.shape[1]
+    if n_vars != d:
+        raise DataError(f"{model_path} has {n_vars} variables but the data "
+                        f"has {d} features")
 
 
 def _load_dataset(run: dict, split_seed: int):
@@ -357,6 +355,7 @@ def search_cmd(ctx, method, out, **run):
 
     model = _load_model(run["model_path"], [method])
     dataset = _load_dataset(run, ctx.obj["seed"])
+    _match_features(model, run["model_path"], dataset)
     trace = run_method(method, dataset, ctx.obj["seed"],
                        generations=run["gens"], pop_size=run["pop"],
                        model=model, sd_desired=run["sdd"])
@@ -398,6 +397,7 @@ def bench_cmd(ctx, methods, runs, probe, out, **run):
     model = _load_model(run["model_path"], methods)
     seeds = [ctx.obj["seed"] * 10_000 + r for r in range(runs)]
     datasets = [_load_dataset(run, seed) for seed in seeds]
+    _match_features(model, run["model_path"], datasets[0])
     dataset_name = datasets[0].name
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -443,6 +443,9 @@ def bench_cmd(ctx, methods, runs, probe, out, **run):
 @click.pass_context
 def fetch_data(ctx, name, cache):
     """Download a PMLB dataset into the local cache."""
+    if name in ("", ".", "..") or "\0" in name or Path(name).name != name:
+        raise click.UsageError("NAME must be a single path component, "
+                               f"got {name!r}")
     from .bench import fetch_pmlb
     path = fetch_pmlb(name, cache)
     click.echo(str(path))
@@ -491,7 +494,7 @@ def main(argv=None) -> int:
         return 1
     except click.Abort:
         return 1
-    except (DataError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (DataError, FileNotFoundError) as e:
         click.echo(f"data error: {e}", err=True)
         return 2
     except (NumericError, FloatingPointError) as e:

@@ -91,11 +91,6 @@ class Node:
         return f"Node(symbol={self.symbol!r}, children={self.children!r})"
 
 
-def size(tree: Node) -> int:
-    """Number of nodes."""
-    return tree.n_nodes
-
-
 def depth(tree: Node) -> int:
     """Edges on the longest root-to-leaf path; a single node has depth 0."""
     return tree.height

@@ -64,9 +64,7 @@ def double_tournament_select(pop: list, fitness_size: int, parsimony_prob: float
     """Two fitness tournaments, then a probabilistic size (parsimony) round."""
     a = tournament_select(pop, fitness_size, rng)
     b = tournament_select(pop, fitness_size, rng)
-    smaller, larger = (a, b) if a.size <= b.size else (b, a)
-    if a.size == b.size:
-        smaller = a  # tie -> first finalist
+    smaller, larger = (a, b) if a.size <= b.size else (b, a)  # tie -> first finalist
     return smaller if rng.random() < parsimony_prob else larger
 
 
@@ -255,7 +253,8 @@ def run_stdgp(config: GPConfig, dataset, rng: np.random.Generator,
             else:
                 child = Individual(child_tree)
                 fresh.append(child)
-            rows.append((p1, child, child_tree != p1.tree))
+            # only a logged run reads the flag, so only it pays for it
+            rows.append((p1, child, log_variations and child_tree != p1.tree))
         assess(fresh, dataset)
         return rows
 

@@ -58,7 +58,7 @@ def test_criterion_01_round_trip(prims):
     ok = True
     for t in trees:
         tokens = expr.serialize_prefix(t)
-        if expr.parse_prefix(tokens, prims) != t or len(tokens) != expr.size(t):
+        if expr.parse_prefix(tokens, prims) != t or len(tokens) != t.n_nodes:
             ok = False
             break
     elapsed = time.time() - t0

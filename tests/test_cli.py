@@ -4,14 +4,19 @@ import math
 import struct
 from types import SimpleNamespace
 
+import click
 import pytest
 
-from tsgp.cli import STRICT_FLOAT, STRICT_INT, Above, AtLeast, cli, main
+from tsgp.cli import Above, AtLeast, cli, main
 from tsgp.corpus import read_pairs_jsonl
 from tsgp.expr import PrimitiveSet
 from tsgp.model import Vocabulary
 
 CANONICAL_VOCAB = list(Vocabulary.from_primitives(PrimitiveSet(1)).symbols)
+
+
+def _no_network(*args, **kwargs):
+    raise AssertionError("opened a URL")
 
 
 def _with_header(model_file, bad, edit):
@@ -425,6 +430,47 @@ class TestExitCodes:
                                                                 "taken"]
         assert (taken / "keep").read_text() == "keep\n"
 
+    @pytest.mark.parametrize("features", [6, 2], ids=["more", "fewer"])
+    @pytest.mark.parametrize("command", [["search", "--method", "tsgp"],
+                                         ["bench", "--methods", "stdgp,tsgp"]],
+                             ids=["search", "bench"])
+    def test_data_error_model_and_data_features_differ(
+            self, tmp_path, capsys, model_file, command, features):
+        out = tmp_path / "out"
+        assert main(command + ["--model", str(model_file), "--synthetic",
+                               "--features", str(features), "--pop", "5",
+                               "--gens", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {model_file} has 4 variables but "
+                              f"the data has {features} features\n")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["../escaped", "/tmp/escaped", "a/b",
+                                      "..", ".", "", "a\0b"])
+    def test_usage_error_fetch_data_name_not_one_component(
+            self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.setattr("urllib.request.urlopen", _no_network)
+        cache = tmp_path / "cache"
+        assert main(["fetch-data", name, "--cache", str(cache)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NAME must be a single path component, "
+                              f"got {name!r}\n")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("content", ['{"k": 2', '{"k": 1' + "0" * 5000
+                                         + "}"], ids=["not JSON",
+                                                      "5001-digit integer"])
+    def test_data_error_config_unreadable(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        assert main(["--config", str(cfg), "mine-pairs"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: --config {cfg}: ")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_data_error_config_not_utf8(self, tmp_path, capsys, corpus_file):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"k": "\xff"}')
@@ -449,12 +495,43 @@ BOUNDED = [(name, param) for name, command in cli.commands.items()
            for param in command.params if isinstance(param.type, AtLeast)]
 INTEGER = [(name, param) for name, command in cli.commands.items()
            for param in command.params
-           if STRICT_INT in (param.type, getattr(param.type, "base", None))]
+           if click.INT in (param.type, getattr(param.type, "base", None))]
 FLOAT = [(name, param) for name, command in cli.commands.items()
          for param in command.params
-         if STRICT_FLOAT in (param.type, getattr(param.type, "base", None))]
+         if click.FLOAT in (param.type, getattr(param.type, "base", None))]
 RUN_OPTIONS = {"model_path", "data", "target", "synthetic", "rows", "noise",
                "features", "sdd", "pop", "gens"}
+# Every option that takes a value, and every parameter of every subcommand.
+VALUED = [(name, param) for name, command in cli.commands.items()
+          for param in command.params
+          if isinstance(param, click.Option) and not param.is_flag]
+PARAMS = [(name, param) for name, command in cli.commands.items()
+          for param in command.params]
+# What each subcommand is given besides the option under test.
+REQUIRED_ARGS = {
+    "mine-pairs": ["--corpus", "CORPUS"],
+    "train": ["--pairs", "PAIRS"],
+    "search": ["--method", "stdgp"],
+    "bench": ["--methods", "stdgp"],
+    "fetch-data": ["192_vineyard"],
+}
+
+
+def _rejected(param, workdir):
+    """A JSON value that ``param`` or its subcommand rejects before any work,
+    with the entry in ``workdir`` that makes an output path unusable."""
+    kind = param.type
+    if isinstance(kind, AtLeast):
+        return 1.5 if kind.base is click.INT else kind.low - 1
+    if isinstance(kind, click.Path):
+        if not kind.exists:  # an output path that names the wrong kind
+            if kind.dir_okay:
+                (workdir / "5").write_text("keep\n")
+            else:
+                (workdir / "5").mkdir()
+            return 5
+        return 1  # names no file
+    return 5  # no such method; no such column, and no --data or --synthetic
 
 
 class TestOptionLayer:
@@ -512,7 +589,7 @@ class TestOptionLayer:
                     + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: Invalid value for '{param.opts[0]}': "
-                              f"{value!r} is not a valid integer.")
+                              f"{json.dumps(value)!r} is not a valid integer.")
         assert "Traceback" not in err
         assert not list(tmp_path.glob("out*"))
 
@@ -553,9 +630,51 @@ class TestOptionLayer:
                     + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: Invalid value for '{param.opts[0]}': "
-                              "True is not a valid float.")
+                              "'true' is not a valid float.")
         assert "Traceback" not in err
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command,param", VALUED,
+                             ids=[f"{c} {p.opts[0]}" for c, p in VALUED])
+    def test_config_value_parses_as_its_flag(
+            self, tmp_path, capsys, monkeypatch, corpus_file, pairs_file,
+            command, param):
+        """A ``--config`` value fails exactly as its text does as the flag."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("urllib.request.urlopen", _no_network)
+        value = _rejected(param, tmp_path)
+        paths = {"CORPUS": str(corpus_file), "PAIRS": str(pairs_file)}
+        args = [paths.get(a, a) for a in REQUIRED_ARGS.get(command, [])]
+        if param.opts[0] in args:
+            args = args[2:]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({param.name: value}))
+        before = sorted(tmp_path.rglob("*"))
+        outcomes = []
+        for argv in ([command] + args + [param.opts[0], json.dumps(value)],
+                     ["--config", str(cfg), command] + args):
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            outcomes.append((rc, err.splitlines()[0]))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] != 0
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("value", [[1], {"a": 1}, None],
+                             ids=["list", "object", "null"])
+    @pytest.mark.parametrize("command,param", PARAMS,
+                             ids=[f"{c} {p.name}" for c, p in PARAMS])
+    def test_config_value_must_be_scalar(self, tmp_path, capsys, command,
+                                         param, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({param.name: value}))
+        assert main(["--config", str(cfg), command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config {cfg}: {param.name!r} must "
+                              "be a string, number or boolean\n")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_search_and_bench_share_run_options(self):
         def options(name):
@@ -600,6 +719,55 @@ class TestConfigFile:
         assert err.startswith(f"error: --config {cfg}: {message}")
         assert "Traceback" not in err
         assert not list(tmp_path.glob("p.jsonl*"))
+
+    @pytest.mark.parametrize("argv,config,message", [
+        (["search", "--method", "stdgp", "--synthetic"], {"model_path": 1},
+         "Invalid value for '--model': File '1' does not exist."),
+        (["mine-pairs"], {"corpus_path": 0},
+         "Invalid value for '--corpus': File '0' does not exist."),
+        (["bench", "--methods", "stdgp", "--synthetic"], {"probe": 2},
+         "Invalid value for '--probe': '2' is not a valid boolean."),
+        (["search", "--method", "stdgp", "--synthetic"], {"noise": None},
+         "--config {cfg}: 'noise' must be a string, number or boolean"),
+        (["train", "--pairs", "{pairs}"], {"lr": 10 ** 400},
+         "Invalid value for '--lr': inf is not a finite number."),
+    ], ids=["model_path 1", "corpus_path 0", "probe 2", "noise null",
+            "lr 401 digits"])
+    def test_config_value_of_the_wrong_kind(self, tmp_path, capsys,
+                                            monkeypatch, pairs_file, argv,
+                                            config, message):
+        """Values that once raised a Python error from inside a run."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [arg.format(pairs=pairs_file) for arg in argv]
+        assert main(["--config", str(cfg)] + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(cfg=cfg)}")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_config_number_names_a_path_as_its_flag_does(self, tmp_path,
+                                                         monkeypatch):
+        """``{"out": 5}`` writes where ``--out 5`` writes."""
+        args = ["search", "--method", "stdgp", "--synthetic", "--pop", "5",
+                "--gens", "1"]
+        for via_config, where in ((False, "flag"), (True, "config")):
+            (tmp_path / where).mkdir()
+            monkeypatch.chdir(tmp_path / where)
+            if via_config:
+                (tmp_path / "cfg.json").write_text(json.dumps({"out": 5}))
+                argv = ["--config", str(tmp_path / "cfg.json")] + args
+            else:
+                argv = args + ["--out", "5"]
+            assert main(argv) == 0
+        for name in ("trace.csv", "variations.csv"):
+            assert ((tmp_path / "flag" / "5" / name).read_bytes()
+                    == (tmp_path / "config" / "5" / name).read_bytes())
+        configs = [json.loads((tmp_path / w / "5" / "manifest.json")
+                              .read_text())["config"]
+                   for w in ("flag", "config")]
+        assert configs[0] == configs[1] and configs[0]["out"] == "5"
 
     def test_config_value_recorded_in_manifest(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -89,7 +89,7 @@ class TestSerializeParse:
                                  2, 5, prims, rng)
             tokens = expr.serialize_prefix(t)
             assert expr.parse_prefix(tokens, prims) == t
-            assert len(tokens) == expr.size(t)
+            assert len(tokens) == t.n_nodes
 
 
 class TestNodeContract:
@@ -145,12 +145,12 @@ class TestRandomTree:
         rng = np.random.default_rng(1)
         t = expr.random_tree(FULL, 2, 2, prims, rng)
         assert expr.depth(t) == 2
-        assert expr.size(t) == 7
+        assert t.n_nodes == 7
 
     def test_grow_depth0_single_terminal(self, prims):
         rng = np.random.default_rng(2)
         t = expr.random_tree(GROW, 0, 0, prims, rng)
-        assert expr.size(t) == 1
+        assert t.n_nodes == 1
 
     def test_rhh_depth_bounds(self, prims):
         rng = np.random.default_rng(3)
@@ -161,7 +161,7 @@ class TestRandomTree:
         rng = np.random.default_rng(4)
         for _ in range(20):
             t = expr.random_tree(FULL, 3, 3, prims, rng)
-            assert expr.size(t) == 15  # complete binary tree
+            assert t.n_nodes == 15  # complete binary tree
 
     def test_bad_depth_range(self, prims):
         with pytest.raises(ValueError):
@@ -170,12 +170,12 @@ class TestRandomTree:
 
 class TestSizeDepth:
     def test_single_terminal(self):
-        assert expr.size(Node("v1")) == 1
+        assert Node("v1").n_nodes == 1
         assert expr.depth(Node("v1")) == 0
 
     def test_small_tree(self):
         t = from_string("ADD v1 v2")
-        assert expr.size(t) == 3
+        assert t.n_nodes == 3
         assert expr.depth(t) == 1
 
 
@@ -201,7 +201,7 @@ class TestRoundTripProperty:
         assert expr.parse_prefix(expr.serialize_prefix(parsed),
                                  prims) == parsed
         assert (parsed.n_nodes, parsed.height) == (tree.n_nodes, tree.height)
-        assert len(tokens) == expr.size(tree)
+        assert len(tokens) == tree.n_nodes
 
 
 class TestEvaluateOracle:

@@ -1,8 +1,11 @@
 """Every top-level function and class of ``tsgp`` has a caller in ``src/``
 or in the benchmark under ``perfbench/``; code that only tests use lives
-beside the tests. A reference is a loaded name or an attribute in the
-syntax tree (docstrings and comments do not count), outside the
-definition itself, or an entry of the benchmark tracer's ``TARGETS``.
+beside the tests. A reference to ``module.name``, outside the definition
+itself, is an attribute ``name`` of a name an import binds to ``module``,
+a ``from module import name``, or a loaded bare ``name`` in the module's
+own file (docstrings and comments do not count), or an entry of the
+benchmark tracer's ``TARGETS``. An attribute of another object with the
+same name is not a reference.
 The few names kept without such a caller are pinned below."""
 
 import ast
@@ -24,11 +27,14 @@ UNREFERENCED = {
     "tsgp.model.autodiff.mul", "tsgp.model.autodiff.scale",
     "tsgp.model.autodiff.concat", "tsgp.model.autodiff.relu",
     "tsgp.model.autodiff.embedding", "tsgp.model.autodiff.add_const",
+    "tsgp.model.autodiff.add", "tsgp.model.autodiff.transpose",
+    "tsgp.model.autodiff.reshape", "tsgp.model.autodiff.cross_entropy",
 }
 
 
 def _module_name(path: Path) -> str:
-    return ".".join(path.relative_to(SRC).with_suffix("").parts)
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
 def _traced() -> set:
@@ -42,23 +48,47 @@ def _traced() -> set:
             if isinstance(owner, types.ModuleType)}
 
 
-def _references(trees: dict) -> dict:
-    """name -> [(file, line)] of every attribute with that name, and of
-    every loaded bare name in the file that defines or imports it."""
+def _imported_from(path: Path, stmt: ast.ImportFrom) -> str:
+    """The absolute module a ``from ... import`` in ``path`` reads."""
+    if not stmt.level:
+        return stmt.module
+    package = _module_name(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    base = package[:len(package) - stmt.level + 1]
+    return ".".join(base + ([stmt.module] if stmt.module else []))
+
+
+def _references(trees: dict, modules: set) -> dict:
+    """``module.name`` -> [(file, line)] of every reference to that name: an
+    attribute of a name an import binds to the module, a ``from module
+    import name``, or a loaded bare name in the module's own file."""
     refs = {}
     for path, tree in trees.items():
-        imported = {alias.asname or alias.name for stmt in ast.walk(tree)
-                    if isinstance(stmt, ast.ImportFrom)
-                    for alias in stmt.names}
-        bare = imported | {node.name for node in tree.body
-                           if isinstance(node, (ast.FunctionDef,
-                                                ast.ClassDef))}
+        own = _module_name(path) if SRC in path.parents else None
+        bound = {}  # local name -> the module an import binds it to
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.Import):
+                for alias in stmt.names:
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+            elif isinstance(stmt, ast.ImportFrom):
+                source = _imported_from(path, stmt)
+                for alias in stmt.names:
+                    target = f"{source}.{alias.name}"
+                    if target in modules:
+                        bound[alias.asname or alias.name] = target
+                    else:
+                        refs.setdefault(target, []).append(
+                            (path, stmt.lineno))
         for ref in ast.walk(tree):
-            if isinstance(ref, ast.Attribute):
-                name = ref.attr
+            if (isinstance(ref, ast.Attribute)
+                    and isinstance(ref.value, ast.Name)
+                    and ref.value.id in bound):
+                name = f"{bound[ref.value.id]}.{ref.attr}"
             elif (isinstance(ref, ast.Name) and isinstance(ref.ctx, ast.Load)
-                  and ref.id in bare):
-                name = ref.id
+                  and own):
+                name = f"{own}.{ref.id}"
             else:
                 continue
             refs.setdefault(name, []).append((path, ref.lineno))
@@ -69,14 +99,15 @@ def test_every_top_level_name_has_a_caller():
     files = sorted(SRC.rglob("*.py")) + sorted(
         (ROOT / "perfbench").rglob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in files}
-    refs, traced = _references(trees), _traced()
+    modules = {_module_name(path) for path in files if SRC in path.parents}
+    refs, traced = _references(trees, modules), _traced()
     unreferenced = set()
     for path in sorted((SRC / "tsgp").rglob("*.py")):
         for node in trees[path].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             qualified = f"{_module_name(path)}.{node.name}"
-            outside = [(where, line) for where, line in refs.get(node.name, ())
+            outside = [(where, line) for where, line in refs.get(qualified, ())
                        if not (where == path
                                and node.lineno <= line <= node.end_lineno)]
             if qualified not in traced and not outside:

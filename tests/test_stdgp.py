@@ -126,6 +126,25 @@ class TestRunStdgp:
         assert [g.best_train_rmse for g in t1.generations] == \
             [g.best_train_rmse for g in t2.generations]
 
+    def test_unlogged_run_compares_no_trees(self, monkeypatch):
+        """Only a logged run reads the structural-difference flag, so only
+        a logged run compares a child's tree with its parent's."""
+        calls = []
+        node_eq = Node.__eq__
+
+        def counted(self, other):
+            calls.append(1)
+            return node_eq(self, other)
+
+        monkeypatch.setattr(Node, "__eq__", counted)
+        cfg = GPConfig(pop_size=20, generations=3,
+                       selection=DOUBLE_TOURNAMENT)
+        run_stdgp(cfg, _ToyDataset(), np.random.default_rng(5),
+                  log_variations=False)
+        assert calls == []
+        run_stdgp(cfg, _ToyDataset(), np.random.default_rng(5))
+        assert calls
+
     def test_double_tournament_mode(self):
         cfg = GPConfig(pop_size=10, generations=2, selection=DOUBLE_TOURNAMENT)
         trace = run_stdgp(cfg, _ToyDataset(), np.random.default_rng(1))
@@ -155,7 +174,7 @@ class TestEvaluatedOnce:
             assert child.test_semantics is not None
             np.testing.assert_array_equal(
                 child.test_semantics, reference_evaluate(child.tree, ds.X_test))
-            assert child.size == expr.size(child.tree)
+            assert child.size == child.tree.n_nodes
         same = [v for v in trace.variations if not v.structurally_different]
         assert same and all(v.sd_test == 0.0 for v in same)
 
@@ -336,11 +355,11 @@ class TestVariationOracle:
     def test_node_counts_match_walks(self, tree):
         for node in _all_nodes(tree):
             assert (node.n_nodes, node.height) == _walked_size_height(node)
-        assert (expr.size(tree), expr.depth(tree)) == _walked_size_height(tree)
+        assert (tree.n_nodes, expr.depth(tree)) == _walked_size_height(tree)
 
     def test_deep_chain_size_and_depth(self):
         tree = Node("v1")
         for i in range(5000):
             tree = Node(OPERATORS[i % 4], (tree, Node("C+0.1")))
-        assert expr.size(tree) == 10001
+        assert tree.n_nodes == 10001
         assert expr.depth(tree) == 5000
