@@ -1,11 +1,14 @@
 """Forward/backward pairs of the transformer's blocks on plain arrays.
 
-A forward takes the parameter map ``p`` (name -> float64 array) and returns
-its output. Given an ``acts`` dict, it also stores under its key (the
-block's parameter prefix) the activations its backward needs. A backward
-takes the gradient of the block's output and that ``acts`` dict, adds each
-parameter's gradient into ``grads`` and returns the gradient of the block's
-input.
+A forward takes the parameter map ``p`` (name -> array) and returns its
+output in the parameters' dtype: float32 for trained and loaded models,
+float64 for the oracle models the tests build. Given an ``acts`` dict, it
+also stores under its key (the block's parameter prefix) the activations
+its backward needs. A backward takes the gradient of the block's output and
+that ``acts`` dict, adds each parameter's gradient into ``grads`` and
+returns the gradient of the block's input. Arrays the caller builds (the
+position table, the attention biases) must already be in that dtype, or
+NumPy promotes the rest of the pass to float64.
 
 A projection folds the leading axes of its input into rows, so it and both
 of its gradients are single 2-D GEMMs. Self-attention projects Q, K and V
@@ -65,7 +68,7 @@ def embed(p: dict, key: str, ids: np.ndarray, sd: np.ndarray,
     positions (the SD slot among them) are already decoded.
     """
     x = p["embed.tok"][ids]  # (B, T, D)
-    sd_col = np.asarray(sd, dtype=np.float64).reshape(len(ids), 1, 1)
+    sd_col = np.asarray(sd, dtype=x.dtype).reshape(len(ids), 1, 1)
     if start == 0:
         sd_emb = (sd_col * p["sd_proj.w"].reshape(1, 1, -1)
                   + p["sd_proj.b"].reshape(1, 1, -1))
@@ -266,5 +269,5 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple:
     dlogits = np.exp(logp)
     np.put_along_axis(dlogits, idx,
                       np.take_along_axis(dlogits, idx, axis=-1) - 1.0, axis=-1)
-    dlogits *= mask[..., None] / count
+    dlogits *= mask[..., None] * logits.dtype.type(1 / count)
     return float(loss), dlogits

@@ -6,8 +6,9 @@ offset), then concatenated little-endian float32 tensor payloads in
 manifest order. Saving is deterministic: sorted tensor names, canonical
 JSON. Loading accepts only the manifest ``tensor_layout`` gives the header's
 hyperparameters and vocabulary, only the vocabulary of its own variable
-count, and only the ``SD_CONDITIONING`` scheme; it reproduces exactly the
-float32 values that were stored.
+count, and only the ``SD_CONDITIONING`` scheme. A loaded model computes in
+float32 on exactly the values that were stored; saving a float64 model
+rounds its parameters to float32.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def load_checkpoint(path) -> SdTransformer:
         raise DataError("file ends inside the JSON header")
     try:
         header = json.loads(blob[12:12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # bad UTF-8 or JSON, or an over-long integer
         raise DataError(f"unreadable header: {e}") from None
 
     try:
@@ -114,5 +115,5 @@ def load_checkpoint(path) -> SdTransformer:
         flat = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         if not np.isfinite(flat).all():
             raise DataError(f"tensor {name} has non-finite weights")
-        params[name] = flat.reshape(shape).astype(np.float64)
-    return SdTransformer(hyper, vocab, params=params)
+        params[name] = flat.reshape(shape)
+    return SdTransformer(hyper, vocab, params=params, dtype=np.float32)

@@ -3,8 +3,12 @@
 The conditioning scalar is mapped through an affine projection to a
 d_model vector and prepended as position 0 of both the encoder and the
 decoder input. Pre-norm layers, sinusoidal (fixed) positions, ReLU FFN.
-All parameters are float64 views into one flat buffer. The blocks and
-their hand-derived backward passes are in ``blocks``.
+All parameters are views into one flat buffer, and every activation,
+bias and cache buffer takes that buffer's dtype. ``training.train`` and
+``load_checkpoint`` build float32 models, the precision checkpoints store,
+so training and search run in float32; a model built directly is float64,
+the tests' oracle. The blocks and their hand-derived backward passes are
+in ``blocks``.
 """
 
 from __future__ import annotations
@@ -81,6 +85,13 @@ def sinusoidal_positions(n_positions: int, d_model: int) -> np.ndarray:
     return table
 
 
+def _bias(allowed: np.ndarray, dtype) -> np.ndarray:
+    """Additive attention mask in ``dtype``: 0 where ``allowed``, else
+    ``NEG_BIAS``."""
+    zero, neg = np.array([0.0, NEG_BIAS], dtype=dtype)
+    return np.where(allowed, zero, neg)
+
+
 def param_spec(hyper: Hyperparams, vocab_size: int) -> dict:
     """name -> (shape, init) of every parameter, in initialization order;
     init is "normal" (N(0, INIT_STD) draws), "zeros" or "ones"."""
@@ -127,22 +138,28 @@ class SdTransformer:
     """Forward and backward passes over a flat parameter buffer; training
     lives in ``training``.
 
-    ``params`` maps each name of ``param_spec`` to a float64 view into
-    ``flat``, in spec order; update them in place. A new model copies the
-    ``params`` it is given (a checkpoint's), or else draws them with ``rng``.
+    ``params`` maps each name of ``param_spec`` to a view into ``flat``, in
+    spec order; update them in place. A new model copies the ``params`` it
+    is given (a checkpoint's, or another model's to change precision), or
+    else draws them with ``rng``. ``dtype`` is the compute precision: the
+    forward and backward passes and the decode cache run in it.
     """
 
     INIT_STD = 0.02
 
     def __init__(self, hyper: Hyperparams, vocab: Vocabulary,
-                 rng: np.random.Generator = None, params: dict = None):
+                 rng: np.random.Generator = None, params: dict = None,
+                 dtype=np.float64):
         self.hyper = hyper
         self.vocab = vocab
+        self.dtype = np.dtype(dtype)
         # SD slot + BOS + max_len tokens on the decoder side
-        self.positions = sinusoidal_positions(hyper.max_len + 2, hyper.d_model)
+        self.positions = sinusoidal_positions(
+            hyper.max_len + 2, hyper.d_model).astype(self.dtype, copy=False)
         self._shapes = {name: shape for name, (shape, _)
                         in param_spec(hyper, vocab.size).items()}
-        self.flat = np.empty(sum(math.prod(s) for s in self._shapes.values()))
+        self.flat = np.empty(sum(math.prod(s) for s in self._shapes.values()),
+                             dtype=self.dtype)
         self.params = self.views(self.flat)
         if params is not None:
             for name, arr in self.params.items():
@@ -168,12 +185,12 @@ class SdTransformer:
                 self.params[name].fill(1.0 if init == "ones" else 0.0)
 
     @staticmethod
-    def _key_bias(valid: np.ndarray) -> np.ndarray:
-        return np.where(valid[:, None, None, :], 0.0, NEG_BIAS)
+    def _key_bias(valid: np.ndarray, dtype=np.float64) -> np.ndarray:
+        return _bias(valid[:, None, None, :], dtype)
 
     @staticmethod
-    def _causal_bias(T: int) -> np.ndarray:
-        return np.where(np.tril(np.ones((T, T), dtype=bool)), 0.0, NEG_BIAS)
+    def _causal_bias(T: int, dtype=np.float64) -> np.ndarray:
+        return _bias(np.tril(np.ones((T, T), dtype=bool)), dtype)
 
     # -- forward --------------------------------------------------------------
     #
@@ -188,7 +205,7 @@ class SdTransformer:
                 f"encoder sequence {enc_ids.shape[1]} > max_len {self.hyper.max_len}")
         valid = np.concatenate(
             [np.ones((enc_ids.shape[0], 1), dtype=bool), enc_ids != PAD], axis=1)
-        bias = self._key_bias(valid)
+        bias = self._key_bias(valid, self.dtype)
         p, H = self.params, self.hyper.n_heads
         x = blocks.embed(p, "enc", enc_ids, sd, self.positions, acts=acts)
         for i in range(self.hyper.n_encoder_layers):
@@ -212,12 +229,13 @@ class SdTransformer:
                  h.d_model // h.n_heads)
         layers = range(h.n_decoder_layers)
         return DecodeCache(
-            self_kv=[(np.empty(shape), np.empty(shape)) for _ in layers],
+            self_kv=[(np.empty(shape, self.dtype), np.empty(shape, self.dtype))
+                     for _ in layers],
             cross_kv=[tuple(np.ascontiguousarray(heads)[rows] for heads in
                             blocks.project_heads(self.params, f"dec.{i}.cross",
                                                  "kv", enc_out, h.n_heads))
                       for i in layers],
-            cross_bias=self._key_bias(enc_valid[rows]))
+            cross_bias=self._key_bias(enc_valid[rows], self.dtype))
 
     def decode(self, dec_ids: np.ndarray, sd: np.ndarray, enc_out: np.ndarray,
                enc_valid: np.ndarray, cache: "DecodeCache" = None,
@@ -241,11 +259,11 @@ class SdTransformer:
             valid = np.concatenate(
                 [np.ones((dec_ids.shape[0], 1), dtype=bool), dec_ids != PAD],
                 axis=1)
-            self_bias = (self._key_bias(valid)
-                         + self._causal_bias(T)[None, None, :, :])
-            cross_bias = self._key_bias(enc_valid)
+            self_bias = (self._key_bias(valid, self.dtype)
+                         + self._causal_bias(T, self.dtype)[None, None, :, :])
+            cross_bias = self._key_bias(enc_valid, self.dtype)
         else:
-            self_bias = self._causal_bias(start + T)[start:]
+            self_bias = self._causal_bias(start + T, self.dtype)[start:]
             cross_bias = cache.cross_bias
         p, H = self.params, self.hyper.n_heads
         x = blocks.embed(p, "dec", dec_ids, sd, self.positions, start, acts)
@@ -268,7 +286,7 @@ class SdTransformer:
     def forward(self, enc_ids: np.ndarray, sd, dec_ids: np.ndarray,
                 acts: dict = None) -> np.ndarray:
         """Full pass; logits row t depends only on decoder positions <= t."""
-        sd = np.broadcast_to(np.asarray(sd, dtype=np.float64),
+        sd = np.broadcast_to(np.asarray(sd, dtype=self.dtype),
                              (np.atleast_2d(enc_ids).shape[0],))
         enc_out, enc_valid = self.encode(enc_ids, sd, acts)
         return self.decode(dec_ids, sd, enc_out, enc_valid, acts=acts)
@@ -352,7 +370,8 @@ class DecodeCache:
         capacity = buf.shape[2]
         while capacity < end:
             capacity *= 2
-        grown = np.empty((self.rows, buf.shape[1], capacity, buf.shape[3]))
+        grown = np.empty((self.rows, buf.shape[1], capacity, buf.shape[3]),
+                         buf.dtype)
         grown[:, :, :self.length] = buf[:self.rows, :, :self.length]
         return grown
 

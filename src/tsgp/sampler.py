@@ -129,7 +129,8 @@ def _encode_bucketed(model: SdTransformer, ids: list, sds: np.ndarray):
     longest parent, and their key-validity mask."""
     lengths = np.array([len(row) for row in ids])
     width = max(1, int(lengths.max()))
-    enc_out = np.zeros((len(ids), width + 1, model.hyper.d_model))
+    enc_out = np.zeros((len(ids), width + 1, model.hyper.d_model),
+                       model.dtype)
     enc_valid = np.zeros((len(ids), width + 1), dtype=bool)
     classes = np.array([int(n - 1).bit_length() for n in lengths])
     for c in np.unique(classes):

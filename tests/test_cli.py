@@ -247,6 +247,24 @@ class TestExitCodes:
                            lambda h: h.pop("vocabulary"))
         assert main(["verify-model", "--model", str(bad)]) == 2
 
+    def test_data_error_header_integer_too_long(self, tmp_path, capsys,
+                                                model_file):
+        """An integer past Python's digit limit fails ``json.loads`` with a
+        plain ValueError, not a JSONDecodeError."""
+        from tsgp.model.checkpoint import MAGIC
+        blob = model_file.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = blob[12:12 + hlen].decode()
+        raw = header.replace('"d_model":16', '"d_model":' + "9" * 5001)
+        assert len(raw) == hlen + 4999
+        bad = tmp_path / "long_int.tsgp"
+        bad.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw.encode()
+                        + blob[12 + hlen:])
+        assert main(["verify-model", "--model", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: unreadable header: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("edit", [
         lambda h: h.update(sd_conditioning="cross-attention-token"),
         lambda h: h.pop("sd_conditioning")], ids=["other scheme", "missing"])

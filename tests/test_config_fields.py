@@ -10,9 +10,11 @@ from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tsgp.expr import PrimitiveSet
+from tsgp.model.transformer import SdTransformer
 from tsgp.sampler import SearchConfig, run_tsgp
 from tsgp.slim import SlimConfig, run_slim
 from tsgp.stdgp import GPConfig, evolve, run_stdgp
@@ -26,8 +28,8 @@ FIELDS = {
     PrimitiveSet: ("n_variables",),
 }
 
-# each engine entry point and the loop they share: its parameters in order,
-# each with its default (``inspect.Parameter.empty`` for none)
+# each engine entry point, the loop they share and the model: its parameters
+# in order, each with its default (``inspect.Parameter.empty`` for none)
 NONE = inspect.Parameter.empty
 SIGNATURES = {
     run_stdgp: {"config": NONE, "dataset": NONE, "rng": NONE,
@@ -37,6 +39,8 @@ SIGNATURES = {
     evolve: {"trace": NONE, "config": NONE, "dataset": NONE, "rng": NONE,
              "prims": NONE, "make": NONE, "vary": NONE, "fill_test": NONE,
              "log_variations": True, "on_generation": None},
+    SdTransformer: {"hyper": NONE, "vocab": NONE, "rng": None,
+                    "params": None, "dtype": np.float64},
 }
 
 

@@ -15,9 +15,11 @@ and the three k-NN paths each had their own exclude-and-order code.
 The rng states after seeded stdgp, slim and tsgp runs and the resampling
 tsgp trace were recorded when each engine ran its own generational loop.
 
-The training losses were recorded when a step ran as one forward/backward
-pass over the whole padded batch. A change to how a step is computed may
-move them by float summation order only.
+The float64 training losses were recorded when a step ran as one
+forward/backward pass over the whole padded batch, and the float32 ones when
+training moved to float32. A change to how a step is computed may move them
+by float summation order only. The float32 curve must also stay within
+float32 rounding of the float64 one.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ import numpy as np
 import pytest
 
 from tsgp import bench, corpus, expr
-from tsgp.model import train
+from tsgp.model import train, training
 from tsgp.model.transformer import SdTransformer
 from tsgp.sampler import SearchConfig, run_tsgp, sample_tokens_batch
 from tsgp.slim import SlimConfig, run_slim
@@ -67,6 +69,18 @@ RESAMPLED_DIGESTS = {
 }
 # train(harvested pairs, tiny hyperparameters, seed=5): losses of steps 0-29
 TRAIN_LOSSES = (
+    3.0766493451595305, 3.057046947583475, 3.043246514158822,
+    3.0225738045797184, 3.0034393020298165, 2.969550518556075,
+    2.9753454971313475, 2.965150532899079, 2.93342011315482,
+    2.917025015904353, 2.929093757441624, 2.8989245311293024,
+    2.896040285244966, 2.9040757846832275, 2.862825340238111,
+    2.8736096266861804, 2.856859866962876, 2.8479827265990405,
+    2.8223756194114684, 2.8100756794024426, 2.8156304312379734,
+    2.8008028850998987, 2.80822426478068, 2.7507310722306455,
+    2.81561071993941, 2.817774104180737, 2.754909915688597,
+    2.743369857002707, 2.7460842821333142, 2.731222969586732)
+# the same run with training.DTYPE float64
+TRAIN_LOSSES_FLOAT64 = (
     3.076649419853331, 3.057046830469994, 3.043246559246868,
     3.0225738234245902, 3.003439360186675, 2.9695504865769826,
     2.975345527363588, 2.965150567553734, 2.9334200924508953,
@@ -235,9 +249,30 @@ def test_operator_heavy_batch_tokens_pinned(operator_heavy_model, prims):
     assert _sha(" ".join(t) for t in tokens) == DEEP_BATCH_DIGEST
 
 
-def test_seeded_training_losses_pinned(tiny_hyper, vocab, harvested):
-    _, pairs = harvested
-    _, curve = train(pairs, tiny_hyper, vocab, seed=5,
+def seeded_losses(hyper, vocab, harvested) -> list:
+    _, curve = train(harvested[1], hyper, vocab, seed=5,
                      max_steps=len(TRAIN_LOSSES))
-    np.testing.assert_allclose([loss for _, loss in curve], TRAIN_LOSSES,
-                               rtol=1e-9, atol=0)
+    return [loss for _, loss in curve]
+
+
+@pytest.fixture(scope="module")
+def float32_losses(tiny_hyper, vocab, harvested):
+    return seeded_losses(tiny_hyper, vocab, harvested)
+
+
+def test_seeded_training_losses_pinned(float32_losses):
+    np.testing.assert_allclose(float32_losses, TRAIN_LOSSES, rtol=1e-9,
+                               atol=0)
+
+
+def test_float32_training_follows_float64(float32_losses):
+    np.testing.assert_allclose(float32_losses, TRAIN_LOSSES_FLOAT64,
+                               rtol=1e-6, atol=0)
+
+
+def test_float64_training_losses_pinned(tiny_hyper, vocab, harvested,
+                                        monkeypatch):
+    monkeypatch.setattr(training, "DTYPE", np.float64)
+    losses = seeded_losses(tiny_hyper, vocab, harvested)
+    np.testing.assert_allclose(losses, TRAIN_LOSSES_FLOAT64, rtol=1e-9,
+                               atol=0)

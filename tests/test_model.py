@@ -358,12 +358,15 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         pairs = random_pairs(tiny_model, np.random.default_rng(8), n=2)
         batch = make_batch(pairs, vocab, 100)
-        # compare through the same float32 cast the format applies
-        f32 = SdTransformer(tiny_model.hyper, vocab, params={
-            k: w.astype(np.float32).astype(np.float64)
-            for k, w in tiny_model.params.items()})
+        # the loaded model computes in float32 on the stored values: the
+        # float64 parameters rounded to float32, as the format rounds them
+        f32 = SdTransformer(tiny_model.hyper, vocab, params=tiny_model.params,
+                            dtype=np.float32)
+        assert loaded.dtype == np.float32
+        np.testing.assert_array_equal(loaded.flat, f32.flat)
         a = f32.forward(batch[0], batch[1], batch[2])
         b = loaded.forward(batch[0], batch[1], batch[2])
+        assert b.dtype == np.float32
         np.testing.assert_array_equal(a, b)
 
     def test_bad_magic(self, tiny_model, tmp_path):
