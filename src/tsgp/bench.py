@@ -104,6 +104,9 @@ def load_csv(path, target_column: str = "target", split_seed: int = 0) -> Datase
     feat = [i for i in range(len(header)) if i != t]
     if not feat:
         raise DataError(f"{path.name} has no feature column")
+    constant = np.flatnonzero((data == data[0]).all(axis=0))
+    if len(constant):
+        raise DataError(f"column {header[constant[0]]!r} is constant")
     return make_dataset(path.stem, data[:, feat], data[:, t], split_seed)
 
 

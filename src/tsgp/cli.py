@@ -37,15 +37,17 @@ def _digest(path) -> str:
 
 
 def _write_manifest(ctx, out_path):
-    """Record the subcommand's options, seed, threading and the digest of
-    every input file option beside ``out_path``."""
+    """Record beside ``out_path`` the subcommand's options as ``--config``
+    replays them, the seed, threading and every input file's digest."""
     out_path = Path(out_path)
     inputs = [ctx.params[p.name] for p in ctx.command.params
               if isinstance(p.type, click.Path) and p.type.exists
               and ctx.params[p.name]]
+    config = {name: ",".join(value) if isinstance(value, list) else value
+              for name, value in ctx.params.items() if value is not None}
     manifest = {
         "subcommand": ctx.info_name,
-        "config": ctx.params,
+        "config": config,
         "seed": ctx.obj["seed"],
         "threads": ctx.obj["threads"],
         "deterministic": ctx.obj["deterministic"],
@@ -180,35 +182,17 @@ def gen_corpus(ctx, problems, pop, gens, features, rows, noise, m_sem, out):
 @click.option("--k", type=AtLeast(1), default=3, show_default=True)
 @click.option("--sd-max", type=Above(0, click.FLOAT), default=100.0,
               show_default=True)
-@click.option("--max-len", type=AtLeast(1), default=100, show_default=True)
-@click.option("--ivf-clusters", type=AtLeast(0), default=0,
-              help="Use an IVF index with this many clusters (0 = brute force).")
-@click.option("--n-probe", type=AtLeast(1), default=None)
 @click.option("--out", type=_OUTPUT_FILE, default="pairs.jsonl",
               show_default=True)
 @click.pass_context
-def mine_pairs_cmd(ctx, corpus_path, k, sd_max, max_len, ivf_clusters,
-                   n_probe, out):
+def mine_pairs_cmd(ctx, corpus_path, k, sd_max, out):
     """Mine semantically similar training pairs from a corpus."""
-    import numpy as np
-    from .corpus import (read_corpus_jsonl, mine_pairs, build_ivf_index,
-                         write_pairs_jsonl)
+    from .corpus import read_corpus_jsonl, mine_pairs, write_pairs_jsonl
 
-    if n_probe is not None and not ivf_clusters:
-        raise click.UsageError("--n-probe needs --ivf-clusters (an IVF "
-                               "index to probe)")
     entries = read_corpus_jsonl(corpus_path)
     if not entries:
         raise DataError(f"{corpus_path} holds no corpus entries")
-    if ivf_clusters > len(entries):
-        raise click.UsageError(f"--ivf-clusters must be in 0..{len(entries)} "
-                               "(the corpus size)")
-    index = None
-    if ivf_clusters:
-        index = build_ivf_index(entries, ivf_clusters,
-                                np.random.default_rng(ctx.obj["seed"]))
-    pairs, dropped = mine_pairs(entries, k, sd_max, max_len, index=index,
-                                n_probe=n_probe)
+    pairs, dropped = mine_pairs(entries, k, sd_max)
     if not pairs:
         raise DataError(f"{corpus_path} yields no training pairs "
                         f"({dropped} dropped for length)")
@@ -382,14 +366,13 @@ def _method_list(ctx, param, value) -> list:
               callback=_method_list)
 @_run_options
 @click.option("--runs", type=AtLeast(1), default=30, show_default=True)
-@click.option("--probe/--no-probe", default=True, show_default=True,
-              help="Also run the variation-distance replication probe.")
 @click.option("--out", type=click.Path(file_okay=False), default="bench_out",
               show_default=True)
 @click.pass_context
-def bench_cmd(ctx, methods, runs, probe, out, **run):
+def bench_cmd(ctx, methods, runs, out, **run):
     """Multi-run orchestration: results, per-generation series and pairwise
-    statistics CSVs, one row set per method."""
+    statistics CSVs, one row set per method, and with a model the
+    variation-distance replication probe."""
     from .bench import (aggregate_runs, run_method, variation_probe,
                         write_results_csv, write_series_csv, write_stats_csv)
     from .trace import write_trace_csv, write_variation_csv
@@ -422,7 +405,7 @@ def bench_cmd(ctx, methods, runs, probe, out, **run):
                          out_dir / f"series_{metric}.csv")
     write_stats_csv(traces_by_method, dataset_name, out_dir / "stats.csv")
 
-    if probe and model is not None:
+    if model is not None:
         dataset = _load_dataset(run, ctx.obj["seed"])
         report = variation_probe(model, dataset, n_parents=run["pop"],
                                  seed=ctx.obj["seed"], sd_desired=run["sdd"])

@@ -196,12 +196,11 @@ def _knn_all(corpus: list, k: int) -> dict:
 
 
 def mine_pairs(corpus: list, k: int, sd_max: float = 100.0,
-               max_len: int = 100, index: IvfIndex = None,
-               n_probe: int = None) -> tuple:
+               index: IvfIndex = None, n_probe: int = None) -> tuple:
     """Emit (input -> neighbor) training pairs with 0 < sd < sd_max.
 
-    Pairs whose input or output exceeds ``max_len`` tokens are dropped; the
-    drop count is returned alongside the pairs.
+    Pairs whose input or output exceeds ``expr.MAX_TOKENS`` tokens are
+    dropped; the drop count is returned alongside the pairs.
     """
     pairs = []
     dropped = 0
@@ -210,15 +209,15 @@ def mine_pairs(corpus: list, k: int, sd_max: float = 100.0,
         all_neighbors = _knn_all(corpus, k)
     for e in corpus:
         if index is not None:
-            probe = n_probe if n_probe is not None else len(index.clusters)
-            neighbors = query_ivf(index, e.id, k, probe)
+            neighbors = query_ivf(index, e.id, k, n_probe)
         else:
             neighbors = all_neighbors[e.id]
         for nid, sd in neighbors:
             if not 0.0 < sd < sd_max:
                 continue
             out_tokens = by_id[nid].tokens
-            if len(e.tokens) > max_len or len(out_tokens) > max_len:
+            if (len(e.tokens) > expr.MAX_TOKENS
+                    or len(out_tokens) > expr.MAX_TOKENS):
                 dropped += 1
                 continue
             pairs.append(TrainingPair(input_tokens=list(e.tokens),

@@ -17,6 +17,7 @@ from .errors import DataError
 OPERATORS = ("ADD", "SUB", "MUL", "PDIV")
 CONSTANT_VALUES = tuple(round(-0.5 + 0.1 * i, 1) for i in range(11))
 MAX_DEPTH = 17  # default depth cap of offspring trees, in every engine
+MAX_TOKENS = 100  # token budget of mined pairs, training and sampled offspring
 
 FULL = "full"
 GROW = "grow"

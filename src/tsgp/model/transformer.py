@@ -19,6 +19,7 @@ from functools import partial
 
 import numpy as np
 
+from .. import expr
 from . import blocks
 from .vocab import Vocabulary, PAD
 
@@ -43,7 +44,7 @@ class Hyperparams:
     n_encoder_layers: int = 2
     n_decoder_layers: int = 2
     ffn_dim: int = None  # defaults to 4 * d_model
-    max_len: int = 100
+    max_len: int = expr.MAX_TOKENS
     lr: float = 1e-3
     weight_decay: float = 0.01
     epochs: int = 8

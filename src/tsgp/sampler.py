@@ -44,7 +44,8 @@ class SamplerState:
             self.need -= 1
 
 
-def legal_mask(state: SamplerState, vocab: Vocabulary, max_len: int = 100,
+def legal_mask(state: SamplerState, vocab: Vocabulary,
+               max_len: int = expr.MAX_TOKENS,
                max_depth: int = expr.MAX_DEPTH) -> np.ndarray:
     """Boolean legality per vocabulary id for one sequence's next token;
     ``batch_legal_mask`` is the vectorised form the sampler uses.
@@ -78,7 +79,8 @@ def operator_ids(vocab: Vocabulary) -> tuple:
 
 
 def batch_legal_mask(emitted: np.ndarray, need: np.ndarray,
-                     depth: np.ndarray, kinds: tuple, max_len: int = 100,
+                     depth: np.ndarray, kinds: tuple,
+                     max_len: int = expr.MAX_TOKENS,
                      max_depth: int = expr.MAX_DEPTH) -> np.ndarray:
     """``legal_mask`` for a batch of rows, (B, V).
 

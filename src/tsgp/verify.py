@@ -11,7 +11,7 @@ from .model.training import grad, make_batch
 from .model.transformer import SdTransformer
 from .sampler import primitives_from_vocab
 
-PAIR_DEPTH_MAX = 3  # depth cap of random_pairs' trees
+PAIR_DEPTH_MAX = 3  # depth cap of random_pairs' trees (at most 15 tokens)
 FD_STEP = 1e-5      # central-difference step of gradient_check
 PROBE_LEN = 12      # encoder and decoder tokens of causality_probe
 PROBE_PERTURBATIONS = 20  # decoder tokens causality_probe perturbs
@@ -19,11 +19,14 @@ PROBE_PERTURBATIONS = 20  # decoder tokens causality_probe perturbs
 
 def random_pairs(model: SdTransformer, rng: np.random.Generator,
                  n: int = 4) -> list:
+    # a tree of depth d has at most 2^(d+1) - 1 tokens
     prims = primitives_from_vocab(model.vocab)
+    depth_max = min(PAIR_DEPTH_MAX, (model.hyper.max_len + 1).bit_length() - 2)
+    depth_min = min(1, depth_max)
     pairs = []
     for _ in range(n):
-        a = expr.random_tree(expr.GROW, 1, PAIR_DEPTH_MAX, prims, rng)
-        b = expr.random_tree(expr.GROW, 1, PAIR_DEPTH_MAX, prims, rng)
+        a = expr.random_tree(expr.GROW, depth_min, depth_max, prims, rng)
+        b = expr.random_tree(expr.GROW, depth_min, depth_max, prims, rng)
         pairs.append(TrainingPair(expr.serialize_prefix(a),
                                   expr.serialize_prefix(b),
                                   float(rng.random())))
@@ -70,8 +73,9 @@ def causality_probe(model: SdTransformer, rng: np.random.Generator) -> tuple:
     """
     vocab = model.vocab
     content = [i for i in range(vocab.size) if i > 2]
-    enc_ids = np.array([rng.choice(content, size=PROBE_LEN)])
-    dec_ids = np.array([[1] + list(rng.choice(content, size=PROBE_LEN))])
+    length = min(PROBE_LEN, model.hyper.max_len)
+    enc_ids = np.array([rng.choice(content, size=length)])
+    dec_ids = np.array([[1] + list(rng.choice(content, size=length))])
     sd = np.array([0.1])
 
     acts = {}

@@ -103,7 +103,7 @@ class TestLoadCsv:
         for r in rows:
             r[1] = "3.0"
         _write_csv(path, ["a", "b", "target"], rows)
-        with pytest.raises(DataError, match="column 1 is constant"):
+        with pytest.raises(DataError, match="column 'b' is constant"):
             load_csv(path)
 
     @pytest.mark.parametrize("width", [2, 4])

@@ -112,6 +112,18 @@ class TestPipeline:
     def test_verify_model(self, model_file):
         assert main(["verify-model", "--model", str(model_file)]) == 0
 
+    @pytest.mark.parametrize("max_len", [1, 3])
+    def test_verify_model_short_max_len(self, tmp_path, capsys, model_file,
+                                        max_len):
+        """The probes size their sequences from the model's ``max_len``."""
+        short = _with_header(
+            model_file, tmp_path / "short.tsgp",
+            lambda h: h["hyperparams"].update(max_len=max_len))
+        assert main(["verify-model", "--model", str(short)]) == 0
+        captured = capsys.readouterr()
+        assert "all checks passed" in captured.out
+        assert "Traceback" not in captured.err
+
 
 class TestExitCodes:
     def test_usage_error_bad_problems(self, workdir):
@@ -150,11 +162,6 @@ class TestExitCodes:
         ["gen-corpus", "--m-sem", "0"],
         ["gen-corpus", "--features", "0"],
         ["mine-pairs", "--corpus", "CORPUS", "--k", "0"],
-        ["mine-pairs", "--corpus", "CORPUS", "--ivf-clusters", "5000"],
-        ["mine-pairs", "--corpus", "CORPUS", "--ivf-clusters", "-1"],
-        ["mine-pairs", "--corpus", "CORPUS", "--ivf-clusters", "4",
-         "--n-probe", "0"],
-        ["mine-pairs", "--corpus", "CORPUS", "--max-len", "0"],
         ["mine-pairs", "--corpus", "CORPUS", "--sd-max", "0"],
         ["mine-pairs", "--corpus", "CORPUS", "--sd-max", "-1"],
         ["train", "--pairs", "PAIRS", "--epochs", "0"],
@@ -183,16 +190,6 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not list(workdir.glob("bad_input*"))
 
-    def test_usage_error_n_probe_without_ivf(self, workdir, capsys,
-                                             corpus_file):
-        out = workdir / "probe_pairs.jsonl"
-        assert main(["mine-pairs", "--corpus", str(corpus_file),
-                     "--n-probe", "2", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --n-probe needs --ivf-clusters")
-        assert "Traceback" not in err
-        assert not out.exists()
-
     def test_data_error_corrupt_pairs(self, workdir):
         bad = workdir / "bad.jsonl"
         bad.write_text("{not json\n")
@@ -218,22 +215,34 @@ class TestExitCodes:
                      "--pop", "10", "--gens", "1",
                      "--out", str(workdir / "nan_run")]) == 2
 
-    @pytest.mark.parametrize("rows", [
-        [], ["x,target"] + [f"{i},1.0" for i in range(30)],
-        ["x,y,target"] + [f"{i},{i % 7}" for i in range(30)],
-        ["target"] + [f"{i % 7}" for i in range(30)],
-        ["x,target,target"] + [f"{i},{i % 7},{i % 7}" for i in range(30)],
-        ["x\xe9,target"] + [f"{i},{i % 7}" for i in range(30)]],
-        ids=["empty", "constant column", "rows narrower than header",
+    @pytest.mark.parametrize("rows,message", [
+        ([], "bad.csv is empty"),
+        (["x,target"] + [f"{i},1.0" for i in range(30)],
+         "column 'target' is constant"),
+        (["a,target,b"] + [f"{i},{i % 7},3.0" for i in range(30)],
+         "column 'b' is constant"),
+        # 0.1 repeated has a population std of about 1e-17, not 0
+        (["a,target,b"] + [f"{i},0.1,{i % 5}" for i in range(30)],
+         "column 'target' is constant"),
+        (["x,y,target"] + [f"{i},{i % 7}" for i in range(30)],
+         "data row 1 has 2 cells"),
+        (["target"] + [f"{i % 7}" for i in range(30)],
+         "bad.csv has no feature column"),
+        (["x,target,target"] + [f"{i},{i % 7},{i % 7}" for i in range(30)],
+         "bad.csv repeats header column(s) 'target'"),
+        (["x\xe9,target"] + [f"{i},{i % 7}" for i in range(30)],
+         "bad.csv is not UTF-8 text")],
+        ids=["empty", "constant column", "constant feature",
+             "constant target of 0.1", "rows narrower than header",
              "no feature column", "repeated column", "not UTF-8"])
-    def test_data_error_bad_csv(self, tmp_path, capsys, rows):
+    def test_data_error_bad_csv(self, tmp_path, capsys, rows, message):
         bad = tmp_path / "bad.csv"
         bad.write_bytes("".join(r + "\n" for r in rows).encode("latin-1"))
         out = tmp_path / "out"
         assert main(["search", "--method", "stdgp", "--data", str(bad),
                      "--pop", "10", "--gens", "1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: ")
+        assert err.startswith(f"data error: {message}")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -519,6 +528,43 @@ FLOAT = [(name, param) for name, command in cli.commands.items()
          if click.FLOAT in (param.type, getattr(param.type, "base", None))]
 RUN_OPTIONS = {"model_path", "data", "target", "synthetic", "rows", "noise",
                "features", "sdd", "pop", "gens"}
+# Every parameter of the group and of each subcommand, by the name
+# ``--config`` and the manifest use, with its flags. A new option is a new
+# knob, so adding one means editing this on purpose.
+SURFACE = {
+    "tsgp": {"seed": "--seed", "threads": "--threads",
+             "deterministic": "--deterministic", "config_path": "--config"},
+    "gen-corpus": {"problems": "--problems", "pop": "--pop", "gens": "--gens",
+                   "features": "--features", "rows": "--rows",
+                   "noise": "--noise", "m_sem": "--m-sem", "out": "--out"},
+    "mine-pairs": {"corpus_path": "--corpus", "k": "--k",
+                   "sd_max": "--sd-max", "out": "--out"},
+    "train": {"pairs_path": "--pairs", "epochs": "--epochs", "lr": "--lr",
+              "d_model": "--d-model", "n_heads": "--n-heads",
+              "layers": "--layers", "batch_size": "--batch-size",
+              "weight_decay": "--weight-decay", "features": "--features",
+              "out": "--out", "curve": "--curve"},
+    "search": {"method": "--method", "model_path": "--model",
+               "data": "--data", "target": "--target",
+               "synthetic": "--synthetic", "rows": "--rows",
+               "noise": "--noise", "features": "--features", "sdd": "--sdd",
+               "pop": "--pop", "gens": "--gens", "out": "--out"},
+    "bench": {"methods": "--methods", "model_path": "--model",
+              "data": "--data", "target": "--target",
+              "synthetic": "--synthetic", "rows": "--rows",
+              "noise": "--noise", "features": "--features", "sdd": "--sdd",
+              "pop": "--pop", "gens": "--gens", "runs": "--runs",
+              "out": "--out"},
+    "fetch-data": {"name": "name", "cache": "--cache"},
+    "verify-model": {"model_path": "--model"},
+}
+# Options that mine-pairs and bench no longer have, each with a value its
+# flag once took.
+REMOVED = [("mine-pairs", "--max-len", "max_len", "50"),
+           ("mine-pairs", "--ivf-clusters", "ivf_clusters", "4"),
+           ("mine-pairs", "--n-probe", "n_probe", "2"),
+           ("bench", "--probe", "probe", None),
+           ("bench", "--no-probe", "probe", None)]
 # Every option that takes a value, and every parameter of every subcommand.
 VALUED = [(name, param) for name, command in cli.commands.items()
           for param in command.params
@@ -694,13 +740,47 @@ class TestOptionLayer:
         assert "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    def test_surface_is_pinned(self):
+        def surface(command):
+            return {p.name: "/".join(p.opts + p.secondary_opts)
+                    for p in command.params}
+        assert {"tsgp": surface(cli)} | {
+            name: surface(command) for name, command in cli.commands.items()
+        } == SURFACE
+
+    @pytest.mark.parametrize("via_config", [False, True],
+                             ids=["flag", "config"])
+    @pytest.mark.parametrize("command,flag,key,value", REMOVED,
+                             ids=[f"{c} {f}" for c, f, _, _ in REMOVED])
+    def test_removed_option_is_usage_error(self, tmp_path, capsys,
+                                           corpus_file, command, flag, key,
+                                           value, via_config):
+        args = {"mine-pairs": ["--corpus", str(corpus_file)],
+                "bench": ["--methods", "stdgp", "--synthetic", "--pop", "5",
+                          "--gens", "1", "--runs", "1"]}[command]
+        args += ["--out", str(tmp_path / "out")]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: int(value) if value else True}))
+            argv, message = (["--config", str(cfg), command] + args,
+                             f"--config {cfg}: {key!r} names no option of "
+                             f"{command}")
+        else:
+            argv = [command] + args + [flag] + ([value] if value else [])
+            message = f"No such option '{flag}'"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("out*"))
+
     def test_search_and_bench_share_run_options(self):
         def options(name):
             return {p.name: (p.to_info_dict(), getattr(p.type, "low", None))
                     for p in cli.commands[name].params}
         search, bench = options("search"), options("bench")
         assert set(search) - {"method", "out"} == RUN_OPTIONS
-        assert set(bench) - {"methods", "runs", "probe", "out"} == RUN_OPTIONS
+        assert set(bench) - {"methods", "runs", "out"} == RUN_OPTIONS
         assert all(search[n] == bench[n] for n in RUN_OPTIONS)
 
 
@@ -743,13 +823,11 @@ class TestConfigFile:
          "Invalid value for '--model': File '1' does not exist."),
         (["mine-pairs"], {"corpus_path": 0},
          "Invalid value for '--corpus': File '0' does not exist."),
-        (["bench", "--methods", "stdgp", "--synthetic"], {"probe": 2},
-         "Invalid value for '--probe': '2' is not a valid boolean."),
         (["search", "--method", "stdgp", "--synthetic"], {"noise": None},
          "--config {cfg}: 'noise' must be a string, number or boolean"),
         (["train", "--pairs", "{pairs}"], {"lr": 10 ** 400},
          "Invalid value for '--lr': inf is not a finite number."),
-    ], ids=["model_path 1", "corpus_path 0", "probe 2", "noise null",
+    ], ids=["model_path 1", "corpus_path 0", "noise null",
             "lr 401 digits"])
     def test_config_value_of_the_wrong_kind(self, tmp_path, capsys,
                                             monkeypatch, pairs_file, argv,
@@ -799,3 +877,51 @@ class TestConfigFile:
         assert config["method"] == "stdgp"
         with open(out / "trace.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 2
+
+
+# A small run of each subcommand that writes outputs, with the name of its
+# --out.
+REPLAYED = {
+    "gen-corpus": (["gen-corpus", "--problems", "1", "--pop", "10",
+                    "--gens", "1"], "corpus.jsonl"),
+    "mine-pairs": (["mine-pairs", "--corpus", "CORPUS", "--k", "2"],
+                   "pairs.jsonl"),
+    "train": (["train", "--pairs", "PAIRS", "--epochs", "1", "--d-model",
+               "16", "--n-heads", "2", "--layers", "1"], "model.tsgp"),
+    "search": (["search", "--method", "stdgp", "--synthetic", "--pop", "10",
+                "--gens", "2"], "run"),
+    "bench": (["bench", "--methods", "stdgp,tsgp", "--model", "MODEL",
+               "--synthetic", "--pop", "6", "--gens", "1", "--runs", "2"],
+              "bench_out"),
+}
+
+
+class TestManifestReplay:
+    @pytest.mark.parametrize("command", sorted(REPLAYED))
+    def test_manifest_replays_the_run(self, tmp_path, corpus_file, pairs_file,
+                                      model_file, command):
+        """``--seed`` plus the manifest's ``config`` as ``--config``, with a
+        new ``--out``, writes the same bytes."""
+        paths = {"CORPUS": str(corpus_file), "PAIRS": str(pairs_file),
+                 "MODEL": str(model_file)}
+        args, name = REPLAYED[command]
+        first, again = tmp_path / "first", tmp_path / "again"
+        first.mkdir()
+        again.mkdir()
+        assert main(["--seed", "3"] + [paths.get(a, a) for a in args]
+                    + ["--out", str(first / name)]) == 0
+        manifest_path = next(first.rglob("*manifest.json"))
+        manifest = json.loads(manifest_path.read_text())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(manifest["config"]))
+        assert main(["--seed", str(manifest["seed"]), "--config", str(cfg),
+                     manifest["subcommand"], "--out", str(again / name)]) == 0
+
+        def outputs(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.rglob("*"))
+                    if p.is_file() and not p.name.endswith("manifest.json")}
+        assert outputs(first) and outputs(first) == outputs(again)
+        replayed = json.loads(
+            next(again.rglob("*manifest.json")).read_text())["config"]
+        assert replayed == dict(manifest["config"], out=str(again / name))
