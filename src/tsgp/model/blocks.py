@@ -10,6 +10,16 @@ returns the gradient of the block's input. Arrays the caller builds (the
 position table, the attention biases) must already be in that dtype, or
 NumPy promotes the rest of the pass to float64.
 
+A teacher-forced pass keeps its activations as packed rows (``Packing``):
+one (N, D) matrix of the live (non-PAD) positions of a batch of sequences,
+each sequence's SD slot among them. Every per-token block (the embedding,
+layer norm, each projection, the FFN, the head and the loss) runs once over
+all rows. Attention runs its core (scores, softmax and context) once per
+group of sequences (a ``Span``): the heads are gathered from the packed
+projections into a grid cropped to the group's longest sequence, and the
+context is scattered back into rows. The cached decode step runs the same
+core on its (B, H, T, dh) heads.
+
 A projection folds the leading axes of its input into rows, so it and both
 of its gradients are single 2-D GEMMs. Self-attention projects Q, K and V
 with one (D, 3D) GEMM, cross-attention K and V with one (D, 2D) GEMM. The
@@ -37,6 +47,14 @@ def _weights(p: dict, prefix: str, names: str) -> tuple:
             np.concatenate([p[f"{prefix}.b{n}"] for n in names]))
 
 
+def _column_sums(g: np.ndarray) -> np.ndarray:
+    """Sums over the rows of a 2-D array, as one GEMV. On 400-800 packed
+    float32 rows (one BLAS thread, 2-vCPU host) this is 3-5x faster than
+    ``g.sum(axis=0)``, which adds row after row, and 2-3x closer to the
+    exact sums."""
+    return np.ones(len(g), g.dtype) @ g
+
+
 def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows = x.reshape(-1, x.shape[-1])
     return (rows @ w).reshape(x.shape[:-1] + w.shape[-1:]) + b
@@ -48,7 +66,7 @@ def _linear_backward(p: dict, prefix: str, names: str, x: np.ndarray,
     w, _ = _weights(p, prefix, names)
     rows = x.reshape(-1, x.shape[-1])
     g = dy.reshape(-1, dy.shape[-1])
-    dw, db = rows.T @ g, g.sum(axis=0)
+    dw, db = rows.T @ g, _column_sums(g)
     width = w.shape[1] // max(1, len(names))
     for j, name in enumerate(names or [""]):
         cols = slice(j * width, (j + 1) * width)
@@ -57,35 +75,104 @@ def _linear_backward(p: dict, prefix: str, names: str, x: np.ndarray,
     return (g @ w.T).reshape(x.shape)
 
 
+# -- packing -------------------------------------------------------------------
+
+class Packing:
+    """The live cells of a (B, T) grid of sequences, packed row-major into
+    the rows of one (N, ...) matrix.
+
+    Column 0 (each sequence's SD slot) must be live. ``cols`` is each row's
+    position in its sequence, ``starts`` each sequence's SD row and
+    ``width`` each sequence's last live column + 1.
+    """
+
+    def __init__(self, live: np.ndarray):
+        B, T = live.shape
+        self.live = live
+        # the row of each live cell; a dead cell points at the row before it
+        self.index = np.cumsum(live.ravel()).reshape(B, T) - 1
+        self.cols = np.flatnonzero(live) % T
+        self.starts = self.index[:, 0]
+        self.width = T - np.argmax(live[:, ::-1], axis=1)
+
+    def pack(self, grid: np.ndarray) -> np.ndarray:
+        """(B, T, ...) -> the live cells' (N, ...) rows."""
+        return grid[self.live]
+
+    def unpack(self, rows: np.ndarray) -> np.ndarray:
+        """(N, ...) rows -> a (B, T, ...) grid that is zero at dead cells."""
+        grid = np.zeros(self.live.shape + rows.shape[1:], rows.dtype)
+        grid[self.live] = rows
+        return grid
+
+
+class Span:
+    """The sequences ``seqs`` of a ``Packing`` as a (b, W) grid of row
+    indices, cropped to the longest of them; ``live`` marks its live cells.
+    """
+
+    def __init__(self, packing: Packing, seqs: np.ndarray):
+        width = int(packing.width[seqs].max())
+        self.idx = packing.index[seqs, :width]
+        self.live = packing.live[seqs, :width]
+        self.rows = self.idx[self.live]
+
+    def gather(self, packed: np.ndarray) -> np.ndarray:
+        """(N, C) packed rows -> a (b, W, C) grid; a dead cell holds some
+        row."""
+        return packed[self.idx]
+
+    def gather_live(self, packed: np.ndarray) -> np.ndarray:
+        """``gather``, with zeros in the dead cells."""
+        grid = packed[self.idx]
+        grid[~self.live] = 0
+        return grid
+
+    def scatter(self, packed: np.ndarray, grid: np.ndarray):
+        """Write the live cells of a (b, W, C) grid into their rows of
+        ``packed``."""
+        packed[self.rows] = grid[self.live]
+
+
+def length_classes(lengths: np.ndarray) -> list:
+    """Sequence indices grouped by power-of-two length class: length n is
+    in class ``(n - 1).bit_length()`` (1, 2, 3-4, 5-8, ...). Classes come
+    in ascending order, and so do the indices within one."""
+    classes = np.frexp(np.asarray(lengths, dtype=np.float64) - 1)[1]
+    order = np.argsort(classes, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(classes[order])) + 1)
+
+
 # -- embedding -----------------------------------------------------------------
 
-def embed(p: dict, key: str, ids: np.ndarray, sd: np.ndarray,
-          positions: np.ndarray, start: int = 0,
-          acts: dict = None) -> np.ndarray:
-    """[SD embedding] ++ token embeddings, plus the position table.
-
-    With ``start`` > 0 the ids continue a sequence whose first ``start``
-    positions (the SD slot among them) are already decoded.
-    """
-    x = p["embed.tok"][ids]  # (B, T, D)
-    sd_col = np.asarray(sd, dtype=x.dtype).reshape(len(ids), 1, 1)
-    if start == 0:
-        sd_emb = (sd_col * p["sd_proj.w"].reshape(1, 1, -1)
-                  + p["sd_proj.b"].reshape(1, 1, -1))
-        x = np.concatenate([sd_emb, x], axis=1)  # (B, T+1, D)
+def embed(p: dict, key: str, ids: np.ndarray, sd: np.ndarray, sd_at,
+          positions: np.ndarray, acts: dict = None) -> np.ndarray:
+    """Token embeddings of ``ids`` plus ``positions``, except that the
+    entries ``sd_at`` (an index into ``ids``, or None) hold each sequence's
+    SD embedding: ``sd`` through the affine ``sd_proj``."""
+    x = p["embed.tok"][ids]
+    sd_col = np.asarray(sd, dtype=x.dtype).reshape(-1, 1)
+    if sd_at is not None:
+        x[sd_at] = sd_col * p["sd_proj.w"] + p["sd_proj.b"]
+    x += positions
     if acts is not None:
-        acts[key] = (ids, sd_col[:, 0])
-    return x + positions[None, start:start + x.shape[1], :]
+        acts[key] = (ids, sd_at, sd_col)
+    return x
 
 
 def embed_backward(key: str, dx: np.ndarray, acts: dict, grads: dict):
-    """Gradients of a full (``start`` 0) ``embed``."""
-    ids, sd_col = acts[key]
-    d_sd = dx[:, 0]
-    grads["sd_proj.w"] += (d_sd * sd_col).sum(axis=0)
-    grads["sd_proj.b"] += d_sd.sum(axis=0)
-    np.add.at(grads["embed.tok"], ids.reshape(-1),
-              dx[:, 1:].reshape(-1, dx.shape[-1]))
+    """Gradients of an ``embed`` of packed rows."""
+    ids, sd_at, sd_col = acts[key]
+    d_sd = dx[sd_at]
+    grads["sd_proj.w"] += _column_sums(d_sd * sd_col)
+    grads["sd_proj.b"] += _column_sums(d_sd)
+    tokens = np.ones(len(ids), dtype=bool)
+    tokens[sd_at] = False
+    # one (V, N) @ (N, D) GEMM: at 800 rows np.add.at's per-row loop took
+    # 480 µs against 66 µs (one BLAS thread, 2-vCPU host)
+    table = grads["embed.tok"]
+    onehot = ids[tokens] == np.arange(len(table))[:, None]
+    table += onehot.astype(dx.dtype) @ dx[tokens]
 
 
 # -- layer norm ----------------------------------------------------------------
@@ -115,8 +202,8 @@ def layer_norm_backward(p: dict, prefix: str, dy: np.ndarray, acts: dict,
                         grads: dict) -> np.ndarray:
     xhat, inv = acts[prefix]
     D = dy.shape[-1]
-    grads[f"{prefix}.g"] += (dy * xhat).reshape(-1, D).sum(axis=0)
-    grads[f"{prefix}.b"] += dy.reshape(-1, D).sum(axis=0)
+    grads[f"{prefix}.g"] += _column_sums((dy * xhat).reshape(-1, D))
+    grads[f"{prefix}.b"] += _column_sums(dy.reshape(-1, D))
     gx = dy * p[f"{prefix}.g"]
     # the means as in ``layer_norm``: a sum, then a divide by D
     gmean = np.add.reduce(gx, axis=-1, keepdims=True)
@@ -128,13 +215,39 @@ def layer_norm_backward(p: dict, prefix: str, dy: np.ndarray, acts: dict,
 
 # -- attention -----------------------------------------------------------------
 
-def project_heads(p: dict, prefix: str, names: str, x: np.ndarray,
-                  n_heads: int) -> np.ndarray:
-    """Project (B, T, D) with the fused ``names`` projections of ``prefix``
-    and split into heads: a (len(names), B, H, T, dh) view."""
-    y = _linear(x, *_weights(p, prefix, names))
+def attention_core(q, k, v, bias: np.ndarray) -> tuple:
+    """Scaled dot-product attention of (B, H, Tq, dh) query heads over
+    (B, H, Tk, dh) key and value heads under an additive ``bias``: the
+    probabilities and the context (B, Tq, H * dh)."""
+    B, H, Tq, dh = q.shape
+    att = q @ k.transpose(0, 1, 3, 2)  # the scores, then softmax in place
+    att *= 1.0 / math.sqrt(dh)
+    att += bias
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    return att, (att @ v).transpose(0, 2, 1, 3).reshape(B, Tq, H * dh)
+
+
+def attention_core_backward(q, k, v, att: np.ndarray,
+                            dctx: np.ndarray) -> tuple:
+    """Gradients of the q, k and v heads of ``attention_core`` from that of
+    its context."""
+    B, H, Tq, dh = q.shape
+    dctx = dctx.reshape(B, Tq, H, dh).transpose(0, 2, 1, 3)
+    datt = dctx @ v.transpose(0, 1, 3, 2)
+    dv = att.transpose(0, 1, 3, 2) @ dctx
+    dscores = datt  # in place: att * (datt - rowsum(datt * att)) / sqrt(dh)
+    dscores -= (datt * att).sum(axis=-1, keepdims=True)
+    dscores *= att
+    dscores *= 1.0 / math.sqrt(dh)
+    return dscores @ k, dscores.transpose(0, 1, 3, 2) @ q, dv
+
+
+def _split_heads(y: np.ndarray, n: int, n_heads: int) -> np.ndarray:
+    """(B, T, n * D) -> an (n, B, H, T, dh) view."""
     B, T, _ = y.shape
-    return y.reshape(B, T, len(names), n_heads, -1).transpose(2, 0, 3, 1, 4)
+    return y.reshape(B, T, n, n_heads, -1).transpose(2, 0, 3, 1, 4)
 
 
 def _merge_heads(*heads: np.ndarray) -> np.ndarray:
@@ -145,79 +258,98 @@ def _merge_heads(*heads: np.ndarray) -> np.ndarray:
     return merged.reshape(B, T, len(heads) * H * dh)
 
 
-def _attend(p: dict, prefix: str, q, k, v, bias: np.ndarray,
-            acts: dict) -> np.ndarray:
-    """Scaled dot-product attention of (B, H, T, dh) heads under an additive
-    ``bias``, then the output projection ``wo``/``bo``."""
-    B, H, Tq, dh = q.shape
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dh)) + bias
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    att = e / e.sum(axis=-1, keepdims=True)
-    ctx = (att @ v).transpose(0, 2, 1, 3).reshape(B, Tq, H * dh)
+def project_heads(p: dict, prefix: str, names: str, x: np.ndarray,
+                  n_heads: int) -> np.ndarray:
+    """Project (B, T, D) with the fused ``names`` projections of ``prefix``
+    and split into heads: a (len(names), B, H, T, dh) view."""
+    return _split_heads(_linear(x, *_weights(p, prefix, names)), len(names),
+                        n_heads)
+
+
+def attend(p: dict, prefix: str, q, k, v, bias: np.ndarray) -> np.ndarray:
+    """``attention_core`` of (B, H, T, dh) heads, then the output
+    projection ``wo``/``bo``; keeps no activations (the cached decode
+    step)."""
+    return _linear(attention_core(q, k, v, bias)[1], p[f"{prefix}.wo"],
+                   p[f"{prefix}.bo"])
+
+
+def _attention(p: dict, prefix: str, q_rows: np.ndarray, kv_rows: np.ndarray,
+               groups: list, n_heads: int, acts: dict) -> np.ndarray:
+    """Attention of packed query rows over packed key/value rows (K and V
+    side by side), then the output projection. ``groups`` holds
+    (query ``Span``, key ``Span``, bias) triples whose query spans cover
+    every query row once; the core runs once per group."""
+    ctx = np.empty(q_rows.shape, q_rows.dtype)
+    heads = []
+    for q_span, k_span, bias in groups:
+        (q,) = _split_heads(q_span.gather(q_rows), 1, n_heads)
+        k, v = _split_heads(k_span.gather(kv_rows), 2, n_heads)
+        att, c = attention_core(q, k, v, bias)
+        q_span.scatter(ctx, c)
+        heads.append((q, k, v, att))
     if acts is not None:
-        acts[prefix] = (q, k, v, att, ctx)
+        acts[prefix] = (groups, heads, ctx)
     return _linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
-def _attend_backward(p: dict, prefix: str, dy: np.ndarray, acts: dict,
-                     grads: dict) -> tuple:
-    """Gradients of ``_attend``; returns those of the q, k and v heads."""
-    q, k, v, att, ctx = acts[prefix]
-    B, H, Tq, dh = q.shape
+def _attention_backward(p: dict, prefix: str, dy: np.ndarray, acts: dict,
+                        grads: dict, dq_rows: np.ndarray,
+                        dkv_rows: np.ndarray):
+    """Gradients of ``_attention``, written into the rows of ``dq_rows`` and
+    ``dkv_rows``; their key spans too must cover every key row once."""
+    groups, heads, ctx = acts[prefix]
     dctx = _linear_backward(p, prefix, "o", ctx, dy, grads)
-    dctx = dctx.reshape(B, Tq, H, dh).transpose(0, 2, 1, 3)
-    datt = dctx @ v.transpose(0, 1, 3, 2)
-    dv = att.transpose(0, 1, 3, 2) @ dctx
-    dscores = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-    dscores *= 1.0 / math.sqrt(dh)
-    return dscores @ k, dscores.transpose(0, 1, 3, 2) @ q, dv
+    for (q_span, k_span, _), (q, k, v, att) in zip(groups, heads):
+        dq, dk, dv = attention_core_backward(q, k, v, att,
+                                             q_span.gather_live(dctx))
+        q_span.scatter(dq_rows, _merge_heads(dq))
+        k_span.scatter(dkv_rows, _merge_heads(dk, dv))
 
 
-def self_attention(p: dict, prefix: str, x: np.ndarray, bias: np.ndarray,
-                   n_heads: int, acts: dict = None, extend=None) -> np.ndarray:
-    """Multi-head self-attention of ``x`` with one fused QKV projection.
-
-    ``extend(k, v)``, when given, stores the new positions' key and value
-    heads (a decode cache) and returns the heads of all positions so far.
-    """
-    q, k, v = project_heads(p, prefix, "qkv", x, n_heads)
-    if extend is not None:
-        k, v = extend(k, v)
+def self_attention(p: dict, prefix: str, x: np.ndarray, groups: list,
+                   n_heads: int, acts: dict = None) -> np.ndarray:
+    """Multi-head self-attention of packed rows ``x`` with one fused QKV
+    projection; ``groups`` as for ``_attention``, one span per group."""
+    D = x.shape[1]
+    qkv = _linear(x, *_weights(p, prefix, "qkv"))
     if acts is not None:
         acts[prefix + ".in"] = x
-    return _attend(p, prefix, q, k, v, bias, acts)
+    return _attention(p, prefix, qkv[:, :D], qkv[:, D:], groups, n_heads,
+                      acts)
 
 
 def self_attention_backward(p: dict, prefix: str, dy: np.ndarray,
                             acts: dict, grads: dict) -> np.ndarray:
-    dqkv = _merge_heads(*_attend_backward(p, prefix, dy, acts, grads))
-    return _linear_backward(p, prefix, "qkv", acts[prefix + ".in"], dqkv,
-                            grads)
+    x = acts[prefix + ".in"]
+    D = x.shape[1]
+    dqkv = np.empty((len(x), 3 * D), x.dtype)
+    _attention_backward(p, prefix, dy, acts, grads, dqkv[:, :D], dqkv[:, D:])
+    return _linear_backward(p, prefix, "qkv", x, dqkv, grads)
 
 
 def cross_attention(p: dict, prefix: str, x: np.ndarray, enc_out: np.ndarray,
-                    bias: np.ndarray, n_heads: int, acts: dict = None,
-                    kv: tuple = None) -> np.ndarray:
-    """Multi-head attention from ``x`` to the encoder output; keys and values
-    come from one fused KV projection of ``enc_out``, or from ``kv`` heads
-    projected earlier (a decode cache)."""
-    (q,) = project_heads(p, prefix, "q", x, n_heads)
-    k, v = kv if kv is not None else project_heads(p, prefix, "kv", enc_out,
-                                                   n_heads)
+                    groups: list, n_heads: int,
+                    acts: dict = None) -> np.ndarray:
+    """Multi-head attention from packed decoder rows ``x`` to packed encoder
+    rows ``enc_out``, whose keys and values come from one fused KV
+    projection; ``groups`` as for ``_attention``."""
+    q = _linear(x, *_weights(p, prefix, "q"))
+    kv = _linear(enc_out, *_weights(p, prefix, "kv"))
     if acts is not None:
         acts[prefix + ".in"] = (x, enc_out)
-    return _attend(p, prefix, q, k, v, bias, acts)
+    return _attention(p, prefix, q, kv, groups, n_heads, acts)
 
 
 def cross_attention_backward(p: dict, prefix: str, dy: np.ndarray,
                              acts: dict, grads: dict) -> tuple:
     """Returns the gradients of the decoder input and the encoder output."""
     x, enc_out = acts[prefix + ".in"]
-    dq, dk, dv = _attend_backward(p, prefix, dy, acts, grads)
-    dx = _linear_backward(p, prefix, "q", x, _merge_heads(dq), grads)
-    denc = _linear_backward(p, prefix, "kv", enc_out, _merge_heads(dk, dv),
-                            grads)
-    return dx, denc
+    dq = np.empty_like(x)
+    dkv = np.empty((len(enc_out), 2 * enc_out.shape[1]), enc_out.dtype)
+    _attention_backward(p, prefix, dy, acts, grads, dq, dkv)
+    return (_linear_backward(p, prefix, "q", x, dq, grads),
+            _linear_backward(p, prefix, "kv", enc_out, dkv, grads))
 
 
 # -- feed-forward --------------------------------------------------------------

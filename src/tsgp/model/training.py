@@ -1,4 +1,10 @@
-"""Teacher-forced training with AdamW over mined pairs, in float32."""
+"""Teacher-forced training with AdamW over mined pairs, in float32.
+
+A step pads its pairs into one batch (``make_batch``) and runs it as one
+teacher-forced pass on packed rows and its hand-derived backward (``grad``):
+per-token work once over the batch's non-PAD positions, attention once per
+power-of-two length class.
+"""
 
 from __future__ import annotations
 
@@ -47,47 +53,30 @@ def make_batch(pairs, vocab: Vocabulary, max_len: int):
             pad(dec_rows, dec_w), pad(tgt_rows, dec_w + 1))
 
 
-# A step runs its batch as this many length groups (see ``grad``). Mean
-# time of the first 80 desk-recipe steps (d_model 64, 2+2 layers, batch 32,
-# one BLAS thread on a 2-vCPU host) by group count, median of three sweeps:
-# 4: 105 ms, 6: 87, 8: 87, 12: 78, 16: 87, 24: 107 ms. Over six runs each,
-# 6, 8 and 12 groups were within host noise of one another (medians 85, 83
-# and 80 ms). More groups crop more padding but pay more per-block Python
-# overhead.
-LENGTH_GROUPS = 8
-
-
 def grad(model: SdTransformer, batch) -> tuple:
-    """Loss value and exact gradients of the mean loss for every parameter.
+    """Loss value and exact gradients of the mean token loss for every
+    parameter.
 
-    The padded batch from ``make_batch`` runs as up to ``LENGTH_GROUPS``
-    groups of rows of similar length (sorted by the longer of encoder input
-    and target, equal-count split), each cropped to its own longest row.
-    Each group's mean token loss is weighted by its share of the batch's
-    non-PAD targets and back-propagated into the same gradients, so loss
-    and gradients are those of one pass over the whole batch up to float
-    summation order: PAD keys get exactly zero attention and PAD targets
-    no loss, so cropping them away changes no other value. The gradients
-    are views into one flat buffer laid out as ``model.flat``.
+    The padded batch from ``make_batch`` runs as one teacher-forced pass on
+    packed rows (``SdTransformer.teacher_forced``): every per-token block
+    and the loss run once over the batch's non-PAD positions, and only the
+    attention core runs once per power-of-two length class of rows. PAD
+    keys get exactly zero attention and PAD targets no loss, so loss and
+    gradients are those of one pass over the whole padded batch up to float
+    summation order. The rows run sorted (stable) by the longer of their
+    input and target, so the rows of each length class are adjacent. The
+    gradients are views into one flat buffer laid out as ``model.flat``.
     """
-    enc_ids, sd, dec_ids, targets = batch
-    enc_len = (enc_ids != PAD).sum(axis=1)
-    tgt_len = (targets != PAD).sum(axis=1)
-    order = np.argsort(np.maximum(enc_len, tgt_len), kind="stable")
-    total = int(tgt_len.sum())
+    key = np.maximum((batch[0] != PAD).sum(axis=1),
+                     (batch[3] != PAD).sum(axis=1))
+    order = np.argsort(key, kind="stable")
+    enc_ids, sd, dec_ids, targets = (a[order] for a in batch)
+    acts = {}
+    logits, dec = model.teacher_forced(enc_ids, sd, dec_ids, acts)
+    loss, dlogits = blocks.cross_entropy(logits, dec.pack(targets))
     grads = model.views(np.zeros_like(model.flat))
-    loss_val = 0.0
-    for rows in np.array_split(order, min(LENGTH_GROUPS, len(order))):
-        enc_w, tgt_w = int(enc_len[rows].max()), int(tgt_len[rows].max())
-        acts = {}
-        logits = model.forward(enc_ids[rows, :enc_w], sd[rows],
-                               dec_ids[rows, :tgt_w - 1], acts=acts)
-        loss, dlogits = blocks.cross_entropy(logits, targets[rows, :tgt_w])
-        share = int(tgt_len[rows].sum()) / total
-        dlogits *= share
-        model.backward(acts, dlogits, grads)
-        loss_val += loss * share
-    return loss_val, grads
+    model.backward(acts, dlogits, grads)
+    return loss, grads
 
 
 class AdamWState:
@@ -146,7 +135,7 @@ def train(pairs, hyper: Hyperparams, vocab: Vocabulary, seed: int = 0,
 
     Each epoch shuffles the pairs; each step pads the next ``batch_size``
     of them into one batch (``make_batch``), computes the batch's loss and
-    gradients in length groups (``grad``) and takes one AdamW step.
+    gradients in one packed pass (``grad``) and takes one AdamW step.
     Deterministic for a fixed seed (single numpy stream, fixed batch order
     per epoch shuffle). Returns (model, curve) where curve is a list of
     (step, loss) tuples. Raises NumericError on divergence.
@@ -182,6 +171,5 @@ def token_accuracy(model: SdTransformer, pairs) -> float:
     """Teacher-forced next-token accuracy over non-PAD targets."""
     enc_ids, sd, dec_ids, targets = make_batch(pairs, model.vocab,
                                                model.hyper.max_len)
-    pred = model.forward(enc_ids, sd, dec_ids).argmax(axis=-1)
-    mask = targets != PAD
-    return float((pred[mask] == targets[mask]).mean())
+    logits, dec = model.teacher_forced(enc_ids, sd, dec_ids, None)
+    return float((logits.argmax(axis=-1) == dec.pack(targets)).mean())

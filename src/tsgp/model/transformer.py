@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -91,6 +90,15 @@ def _bias(allowed: np.ndarray, dtype) -> np.ndarray:
     ``NEG_BIAS``."""
     zero, neg = np.array([0.0, NEG_BIAS], dtype=dtype)
     return np.where(allowed, zero, neg)
+
+
+def _sd_grid(ids: np.ndarray) -> tuple:
+    """(B, T) ids -> the (B, T+1) grid [SD slot] ++ ids, PAD in the slot,
+    and its live cells: the slot and every non-PAD id."""
+    grid = np.pad(ids, ((0, 0), (1, 0)), constant_values=PAD)
+    live = grid != PAD
+    live[:, 0] = True
+    return grid, live
 
 
 def param_spec(hyper: Hyperparams, vocab_size: int) -> dict:
@@ -195,27 +203,59 @@ class SdTransformer:
 
     # -- forward --------------------------------------------------------------
     #
-    # With an ``acts`` dict, every block stores what its backward needs in
-    # it, and ``backward`` can then run the pass in reverse.
+    # Teacher forcing runs on packed rows (``blocks.Packing``): the per-token
+    # blocks run once over the live positions of the whole batch, and the
+    # attention core once per power-of-two length class of sequences
+    # (``blocks.length_classes``). With an ``acts`` dict, every block stores
+    # what its backward needs in it, and ``backward`` can then run the pass
+    # in reverse.
 
-    def encode(self, enc_ids: np.ndarray, sd: np.ndarray, acts: dict = None):
-        """Run the encoder stack; returns (output, key-validity mask)."""
+    def _encoder_grid(self, enc_ids) -> tuple:
         enc_ids = np.atleast_2d(np.asarray(enc_ids, dtype=np.int64))
         if enc_ids.shape[1] > self.hyper.max_len:
             raise ValueError(
                 f"encoder sequence {enc_ids.shape[1]} > max_len {self.hyper.max_len}")
-        valid = np.concatenate(
-            [np.ones((enc_ids.shape[0], 1), dtype=bool), enc_ids != PAD], axis=1)
-        bias = self._key_bias(valid, self.dtype)
+        return _sd_grid(enc_ids)
+
+    def _check_decoder(self, positions: int):
+        if positions > self.hyper.max_len + 2:
+            raise ValueError(
+                f"decoder sequence {positions - 1} > {self.hyper.max_len + 1}")
+
+    def encode(self, enc_ids: np.ndarray, sd: np.ndarray, acts: dict = None):
+        """Run the encoder stack, its rows in power-of-two classes of their
+        length; returns (output, key-validity mask), the output zero at PAD
+        positions."""
+        grid, live = self._encoder_grid(enc_ids)
+        enc = blocks.Packing(live)
+        spans = [blocks.Span(enc, seqs)
+                 for seqs in blocks.length_classes(live.sum(axis=1) - 1)]
+        return enc.unpack(self._encode(grid, sd, enc, spans, acts)), live
+
+    def _encode(self, grid, sd, enc: blocks.Packing, spans: list,
+                acts: dict) -> np.ndarray:
+        """The encoder stack over the packed rows of ``grid``."""
         p, H = self.params, self.hyper.n_heads
-        x = blocks.embed(p, "enc", enc_ids, sd, self.positions, acts=acts)
+        groups = [(s, s, self._key_bias(s.live, self.dtype)) for s in spans]
+        x = blocks.embed(p, "enc", enc.pack(grid), sd, enc.starts,
+                         self.positions[enc.cols], acts)
         for i in range(self.hyper.n_encoder_layers):
             h = blocks.layer_norm(p, f"enc.{i}.ln1", x, acts)
-            x = x + blocks.self_attention(p, f"enc.{i}.attn", h, bias, H,
+            x = x + blocks.self_attention(p, f"enc.{i}.attn", h, groups, H,
                                           acts)
             h = blocks.layer_norm(p, f"enc.{i}.ln2", x, acts)
             x = x + blocks.ffn(p, f"enc.{i}.ffn", h, acts)
-        return blocks.layer_norm(p, "enc.ln_f", x, acts), valid
+        return blocks.layer_norm(p, "enc.ln_f", x, acts)
+
+    @staticmethod
+    def _spans(enc: blocks.Packing, dec: blocks.Packing) -> tuple:
+        """Encoder and decoder spans of a pass's length classes; a
+        sequence's class comes from the longer of its encoder input and its
+        decoder positions (its target)."""
+        classes = blocks.length_classes(np.maximum(enc.live.sum(axis=1) - 1,
+                                                   dec.live.sum(axis=1)))
+        return ([blocks.Span(enc, seqs) for seqs in classes],
+                [blocks.Span(dec, seqs) for seqs in classes])
 
     def start_decoding(self, enc_out: np.ndarray, enc_valid: np.ndarray,
                        rows: np.ndarray) -> "DecodeCache":
@@ -241,7 +281,8 @@ class SdTransformer:
     def decode(self, dec_ids: np.ndarray, sd: np.ndarray, enc_out: np.ndarray,
                enc_valid: np.ndarray, cache: "DecodeCache" = None,
                acts: dict = None) -> np.ndarray:
-        """Decoder stack over [SD] ++ dec_ids; returns logits (B, T+1, V).
+        """Decoder stack over [SD] ++ dec_ids; returns logits (B, T+1, V),
+        zero at PAD positions.
 
         With a ``cache`` from ``start_decoding``, ``dec_ids`` (no PAD)
         continue the sequence decoded so far: only the new positions are
@@ -251,53 +292,95 @@ class SdTransformer:
         unused. Teacher forcing (no cache) is the oracle for this path.
         """
         dec_ids = np.atleast_2d(np.asarray(dec_ids, dtype=np.int64))
-        start = 0 if cache is None else cache.length
-        T = dec_ids.shape[1] + (start == 0)  # new positions
-        if start + T > self.hyper.max_len + 2:
-            raise ValueError(
-                f"decoder sequence {start + T - 1} > {self.hyper.max_len + 1}")
-        if cache is None:
-            valid = np.concatenate(
-                [np.ones((dec_ids.shape[0], 1), dtype=bool), dec_ids != PAD],
-                axis=1)
-            self_bias = (self._key_bias(valid, self.dtype)
-                         + self._causal_bias(T, self.dtype)[None, None, :, :])
-            cross_bias = self._key_bias(enc_valid, self.dtype)
-        else:
-            self_bias = self._causal_bias(start + T, self.dtype)[start:]
-            cross_bias = cache.cross_bias
-        p, H = self.params, self.hyper.n_heads
-        x = blocks.embed(p, "dec", dec_ids, sd, self.positions, start, acts)
+        if cache is not None:
+            return self._decode_step(dec_ids, sd, cache)
+        self._check_decoder(dec_ids.shape[1] + 1)
+        grid, live = _sd_grid(dec_ids)
+        enc, dec = blocks.Packing(enc_valid), blocks.Packing(live)
+        enc_spans, dec_spans = self._spans(enc, dec)
+        return dec.unpack(self._decode(grid, sd, enc.pack(enc_out), dec,
+                                       enc_spans, dec_spans, acts))
+
+    def _decode(self, grid, sd, enc_rows: np.ndarray, dec: blocks.Packing,
+                enc_spans: list, dec_spans: list, acts: dict) -> np.ndarray:
+        """The decoder stack over the packed rows of ``grid``, attending to
+        the packed encoder rows ``enc_rows``; returns the rows' logits."""
+        p, H, dtype = self.params, self.hyper.n_heads, self.dtype
+        self_groups = [(s, s, self._key_bias(s.live, dtype)
+                        + self._causal_bias(s.live.shape[1], dtype))
+                       for s in dec_spans]
+        cross_groups = [(d, e, self._key_bias(e.live, dtype))
+                        for d, e in zip(dec_spans, enc_spans)]
+        x = blocks.embed(p, "dec", dec.pack(grid), sd, dec.starts,
+                         self.positions[dec.cols], acts)
         for i in range(self.hyper.n_decoder_layers):
             pre = f"dec.{i}"
             h = blocks.layer_norm(p, f"{pre}.ln1", x, acts)
-            extend = None if cache is None else partial(cache.extend, i)
-            x = x + blocks.self_attention(p, f"{pre}.self", h, self_bias, H,
-                                          acts, extend)
+            x = x + blocks.self_attention(p, f"{pre}.self", h, self_groups, H,
+                                          acts)
             h = blocks.layer_norm(p, f"{pre}.ln2", x, acts)
-            kv = None if cache is None else cache.cross(i)
-            x = x + blocks.cross_attention(p, f"{pre}.cross", h, enc_out,
-                                           cross_bias, H, acts, kv)
+            x = x + blocks.cross_attention(p, f"{pre}.cross", h, enc_rows,
+                                           cross_groups, H, acts)
             h = blocks.layer_norm(p, f"{pre}.ln3", x, acts)
             x = x + blocks.ffn(p, f"{pre}.ffn", h, acts)
-        if cache is not None:
-            cache.length += T
         return blocks.head(p, x, acts)
+
+    def _decode_step(self, dec_ids: np.ndarray, sd, cache: "DecodeCache"):
+        """``decode`` with a cache: (B, T) new positions per row."""
+        start = cache.length
+        T = dec_ids.shape[1] + (start == 0)
+        self._check_decoder(start + T)
+        p, H = self.params, self.hyper.n_heads
+        sd_at = None
+        if start == 0:
+            dec_ids, sd_at = _sd_grid(dec_ids)[0], (slice(None), 0)
+        x = blocks.embed(p, "dec", dec_ids, sd, sd_at,
+                         self.positions[start:start + T])
+        self_bias = self._causal_bias(start + T, self.dtype)[start:]
+        for i in range(self.hyper.n_decoder_layers):
+            pre = f"dec.{i}"
+            h = blocks.layer_norm(p, f"{pre}.ln1", x)
+            q, k, v = blocks.project_heads(p, f"{pre}.self", "qkv", h, H)
+            x = x + blocks.attend(p, f"{pre}.self", q, *cache.extend(i, k, v),
+                                  self_bias)
+            h = blocks.layer_norm(p, f"{pre}.ln2", x)
+            (q,) = blocks.project_heads(p, f"{pre}.cross", "q", h, H)
+            x = x + blocks.attend(p, f"{pre}.cross", q, *cache.cross(i),
+                                  cache.cross_bias)
+            h = blocks.layer_norm(p, f"{pre}.ln3", x)
+            x = x + blocks.ffn(p, f"{pre}.ffn", h)
+        cache.length += T
+        return blocks.head(p, x)
+
+    def teacher_forced(self, enc_ids: np.ndarray, sd, dec_ids: np.ndarray,
+                       acts: dict) -> tuple:
+        """The full teacher-forced pass on packed rows: (logits of the live
+        decoder positions, the decoder's ``Packing``)."""
+        sd = np.broadcast_to(np.asarray(sd, dtype=self.dtype),
+                             (np.atleast_2d(enc_ids).shape[0],))
+        enc_grid, enc_live = self._encoder_grid(enc_ids)
+        dec_ids = np.atleast_2d(np.asarray(dec_ids, dtype=np.int64))
+        self._check_decoder(dec_ids.shape[1] + 1)
+        dec_grid, dec_live = _sd_grid(dec_ids)
+        enc, dec = blocks.Packing(enc_live), blocks.Packing(dec_live)
+        enc_spans, dec_spans = self._spans(enc, dec)
+        enc_rows = self._encode(enc_grid, sd, enc, enc_spans, acts)
+        return self._decode(dec_grid, sd, enc_rows, dec, enc_spans, dec_spans,
+                            acts), dec
 
     def forward(self, enc_ids: np.ndarray, sd, dec_ids: np.ndarray,
                 acts: dict = None) -> np.ndarray:
-        """Full pass; logits row t depends only on decoder positions <= t."""
-        sd = np.broadcast_to(np.asarray(sd, dtype=self.dtype),
-                             (np.atleast_2d(enc_ids).shape[0],))
-        enc_out, enc_valid = self.encode(enc_ids, sd, acts)
-        return self.decode(dec_ids, sd, enc_out, enc_valid, acts=acts)
+        """Full pass; logits row t depends only on decoder positions <= t.
+        The logits are ``teacher_forced``'s, zero at PAD positions."""
+        logits, dec = self.teacher_forced(enc_ids, sd, dec_ids, acts)
+        return dec.unpack(logits)
 
     # -- backward -------------------------------------------------------------
 
     def backward(self, acts: dict, dlogits: np.ndarray, grads: dict):
-        """Back-propagate ``dlogits`` through the teacher-forced ``forward``
-        that filled ``acts``, adding every parameter's gradient into
-        ``grads`` (laid out as ``params``)."""
+        """Back-propagate ``dlogits``, the gradient of the logit rows of the
+        ``teacher_forced`` pass that filled ``acts``, adding every
+        parameter's gradient into ``grads`` (laid out as ``params``)."""
         p, h = self.params, self.hyper
         dx = blocks.head_backward(p, dlogits, acts, grads)
         denc = 0.0

@@ -125,28 +125,6 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _encode_bucketed(model: SdTransformer, ids: list, sds: np.ndarray):
-    """Encode parents in power-of-two length classes, so that one long parent
-    pads only its own class; returns (B, W+1, D) outputs zero-padded to the
-    longest parent, and their key-validity mask."""
-    lengths = np.array([len(row) for row in ids])
-    width = max(1, int(lengths.max()))
-    enc_out = np.zeros((len(ids), width + 1, model.hyper.d_model),
-                       model.dtype)
-    enc_valid = np.zeros((len(ids), width + 1), dtype=bool)
-    classes = np.array([int(n - 1).bit_length() for n in lengths])
-    for c in np.unique(classes):
-        rows = np.flatnonzero(classes == c)
-        w = max(1, int(lengths[rows].max()))
-        enc_ids = np.full((len(rows), w), PAD, dtype=np.int64)
-        for r, i in enumerate(rows):
-            enc_ids[r, :lengths[i]] = ids[i]
-        out, valid = model.encode(enc_ids, sds[rows])
-        enc_out[rows, :w + 1] = out
-        enc_valid[rows, :w + 1] = valid
-    return enc_out, enc_valid
-
-
 def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
                         sd_desired: float, rngs: list,
                         temperature: float = 1.0) -> list:
@@ -171,8 +149,11 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
     parent_row = np.array([
         distinct.setdefault(tuple(vocab.encode(t[:max_len])), len(distinct))
         for t in parents_tokens])
-    enc_out, enc_valid = _encode_bucketed(model, list(distinct),
-                                          sds[:len(distinct)])
+    enc_ids = np.full((len(distinct), max(map(len, distinct))), PAD,
+                      dtype=np.int64)
+    for row, ids in zip(enc_ids, distinct):
+        row[:len(ids)] = ids
+    enc_out, enc_valid = model.encode(enc_ids, sds[:len(distinct)])
     cache = model.start_decoding(enc_out, enc_valid, parent_row)
 
     # per-parent counters; depth[i, need[i] - 1] is the open slot's depth

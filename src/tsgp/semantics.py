@@ -56,11 +56,14 @@ def standardize(matrix: np.ndarray) -> np.ndarray:
     squeeze = arr.ndim == 1
     if squeeze:
         arr = arr[:, None]
+    # a repeated inexact value (0.1) has a population std of about 1e-17,
+    # not 0, so constancy is tested on the range
+    constant = np.ptp(arr, axis=0) == 0.0
+    if constant.any():
+        raise DataError(f"column {int(np.flatnonzero(constant)[0])} is "
+                        "constant")
     mean = arr.mean(axis=0)
     std = arr.std(axis=0)  # population convention (divide by n)
-    if np.any(std == 0.0):
-        bad = int(np.flatnonzero(std == 0.0)[0])
-        raise DataError(f"column {bad} is constant")
     out = (arr - mean) / std
     if squeeze:
         out = out[:, 0]

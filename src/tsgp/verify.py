@@ -80,10 +80,12 @@ def causality_probe(model: SdTransformer, rng: np.random.Generator) -> tuple:
 
     acts = {}
     base = model.forward(enc_ids, sd, dec_ids, acts=acts)
-    # attention blocks store (q, k, v, probabilities, context)
-    row_err = max(float(np.abs(acts[name][3].sum(axis=-1) - 1.0).max())
+    # attention blocks store (groups, (q, k, v, probabilities) per length
+    # class, context)
+    row_err = max(float(np.abs(att.sum(axis=-1) - 1.0).max())
                   for name in acts
-                  if name.endswith((".attn", ".self", ".cross")))
+                  if name.endswith((".attn", ".self", ".cross"))
+                  for *_, att in acts[name][1])
 
     leak = 0.0
     for _ in range(PROBE_PERTURBATIONS):

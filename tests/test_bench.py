@@ -43,6 +43,20 @@ class TestDataset:
         d3 = make_dataset("a", X, Y, seed=10)
         assert not np.array_equal(d1.train_idx, d3.train_idx)
 
+    @pytest.mark.parametrize("column", ["X", "Y"])
+    def test_constant_column_rejected(self, column):
+        """A column of one repeated inexact value, whose population std is
+        about 1e-17 rather than 0."""
+        rng = np.random.default_rng(2)
+        X, Y = rng.standard_normal((40, 2)), rng.standard_normal(40)
+        if column == "X":
+            X[:, 1] = 0.1
+        else:
+            Y[:] = 0.1
+        bad = 1 if column == "X" else 0
+        with pytest.raises(DataError, match=f"column {bad} is constant"):
+            make_dataset("a", X, Y, seed=9)
+
 
 class TestLoadCsv:
     def _rows(self, n, d=4, seed=0):

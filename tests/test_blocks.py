@@ -3,7 +3,10 @@
 Every case draws a batch shape, PAD positions (rows whose only valid key is
 the SD slot among them) and random parameters, runs the block forward and
 backward on plain arrays, and runs the same block built from ``autodiff``
-ops. Outputs must agree exactly, gradients to 1e-10 relative by norm.
+ops. Outputs must agree exactly, gradients to 1e-10 relative by norm. The
+blocks take packed rows; here every cell of the (B, T) grid is a row and
+the attention core runs once over the whole grid, as the tape does.
+Packing PAD cells away is checked on the whole model, in ``test_model``.
 """
 
 import numpy as np
@@ -42,6 +45,12 @@ def _valid(rng, B: int, T: int) -> np.ndarray:
     return np.arange(T)[None, :] < lengths[:, None]
 
 
+def _grid_span(B: int, T: int) -> blocks.Span:
+    """Every cell of a (B, T) grid as a packed row, in one span."""
+    return blocks.Span(blocks.Packing(np.ones((B, T), dtype=bool)),
+                       np.arange(B))
+
+
 def _check(grads: dict, ref: dict, dx=None, ref_dx=None):
     scale = max(np.abs(g).max() for g in ref.values())
     for name, g in ref.items():
@@ -77,12 +86,15 @@ def test_embed(vocab, seed, B, T, Tk):
     ids = rng.integers(3, vocab.size, size=(B, T))
     ids[~_valid(rng, B, T)] = PAD
     sd = rng.uniform(0.0, 2.0, size=B)
+    rows = blocks.Packing(np.ones((B, T + 1), dtype=bool))
+    grid = np.pad(ids, ((0, 0), (1, 0)))  # column 0 is the SD slot
     acts = {}
-    out = blocks.embed(model.params, "enc", ids, sd, model.positions,
-                       acts=acts)
-    _, grads, ref = _run(model, tape, out, tape.embed(ids, sd),
+    out = blocks.embed(model.params, "enc", rows.pack(grid), sd, rows.starts,
+                       model.positions[rows.cols], acts)
+    _, grads, ref = _run(model, tape, out.reshape(B, T + 1, 8),
+                         tape.embed(ids, sd),
                          lambda g, grads: blocks.embed_backward(
-                             "enc", g, acts, grads), rng)
+                             "enc", g.reshape(-1, 8), acts, grads), rng)
     _check(grads, ref)
 
 
@@ -113,12 +125,16 @@ def test_self_attention(vocab, causal, seed, B, T, Tk):
         bias = bias + SdTransformer._causal_bias(T)[None, None]
     x = rng.standard_normal((B, T, 8))
     x_t, acts = Tensor(x, True), {}
-    out = blocks.self_attention(model.params, prefix, x, bias, H, acts)
-    np.testing.assert_allclose(acts[prefix][3].sum(axis=-1), 1.0, atol=1e-12)
-    dx, grads, ref = _run(model, tape, out,
+    span = _grid_span(B, T)
+    out = blocks.self_attention(model.params, prefix, x.reshape(-1, 8),
+                                [(span, span, bias)], H, acts)
+    (_, _, _, att), = acts[prefix][1]
+    np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-12)
+    dx, grads, ref = _run(model, tape, out.reshape(B, T, 8),
                           tape.mha(prefix, x_t, x_t, bias),
                           lambda g, grads: blocks.self_attention_backward(
-                              model.params, prefix, g, acts, grads), rng)
+                              model.params, prefix, g.reshape(-1, 8), acts,
+                              grads).reshape(B, T, 8), rng)
     _check(grads, ref, dx, x_t.grad)
 
 
@@ -132,14 +148,16 @@ def test_cross_attention(vocab, seed, B, T, Tk):
     bias = SdTransformer._key_bias(_valid(rng, B, Tk))
     x, enc = rng.standard_normal((B, T, 8)), rng.standard_normal((B, Tk, 8))
     x_t, enc_t, acts = Tensor(x, True), Tensor(enc, True), {}
-    out = blocks.cross_attention(model.params, "dec.0.cross", x, enc, bias,
+    groups = [(_grid_span(B, T), _grid_span(B, Tk), bias)]
+    out = blocks.cross_attention(model.params, "dec.0.cross",
+                                 x.reshape(-1, 8), enc.reshape(-1, 8), groups,
                                  H, acts)
-    d_in, grads, ref = _run(model, tape, out,
+    d_in, grads, ref = _run(model, tape, out.reshape(B, T, 8),
                             tape.mha("dec.0.cross", x_t, enc_t, bias),
                             lambda g, grads: blocks.cross_attention_backward(
-                                model.params, "dec.0.cross", g, acts, grads),
-                            rng)
-    dx, denc = d_in
+                                model.params, "dec.0.cross",
+                                g.reshape(-1, 8), acts, grads), rng)
+    dx, denc = d_in[0].reshape(B, T, 8), d_in[1].reshape(B, Tk, 8)
     _check(grads, ref, dx, x_t.grad)
     assert (np.linalg.norm(denc - enc_t.grad)
             <= 1e-10 * np.linalg.norm(enc_t.grad))

@@ -2,7 +2,8 @@
 fields that some caller sets; the paper's fixed hyper-parameters are module
 constants. A new field or engine parameter is a new knob, so it has to be
 added here on purpose, and some call in ``src/`` or ``perfbench/`` has to
-set a new field."""
+set a new field. So does a new defaulted parameter of any function in
+``src/``: the count of settable values is pinned too."""
 
 import ast
 import inspect
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from tsgp.expr import PrimitiveSet
-from tsgp.model.transformer import SdTransformer
+from tsgp.model.transformer import Hyperparams, SdTransformer
 from tsgp.sampler import SearchConfig, run_tsgp
 from tsgp.slim import SlimConfig, run_slim
 from tsgp.stdgp import GPConfig, evolve, run_stdgp
@@ -27,6 +28,12 @@ FIELDS = {
     SearchConfig: ("sd_desired", "pop_size", "generations"),
     PrimitiveSet: ("n_variables",),
 }
+
+# settable values: the parameters with a default of every function in
+# ``src/``, and the fields of the five config classes
+SETTABLE = {"defaulted parameters": 53, "config fields": 19}
+CONFIG_CLASSES = (GPConfig, SlimConfig, SearchConfig, PrimitiveSet,
+                  Hyperparams)
 
 # each engine entry point, the loop they share and the model: its parameters
 # in order, each with its default (``inspect.Parameter.empty`` for none)
@@ -82,3 +89,16 @@ def test_engine_signatures_are_pinned(fn):
     params = inspect.signature(fn).parameters.values()
     assert ([(p.name, p.default) for p in params]
             == list(SIGNATURES[fn].items()))
+
+
+def test_settable_value_count_is_pinned():
+    defaulted = 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                defaulted += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+    assert {"defaulted parameters": defaulted,
+            "config fields": sum(len(fields(cls))
+                                 for cls in CONFIG_CLASSES)} == SETTABLE

@@ -15,11 +15,12 @@ and the three k-NN paths each had their own exclude-and-order code.
 The rng states after seeded stdgp, slim and tsgp runs and the resampling
 tsgp trace were recorded when each engine ran its own generational loop.
 
-The float64 training losses were recorded when a step ran as one
-forward/backward pass over the whole padded batch, and the float32 ones when
-training moved to float32. A change to how a step is computed may move them
-by float summation order only. The float32 curve must also stay within
-float32 rounding of the float64 one.
+The training losses were recorded when a step became one teacher-forced
+pass on packed rows, with attention per power-of-two length class (before
+that a step ran in length groups, and first as one pass over the whole
+padded batch). A change to how a step is computed may move them by float
+summation order only. The float32 curve must also stay within float32
+rounding of the float64 one.
 """
 
 import hashlib
@@ -69,28 +70,28 @@ RESAMPLED_DIGESTS = {
 }
 # train(harvested pairs, tiny hyperparameters, seed=5): losses of steps 0-29
 TRAIN_LOSSES = (
-    3.0766493451595305, 3.057046947583475, 3.043246514158822,
-    3.0225738045797184, 3.0034393020298165, 2.969550518556075,
-    2.9753454971313475, 2.965150532899079, 2.93342011315482,
-    2.917025015904353, 2.929093757441624, 2.8989245311293024,
-    2.896040285244966, 2.9040757846832275, 2.862825340238111,
-    2.8736096266861804, 2.856859866962876, 2.8479827265990405,
-    2.8223756194114684, 2.8100756794024426, 2.8156304312379734,
-    2.8008028850998987, 2.80822426478068, 2.7507310722306455,
-    2.81561071993941, 2.817774104180737, 2.754909915688597,
-    2.743369857002707, 2.7460842821333142, 2.731222969586732)
+    3.0766494274139404, 3.057046890258789, 3.0432465076446533,
+    3.022573947906494, 3.003439426422119, 2.969550371170044,
+    2.9753453731536865, 2.9651505947113037, 2.933419942855835,
+    2.917025089263916, 2.929093599319458, 2.8989245891571045,
+    2.896040201187134, 2.9040756225585938, 2.862825393676758,
+    2.8736095428466797, 2.8568599224090576, 2.84798264503479,
+    2.822375774383545, 2.8100757598876953, 2.8156304359436035,
+    2.8008029460906982, 2.8082242012023926, 2.7507309913635254,
+    2.8156111240386963, 2.8177740573883057, 2.7549099922180176,
+    2.7433700561523438, 2.746084213256836, 2.7312231063842773)
 # the same run with training.DTYPE float64
 TRAIN_LOSSES_FLOAT64 = (
-    3.076649419853331, 3.057046830469994, 3.043246559246868,
-    3.0225738234245902, 3.003439360186675, 2.9695504865769826,
+    3.0766494198533305, 3.0570468304699934, 3.043246559246868,
+    3.0225738234245902, 3.003439360186674, 2.9695504865769826,
     2.975345527363588, 2.965150567553734, 2.9334200924508953,
-    2.917024999800599, 2.9290937162030684, 2.898924611972746,
-    2.896040291974632, 2.90407574497386, 2.862825403056218,
-    2.873609642636938, 2.856859930374055, 2.847982681104157,
+    2.917024999800599, 2.9290937162030684, 2.8989246119727463,
+    2.896040291974632, 2.90407574497386, 2.8628254030562186,
+    2.873609642636939, 2.856859930374055, 2.847982681104157,
     2.822375595185265, 2.810075815301692, 2.815630368595292,
-    2.80080285170597, 2.8082241274732445, 2.7507310642903926,
-    2.815610798543696, 2.8177739739697523, 2.7549099538444612,
-    2.7433698096343404, 2.746084316117382, 2.7312229470085985)
+    2.80080285170597, 2.808224127473244, 2.750731064290393,
+    2.815610798543696, 2.817773973969753, 2.7549099538444612,
+    2.7433698096343404, 2.746084316117382, 2.731222947008598)
 
 
 @pytest.fixture(scope="module")

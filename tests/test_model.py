@@ -4,15 +4,15 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tsgp.corpus import TrainingPair
 from tsgp.errors import DataError
 from tsgp.model import (Hyperparams, Vocabulary, load_checkpoint,
                         save_checkpoint, train)
 from tsgp.model import autodiff as ad
+from tsgp.model import blocks
 from tsgp.model import checkpoint as ckpt
-from tsgp.model import training
 from tsgp.model import transformer as tfm
 from tsgp.model.autodiff import Tensor
 from tsgp.model.training import (AdamWState, adamw_step, grad, make_batch,
@@ -190,9 +190,22 @@ def _spread_batch(pairs, n: int) -> list:
     return [by_len[i] for i in np.random.default_rng(n).permutation(picks)]
 
 
+def _ragged_batch(vocab, seed: int, lengths: list):
+    """A padded ``make_batch`` batch of random tokens, one row per (input,
+    output) token count in ``lengths``."""
+    rng = np.random.default_rng(seed)
+    symbols = vocab.symbols[3:]
+    pairs = [TrainingPair([str(t) for t in rng.choice(symbols, n_in)],
+                          [str(t) for t in rng.choice(symbols, n_out)],
+                          float(rng.uniform(0.0, 2.0)))
+             for n_in, n_out in lengths]
+    return make_batch(pairs, vocab, 100)
+
+
 class TestGroupedGrad:
-    """``grad`` runs a batch as length groups through the hand-derived block
-    backward; the oracle is one tape pass over the whole padded batch."""
+    """``grad`` runs a batch as one pass on packed rows through the
+    hand-derived block backward, with attention per length class; the
+    oracle is one tape pass over the whole padded batch."""
 
     @staticmethod
     def _assert_matches_tape(model, batch):
@@ -225,23 +238,62 @@ class TestGroupedGrad:
         batch = make_batch(_spread_batch(harvested[1], 32), vocab, 100)
         self._assert_matches_tape(operator_heavy_model, batch)
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           lengths=st.lists(st.tuples(st.integers(1, 100),
+                                      st.integers(1, 100)),
+                            min_size=1, max_size=32))
+    @example(seed=0, lengths=[(1, 1)] * 15 + [(100, 100)] + [(1, 1)] * 16)
+    @example(seed=1, lengths=[(70, 3), (3, 70), (1, 1), (40, 40)])
+    def test_ragged_batches(self, tiny_model, vocab, seed, lengths):
+        """Gradients match the tape, and each row's logits match those of
+        the row run alone, for rows whose input is the longer and rows
+        whose target is."""
+        batch = _ragged_batch(vocab, seed, lengths)
+        self._assert_matches_tape(tiny_model, batch)
+        enc_ids, sd, dec_ids, targets = batch
+        logits = tiny_model.forward(enc_ids, sd, dec_ids)
+        for i, (n_in, n_out) in enumerate(lengths):
+            alone = tiny_model.forward(enc_ids[i:i + 1, :n_in], sd[i:i + 1],
+                                       dec_ids[i:i + 1, :n_out + 1])
+            np.testing.assert_allclose(logits[i, :n_out + 2], alone[0],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(logits[i, n_out + 2:], 0.0)
+
     def test_groups_cropped_to_own_length(self, tiny_model, vocab, harvested,
                                           monkeypatch):
+        """The attention core runs once per power-of-two length class of the
+        longer of input and target, on the class's rows cropped to its own
+        longest row."""
         batch = make_batch(_spread_batch(harvested[1], 32), vocab, 100)
-        widths = []
-        forward = tiny_model.forward
+        shapes = []
+        core = blocks.attention_core
 
-        def spy(enc_ids, sd, dec_ids, **kwargs):
-            widths.append((len(enc_ids), enc_ids.shape[1], dec_ids.shape[1]))
-            return forward(enc_ids, sd, dec_ids, **kwargs)
-        monkeypatch.setattr(tiny_model, "forward", spy)
+        def spy(q, k, v, bias):
+            shapes.append((q.shape[0], q.shape[2], k.shape[2]))
+            return core(q, k, v, bias)
+        monkeypatch.setattr(blocks, "attention_core", spy)
         grad(tiny_model, batch)
-        assert len(widths) == training.LENGTH_GROUPS
-        assert sum(rows for rows, _, _ in widths) == 32
-        # groups come shortest first, by the longer of input and target
-        keys = [max(enc_w, dec_w + 1) for _, enc_w, dec_w in widths]
-        assert keys == sorted(keys)
-        assert keys[0] < keys[-1] == max(batch[0].shape[1], batch[3].shape[1])
+        enc_len = (batch[0] != PAD).sum(axis=1)
+        tgt_len = (batch[3] != PAD).sum(axis=1)
+        key = np.maximum(enc_len, tgt_len)
+        classes = sorted({int(n - 1).bit_length() for n in key})
+        assert 1 < len(classes) < 8
+        # one encoder self-, one decoder self- and one cross-attention layer
+        n = len(classes)
+        assert len(shapes) == 3 * n
+        enc, dec, cross = shapes[:n], shapes[n:2 * n], shapes[2 * n:]
+        for c, (rows, enc_w, _), (_, dec_w, _), crossed in zip(classes, enc,
+                                                                dec, cross):
+            members = [i for i, m in enumerate(key)
+                       if int(m - 1).bit_length() == c]
+            assert rows == len(members)
+            assert enc_w == enc_len[members].max() + 1  # the SD slot
+            assert dec_w == tgt_len[members].max()
+            assert crossed == (rows, dec_w, enc_w)
+            assert max(enc_w - 1, dec_w) <= 2 ** c
+        assert enc[-1][1] == batch[0].shape[1] + 1
+        assert dec[-1][1] == batch[3].shape[1]
 
 
 class TestFlatMatmul:

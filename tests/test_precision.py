@@ -22,7 +22,7 @@ from tsgp.model import blocks, load_checkpoint
 from tsgp.model.training import AdamWState, adamw_step, grad, make_batch
 from tsgp.model.transformer import SELF_KV_CAPACITY, SdTransformer
 from tsgp.model.vocab import BOS, PAD
-from tsgp.sampler import _encode_bucketed, sample_tokens_batch
+from tsgp.sampler import sample_tokens_batch
 
 DESK_MODEL = (Path(__file__).resolve().parents[1] / "perfbench"
               / "desk_model.tsgp")
@@ -43,18 +43,28 @@ def _floats(obj):
 @pytest.fixture
 def block_dtypes(monkeypatch):
     """(function, dtype) of every floating-point array that a function of
-    ``blocks`` returns, as the functions run. A float64 input (a bias, the
-    position table) or temporary shows in some output, unless it is only
-    added into a buffer in place."""
+    ``blocks``, or a method of its packing classes (the packed rows and the
+    gathered head grids), returns, as they run. A float64 input (a bias,
+    the position table) or temporary shows in some output, unless it is
+    only added into a buffer in place."""
     seen = set()
-    for name, fn in list(vars(blocks).items()):
-        if inspect.isfunction(fn) and fn.__module__ == blocks.__name__:
-            def spy(*args, fn=fn, **kwargs):
-                out = fn(*args, **kwargs)
-                seen.update((fn.__name__, a.dtype.name)
-                            for a in _floats(out))
-                return out
-            monkeypatch.setattr(blocks, name, spy)
+
+    def spied(fn):
+        def spy(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.update((fn.__name__, a.dtype.name) for a in _floats(out))
+            return out
+        return spy
+
+    for name, obj in list(vars(blocks).items()):
+        if getattr(obj, "__module__", None) != blocks.__name__:
+            continue
+        if inspect.isfunction(obj):
+            monkeypatch.setattr(blocks, name, spied(obj))
+        elif inspect.isclass(obj):
+            for attr, fn in list(vars(obj).items()):
+                if inspect.isfunction(fn) and attr != "__init__":
+                    monkeypatch.setattr(obj, attr, spied(fn))
     return seen
 
 
@@ -82,6 +92,8 @@ def test_every_array_of_a_step_has_the_model_dtype(tiny_hyper, vocab,
     assert {a.dtype for a in (state.m, state.v, state.g, state.tmp,
                               state.update, model.flat)} == {np.dtype(dtype)}
     assert len(block_dtypes) > 10
+    assert {"gather", "gather_live", "unpack", "attention_core",
+            "attention_core_backward"} <= {fn for fn, _ in block_dtypes}
     assert {dt for _, dt in block_dtypes} == {np.dtype(dtype).name}, \
         sorted(block_dtypes)
 
@@ -91,8 +103,10 @@ def test_decode_cache_has_the_model_dtype(tiny_hyper, vocab, block_dtypes,
                                           dtype):
     model = SdTransformer(tiny_hyper, vocab, rng=np.random.default_rng(2),
                           dtype=dtype)
-    parents = [[5, 9, 12], [4, 7, 8, 3, 10, 11, 15]]
-    enc_out, enc_valid = _encode_bucketed(model, parents, np.full(2, 0.1))
+    # two parents in two length classes, the shorter with a PAD tail
+    enc_ids = np.array([[5, 9, 12, PAD, PAD, PAD, PAD],
+                        [4, 7, 8, 3, 10, 11, 15]])
+    enc_out, enc_valid = model.encode(enc_ids, np.full(2, 0.1))
     assert enc_out.dtype == dtype
     assert SdTransformer._key_bias(enc_valid, dtype).dtype == dtype
     assert SdTransformer._causal_bias(4, dtype).dtype == dtype

@@ -116,6 +116,24 @@ class TestStandardize:
         with pytest.raises(DataError, match="column 0 is constant"):
             semantics.standardize(np.array([5.0, 5.0, 5.0]))
 
+    def test_repeated_inexact_value_is_constant(self):
+        """0.1 repeated has a population std of about 3e-17, not 0."""
+        assert np.full(30, 0.1).std() > 0.0
+        with pytest.raises(DataError, match="column 0 is constant"):
+            semantics.standardize(np.full(30, 0.1))
+        x = np.random.default_rng(4).standard_normal((30, 3))
+        x[:, 1] = 0.1
+        with pytest.raises(DataError, match="column 1 is constant"):
+            semantics.standardize(x)
+
+    def test_column_that_differs_by_1e_12_standardizes(self):
+        x = np.full(30, 0.1)
+        x[:10] += 1e-12
+        out = semantics.standardize(x)
+        assert np.isfinite(out).all()
+        assert out[0] > 0.0 > out[-1]
+        np.testing.assert_allclose(out.std(), 1.0, rtol=1e-3)
+
     def test_population_convention(self):
         # std divides by n, not n-1
         x = np.array([0.0, 2.0])
