@@ -225,19 +225,21 @@ def train_cmd(ctx, pairs_path, epochs, lr, d_model, n_heads, layers,
     """Train the semantic-distance-conditioned transformer on mined pairs."""
     import csv
     from .corpus import read_pairs_jsonl
-    from .expr import PrimitiveSet
+    from .expr import MAX_TOKENS, PrimitiveSet
     from .model import Hyperparams, Vocabulary, train, save_checkpoint
 
-    if d_model % n_heads or d_model % 2:
-        raise click.UsageError("--d-model must be even and a multiple of "
-                               f"--n-heads ({n_heads})")
+    try:
+        hyper = Hyperparams(d_model=d_model, n_heads=n_heads,
+                            n_encoder_layers=layers, n_decoder_layers=layers,
+                            lr=lr, epochs=epochs, batch_size=batch_size,
+                            weight_decay=weight_decay)
+    except ValueError as e:  # the d_model rules, told in option names
+        flags = {p.name: p.opts[0] for p in ctx.command.params}
+        message = " ".join(flags.get(w, w) for w in str(e).split(" "))
+        raise click.UsageError(message) from None
     pairs = read_pairs_jsonl(pairs_path)
     if not pairs:
         raise DataError(f"{pairs_path} holds no training pairs")
-    hyper = Hyperparams(d_model=d_model, n_heads=n_heads,
-                        n_encoder_layers=layers, n_decoder_layers=layers,
-                        lr=lr, epochs=epochs, batch_size=batch_size,
-                        weight_decay=weight_decay)
     vocab = Vocabulary.from_primitives(PrimitiveSet(features))
     unknown = sorted({t for p in pairs for t in p.input_tokens + p.output_tokens}
                      - set(vocab.symbols))
@@ -245,10 +247,10 @@ def train_cmd(ctx, pairs_path, epochs, lr, d_model, n_heads, layers,
         raise DataError(f"{pairs_path} uses tokens outside the vocabulary of "
                         f"--features {features}: {', '.join(unknown)}")
     line = next((n for n, p in enumerate(pairs, 1)
-                 if len(p.output_tokens) > hyper.max_len), None)
+                 if len(p.output_tokens) > MAX_TOKENS), None)
     if line:
         raise DataError(f"{pairs_path} line {line}: output longer than "
-                        f"{hyper.max_len} tokens")
+                        f"{MAX_TOKENS} tokens")
     model, loss_curve = train(pairs, hyper, vocab, seed=ctx.obj["seed"])
     save_checkpoint(model, out)
     if curve:

@@ -4,9 +4,12 @@ Layout: 8-byte magic ``TSGPMDL1``, little-endian u32 JSON header length,
 JSON header (hyperparams, vocabulary, tensor manifest with name/shape/byte
 offset), then concatenated little-endian float32 tensor payloads in
 manifest order. Saving is deterministic: sorted tensor names, canonical
-JSON. Loading accepts only the manifest ``tensor_layout`` gives the header's
-hyperparameters and vocabulary, only the vocabulary of its own variable
-count, and only the ``SD_CONDITIONING`` scheme. A loaded model computes in
+JSON. The hyperparameters carry two fixed keys: ``max_len``, the token
+budget ``expr.MAX_TOKENS`` (100), and ``ffn_dim``, 4 × ``d_model``; a header
+with any other value for either is malformed. Loading accepts only the
+manifest ``tensor_layout`` gives the header's hyperparameters and
+vocabulary, only the vocabulary of its own variable count, and only the
+``SD_CONDITIONING`` scheme. A loaded model computes in
 float32 on exactly the values that were stored; saving a float64 model
 rounds its parameters to float32.
 """

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import expr
 from ..errors import NumericError
 from . import blocks
 from .transformer import Hyperparams, SdTransformer
@@ -23,18 +24,20 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 DTYPE = np.float32
 
 
-def make_batch(pairs, vocab: Vocabulary, max_len: int):
+def make_batch(pairs, vocab: Vocabulary):
     """Pack (input tokens, output tokens, sd) records into padded id arrays.
 
     Returns (enc_ids, sd, dec_ids, targets). Encoder inputs longer than
-    max_len are truncated (conditioning context only); outputs must fit.
+    ``expr.MAX_TOKENS`` are truncated (conditioning context only); outputs
+    must fit.
     """
     enc_rows, dec_rows, tgt_rows, sds = [], [], [], []
     for p in pairs:
-        enc = vocab.encode(p.input_tokens)[:max_len]
+        enc = vocab.encode(p.input_tokens)[:expr.MAX_TOKENS]
         out = vocab.encode(p.output_tokens)
-        if len(out) > max_len:
-            raise ValueError(f"output sequence of {len(out)} tokens > {max_len}")
+        if len(out) > expr.MAX_TOKENS:
+            raise ValueError(f"output sequence of {len(out)} tokens > "
+                             f"{expr.MAX_TOKENS}")
         enc_rows.append(enc)
         dec_rows.append([BOS] + out)
         # targets for [SD, BOS, t1..tn]: decoder input shifted left, EOS last
@@ -152,7 +155,7 @@ def train(pairs, hyper: Hyperparams, vocab: Vocabulary, seed: int = 0,
         order = rng.permutation(len(pairs))
         for lo in range(0, len(pairs), hyper.batch_size):
             batch_pairs = [pairs[i] for i in order[lo:lo + hyper.batch_size]]
-            batch = make_batch(batch_pairs, vocab, hyper.max_len)
+            batch = make_batch(batch_pairs, vocab)
             loss_val, grads = grad(model, batch)
             if not np.isfinite(loss_val):
                 raise NumericError(
@@ -169,7 +172,6 @@ def train(pairs, hyper: Hyperparams, vocab: Vocabulary, seed: int = 0,
 
 def token_accuracy(model: SdTransformer, pairs) -> float:
     """Teacher-forced next-token accuracy over non-PAD targets."""
-    enc_ids, sd, dec_ids, targets = make_batch(pairs, model.vocab,
-                                               model.hyper.max_len)
+    enc_ids, sd, dec_ids, targets = make_batch(pairs, model.vocab)
     logits, dec = model.teacher_forced(enc_ids, sd, dec_ids, None)
     return float((logits.argmax(axis=-1) == dec.pack(targets)).mean())

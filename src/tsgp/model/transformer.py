@@ -2,13 +2,14 @@
 
 The conditioning scalar is mapped through an affine projection to a
 d_model vector and prepended as position 0 of both the encoder and the
-decoder input. Pre-norm layers, sinusoidal (fixed) positions, ReLU FFN.
-All parameters are views into one flat buffer, and every activation,
-bias and cache buffer takes that buffer's dtype. ``training.train`` and
-``load_checkpoint`` build float32 models, the precision checkpoints store,
-so training and search run in float32; a model built directly is float64,
-the tests' oracle. The blocks and their hand-derived backward passes are
-in ``blocks``.
+decoder input. Pre-norm layers, sinusoidal (fixed) positions, ReLU FFN
+of width 4 d_model. Sequences hold at most ``expr.MAX_TOKENS`` tokens, the
+sampler's one token budget. All parameters are views into one flat buffer,
+and every activation, bias and cache buffer takes that buffer's dtype.
+``training.train`` and ``load_checkpoint`` build float32 models, the
+precision checkpoints store, so training and search run in float32; a
+model built directly is float64, the tests' oracle. The blocks and their
+hand-derived backward passes are in ``blocks``.
 """
 
 from __future__ import annotations
@@ -23,15 +24,12 @@ from . import blocks
 from .vocab import Vocabulary, PAD
 
 NEG_BIAS = -1e30  # additive mask value; exp() underflows to exactly 0
-# Largest max_len: the position table holds (max_len + 2) x d_model floats,
-# and no sequence of this project comes near it (samples stop at 100 tokens).
-MAX_LEN_LIMIT = 1 << 16
 # Positions a decode cache's self-attention buffers start with; they double
 # as sequences grow. Desk offspring average 7-10 tokens and the longest of a
 # batch of 100 has 17-33. Sampler time over the 22 batches of four desk
 # searches (one BLAS thread on a 2-vCPU host), median of 10 interleaved
 # rounds, by starting capacity: 8: 1.83 s, 16: 1.89, 32: 2.07, 64: 2.26,
-# 102 (= max_len + 2, no growth): 2.25 s. A second sweep of 14 rounds put
+# 102 (= MAX_TOKENS + 2, no growth): 2.25 s. A second sweep of 14 rounds put
 # 4, 8 and 16 within host noise of one another (2.09, 2.06 and 1.99 s).
 SELF_KV_CAPACITY = 16
 
@@ -42,16 +40,12 @@ class Hyperparams:
     n_heads: int = 8
     n_encoder_layers: int = 2
     n_decoder_layers: int = 2
-    ffn_dim: int = None  # defaults to 4 * d_model
-    max_len: int = expr.MAX_TOKENS
     lr: float = 1e-3
     weight_decay: float = 0.01
     epochs: int = 8
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.ffn_dim is None:
-            self.ffn_dim = 4 * self.d_model
         for f in fields(self):  # postponed annotations: f.type is a string
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool)
@@ -62,17 +56,24 @@ class Hyperparams:
             raise ValueError("d_model must be divisible by n_heads")
         if self.d_model % 2:  # the position table pairs sin and cos columns
             raise ValueError(f"d_model must be even, not {self.d_model}")
-        if self.max_len > MAX_LEN_LIMIT:
-            raise ValueError(f"max_len must be <= {MAX_LEN_LIMIT}, "
-                             f"not {self.max_len}")
 
     def to_json(self) -> dict:
-        return dict(self.__dict__)
+        # the header also carries the token budget and the FFN width, which
+        # are fixed: every checkpoint has both keys at these values
+        return dict(self.__dict__, max_len=expr.MAX_TOKENS,
+                    ffn_dim=4 * self.d_model)
 
     @classmethod
     def from_json(cls, obj) -> "Hyperparams":
         # checkpoints from before dropout was removed carry an unused key
-        return cls(**{k: v for k, v in obj.items() if k != "dropout"})
+        hyper = cls(**{k: v for k, v in obj.items()
+                       if k not in ("dropout", "max_len", "ffn_dim")})
+        fixed = hyper.to_json()
+        for key in ("max_len", "ffn_dim"):
+            value = obj.get(key, fixed[key])
+            if value != fixed[key] or type(value) is not int:
+                raise ValueError(f"{key} must be {fixed[key]}, not {value!r}")
+        return hyper
 
 
 def sinusoidal_positions(n_positions: int, d_model: int) -> np.ndarray:
@@ -104,7 +105,7 @@ def _sd_grid(ids: np.ndarray) -> tuple:
 def param_spec(hyper: Hyperparams, vocab_size: int) -> dict:
     """name -> (shape, init) of every parameter, in initialization order;
     init is "normal" (N(0, INIT_STD) draws), "zeros" or "ones"."""
-    D, F, V = hyper.d_model, hyper.ffn_dim, vocab_size
+    D, F, V = hyper.d_model, 4 * hyper.d_model, vocab_size
     spec = {"embed.tok": ((V, D), "normal"), "sd_proj.w": ((D,), "normal"),
             "sd_proj.b": ((D,), "zeros")}
 
@@ -162,9 +163,9 @@ class SdTransformer:
         self.hyper = hyper
         self.vocab = vocab
         self.dtype = np.dtype(dtype)
-        # SD slot + BOS + max_len tokens on the decoder side
+        # SD slot + BOS + MAX_TOKENS tokens on the decoder side
         self.positions = sinusoidal_positions(
-            hyper.max_len + 2, hyper.d_model).astype(self.dtype, copy=False)
+            expr.MAX_TOKENS + 2, hyper.d_model).astype(self.dtype, copy=False)
         self._shapes = {name: shape for name, (shape, _)
                         in param_spec(hyper, vocab.size).items()}
         self.flat = np.empty(sum(math.prod(s) for s in self._shapes.values()),
@@ -212,17 +213,18 @@ class SdTransformer:
 
     def _encoder_grid(self, enc_ids) -> tuple:
         enc_ids = np.atleast_2d(np.asarray(enc_ids, dtype=np.int64))
-        if enc_ids.shape[1] > self.hyper.max_len:
-            raise ValueError(
-                f"encoder sequence {enc_ids.shape[1]} > max_len {self.hyper.max_len}")
+        if enc_ids.shape[1] > expr.MAX_TOKENS:
+            raise ValueError(f"encoder sequence {enc_ids.shape[1]} > "
+                             f"{expr.MAX_TOKENS} tokens")
         return _sd_grid(enc_ids)
 
-    def _check_decoder(self, positions: int):
-        if positions > self.hyper.max_len + 2:
+    @staticmethod
+    def _check_decoder(positions: int):
+        if positions > expr.MAX_TOKENS + 2:
             raise ValueError(
-                f"decoder sequence {positions - 1} > {self.hyper.max_len + 1}")
+                f"decoder sequence {positions - 1} > {expr.MAX_TOKENS + 1}")
 
-    def encode(self, enc_ids: np.ndarray, sd: np.ndarray, acts: dict = None):
+    def encode(self, enc_ids: np.ndarray, sd: np.ndarray):
         """Run the encoder stack, its rows in power-of-two classes of their
         length; returns (output, key-validity mask), the output zero at PAD
         positions."""
@@ -230,7 +232,7 @@ class SdTransformer:
         enc = blocks.Packing(live)
         spans = [blocks.Span(enc, seqs)
                  for seqs in blocks.length_classes(live.sum(axis=1) - 1)]
-        return enc.unpack(self._encode(grid, sd, enc, spans, acts)), live
+        return enc.unpack(self._encode(grid, sd, enc, spans, None)), live
 
     def _encode(self, grid, sd, enc: blocks.Packing, spans: list,
                 acts: dict) -> np.ndarray:
@@ -278,55 +280,17 @@ class SdTransformer:
                       for i in layers],
             cross_bias=self._key_bias(enc_valid[rows], self.dtype))
 
-    def decode(self, dec_ids: np.ndarray, sd: np.ndarray, enc_out: np.ndarray,
-               enc_valid: np.ndarray, cache: "DecodeCache" = None,
-               acts: dict = None) -> np.ndarray:
-        """Decoder stack over [SD] ++ dec_ids; returns logits (B, T+1, V),
-        zero at PAD positions.
+    def decode(self, dec_ids: np.ndarray, sd: np.ndarray,
+               cache: "DecodeCache") -> np.ndarray:
+        """One cached decoder step: ``dec_ids`` (B, T), no PAD, continue
+        the sequences decoded so far in ``cache`` (from ``start_decoding``).
 
-        With a ``cache`` from ``start_decoding``, ``dec_ids`` (no PAD)
-        continue the sequence decoded so far: only the new positions are
-        computed, the SD slot is prepended on the first call only, their
-        self-attention keys and values are appended to the cache, and the
-        logits cover the new positions. ``enc_out``/``enc_valid`` are then
-        unused. Teacher forcing (no cache) is the oracle for this path.
+        Only the new positions are computed, the SD slot is prepended on the
+        first call only, their self-attention keys and values are appended
+        to the cache, and the logits (B, T', V) cover the new positions.
+        Teacher forcing (``forward``) is the oracle for this path.
         """
         dec_ids = np.atleast_2d(np.asarray(dec_ids, dtype=np.int64))
-        if cache is not None:
-            return self._decode_step(dec_ids, sd, cache)
-        self._check_decoder(dec_ids.shape[1] + 1)
-        grid, live = _sd_grid(dec_ids)
-        enc, dec = blocks.Packing(enc_valid), blocks.Packing(live)
-        enc_spans, dec_spans = self._spans(enc, dec)
-        return dec.unpack(self._decode(grid, sd, enc.pack(enc_out), dec,
-                                       enc_spans, dec_spans, acts))
-
-    def _decode(self, grid, sd, enc_rows: np.ndarray, dec: blocks.Packing,
-                enc_spans: list, dec_spans: list, acts: dict) -> np.ndarray:
-        """The decoder stack over the packed rows of ``grid``, attending to
-        the packed encoder rows ``enc_rows``; returns the rows' logits."""
-        p, H, dtype = self.params, self.hyper.n_heads, self.dtype
-        self_groups = [(s, s, self._key_bias(s.live, dtype)
-                        + self._causal_bias(s.live.shape[1], dtype))
-                       for s in dec_spans]
-        cross_groups = [(d, e, self._key_bias(e.live, dtype))
-                        for d, e in zip(dec_spans, enc_spans)]
-        x = blocks.embed(p, "dec", dec.pack(grid), sd, dec.starts,
-                         self.positions[dec.cols], acts)
-        for i in range(self.hyper.n_decoder_layers):
-            pre = f"dec.{i}"
-            h = blocks.layer_norm(p, f"{pre}.ln1", x, acts)
-            x = x + blocks.self_attention(p, f"{pre}.self", h, self_groups, H,
-                                          acts)
-            h = blocks.layer_norm(p, f"{pre}.ln2", x, acts)
-            x = x + blocks.cross_attention(p, f"{pre}.cross", h, enc_rows,
-                                           cross_groups, H, acts)
-            h = blocks.layer_norm(p, f"{pre}.ln3", x, acts)
-            x = x + blocks.ffn(p, f"{pre}.ffn", h, acts)
-        return blocks.head(p, x, acts)
-
-    def _decode_step(self, dec_ids: np.ndarray, sd, cache: "DecodeCache"):
-        """``decode`` with a cache: (B, T) new positions per row."""
         start = cache.length
         T = dec_ids.shape[1] + (start == 0)
         self._check_decoder(start + T)
@@ -351,6 +315,30 @@ class SdTransformer:
             x = x + blocks.ffn(p, f"{pre}.ffn", h)
         cache.length += T
         return blocks.head(p, x)
+
+    def _decode(self, grid, sd, enc_rows: np.ndarray, dec: blocks.Packing,
+                enc_spans: list, dec_spans: list, acts: dict) -> np.ndarray:
+        """The decoder stack over the packed rows of ``grid``, attending to
+        the packed encoder rows ``enc_rows``; returns the rows' logits."""
+        p, H, dtype = self.params, self.hyper.n_heads, self.dtype
+        self_groups = [(s, s, self._key_bias(s.live, dtype)
+                        + self._causal_bias(s.live.shape[1], dtype))
+                       for s in dec_spans]
+        cross_groups = [(d, e, self._key_bias(e.live, dtype))
+                        for d, e in zip(dec_spans, enc_spans)]
+        x = blocks.embed(p, "dec", dec.pack(grid), sd, dec.starts,
+                         self.positions[dec.cols], acts)
+        for i in range(self.hyper.n_decoder_layers):
+            pre = f"dec.{i}"
+            h = blocks.layer_norm(p, f"{pre}.ln1", x, acts)
+            x = x + blocks.self_attention(p, f"{pre}.self", h, self_groups, H,
+                                          acts)
+            h = blocks.layer_norm(p, f"{pre}.ln2", x, acts)
+            x = x + blocks.cross_attention(p, f"{pre}.cross", h, enc_rows,
+                                           cross_groups, H, acts)
+            h = blocks.layer_norm(p, f"{pre}.ln3", x, acts)
+            x = x + blocks.ffn(p, f"{pre}.ffn", h, acts)
+        return blocks.head(p, x, acts)
 
     def teacher_forced(self, enc_ids: np.ndarray, sd, dec_ids: np.ndarray,
                        acts: dict) -> tuple:

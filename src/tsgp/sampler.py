@@ -138,7 +138,6 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
     that emit EOS leave the cache.
     """
     vocab = model.vocab
-    max_len = model.hyper.max_len
     B = len(parents_tokens)
     sds = np.full(B, float(sd_desired))
     kinds = operator_ids(vocab)
@@ -147,7 +146,8 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
     # encoder-side truncation only; each distinct parent is encoded once
     distinct = {}
     parent_row = np.array([
-        distinct.setdefault(tuple(vocab.encode(t[:max_len])), len(distinct))
+        distinct.setdefault(tuple(vocab.encode(t[:expr.MAX_TOKENS])),
+                            len(distinct))
         for t in parents_tokens])
     enc_ids = np.full((len(distinct), max(map(len, distinct))), PAD,
                       dtype=np.int64)
@@ -159,16 +159,14 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
     # per-parent counters; depth[i, need[i] - 1] is the open slot's depth
     emitted = np.zeros(B, dtype=np.int64)
     need = np.ones(B, dtype=np.int64)
-    depth = np.zeros((B, max_len + 2), dtype=np.int64)
-    seqs = np.zeros((B, max_len), dtype=np.int64)
+    depth = np.zeros((B, expr.MAX_TOKENS + 2), dtype=np.int64)
+    seqs = np.zeros((B, expr.MAX_TOKENS), dtype=np.int64)
     rows = np.arange(B)  # parent of each cache row
     step_ids = np.full((B, 1), BOS, dtype=np.int64)
     while len(rows):
-        logits = model.decode(step_ids, sds[rows], None, None,
-                              cache=cache)[:, -1, :]
+        logits = model.decode(step_ids, sds[rows], cache)[:, -1, :]
         top = depth[rows, np.maximum(need[rows] - 1, 0)]
-        mask = batch_legal_mask(emitted[rows], need[rows], top, kinds,
-                                max_len)
+        mask = batch_legal_mask(emitted[rows], need[rows], top, kinds)
         toks = _draw_batch(_softmax(logits / temperature), mask,
                            [rngs[i] for i in rows])
         going = toks != EOS

@@ -19,14 +19,11 @@ PROBE_PERTURBATIONS = 20  # decoder tokens causality_probe perturbs
 
 def random_pairs(model: SdTransformer, rng: np.random.Generator,
                  n: int = 4) -> list:
-    # a tree of depth d has at most 2^(d+1) - 1 tokens
     prims = primitives_from_vocab(model.vocab)
-    depth_max = min(PAIR_DEPTH_MAX, (model.hyper.max_len + 1).bit_length() - 2)
-    depth_min = min(1, depth_max)
     pairs = []
     for _ in range(n):
-        a = expr.random_tree(expr.GROW, depth_min, depth_max, prims, rng)
-        b = expr.random_tree(expr.GROW, depth_min, depth_max, prims, rng)
+        a = expr.random_tree(expr.GROW, 1, PAIR_DEPTH_MAX, prims, rng)
+        b = expr.random_tree(expr.GROW, 1, PAIR_DEPTH_MAX, prims, rng)
         pairs.append(TrainingPair(expr.serialize_prefix(a),
                                   expr.serialize_prefix(b),
                                   float(rng.random())))
@@ -39,8 +36,7 @@ def gradient_check(model: SdTransformer, rng: np.random.Generator,
 
     Returns the maximum relative error against the analytic gradient.
     """
-    batch = make_batch(random_pairs(model, rng), model.vocab,
-                       model.hyper.max_len)
+    batch = make_batch(random_pairs(model, rng), model.vocab)
     _, grads = grad(model, batch)
 
     def loss_value() -> float:
@@ -73,9 +69,8 @@ def causality_probe(model: SdTransformer, rng: np.random.Generator) -> tuple:
     """
     vocab = model.vocab
     content = [i for i in range(vocab.size) if i > 2]
-    length = min(PROBE_LEN, model.hyper.max_len)
-    enc_ids = np.array([rng.choice(content, size=length)])
-    dec_ids = np.array([[1] + list(rng.choice(content, size=length))])
+    enc_ids = np.array([rng.choice(content, size=PROBE_LEN)])
+    dec_ids = np.array([[1] + list(rng.choice(content, size=PROBE_LEN))])
     sd = np.array([0.1])
 
     acts = {}

@@ -188,8 +188,7 @@ def test_criterion_09_checkpoint_exactness(vocab, tmp_path):
     bytes_ok = p1.read_bytes() == p2.read_bytes()
 
     from tsgp.verify import random_pairs
-    batch = make_batch(random_pairs(model, np.random.default_rng(12)),
-                       vocab, 100)
+    batch = make_batch(random_pairs(model, np.random.default_rng(12)), vocab)
     # the loaded model computes in float32 on the stored values
     f32 = SdTransformer(hyper, vocab, params=model.params, dtype=np.float32)
     a = f32.forward(batch[0], batch[1], batch[2])

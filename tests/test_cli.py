@@ -112,18 +112,6 @@ class TestPipeline:
     def test_verify_model(self, model_file):
         assert main(["verify-model", "--model", str(model_file)]) == 0
 
-    @pytest.mark.parametrize("max_len", [1, 3])
-    def test_verify_model_short_max_len(self, tmp_path, capsys, model_file,
-                                        max_len):
-        """The probes size their sequences from the model's ``max_len``."""
-        short = _with_header(
-            model_file, tmp_path / "short.tsgp",
-            lambda h: h["hyperparams"].update(max_len=max_len))
-        assert main(["verify-model", "--model", str(short)]) == 0
-        captured = capsys.readouterr()
-        assert "all checks passed" in captured.out
-        assert "Traceback" not in captured.err
-
 
 class TestExitCodes:
     def test_usage_error_bad_problems(self, workdir):
@@ -389,6 +377,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: malformed header: ")
         assert "max_len" in err
+
+    @pytest.mark.parametrize("command", ["verify-model", "search"])
+    @pytest.mark.parametrize("key,value", [
+        ("max_len", 1), ("max_len", 3), ("max_len", 400), ("ffn_dim", 128)])
+    def test_data_error_header_fixed_key(self, tmp_path, capsys, model_file,
+                                         key, value, command):
+        """The token budget and the FFN width (4 x d_model, here 64) are
+        fixed: a header with another value is not a model that samples
+        longer offspring."""
+        bad = _with_header(model_file, tmp_path / "bad.tsgp",
+                           lambda h: h["hyperparams"].update({key: value}))
+        out = tmp_path / "run"
+        args = {"verify-model": ["verify-model", "--model", str(bad)],
+                "search": ["search", "--method", "tsgp", "--model", str(bad),
+                           "--synthetic", "--pop", "4", "--gens", "1",
+                           "--out", str(out)]}[command]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed header: ")
+        assert f"{key} must be " in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("methods", ["foo", "stdgp,foo", ",", ""])
     def test_usage_error_bad_methods(self, tmp_path, capsys, methods):

@@ -27,11 +27,13 @@ FIELDS = {
     SlimConfig: ("pop_size", "generations"),
     SearchConfig: ("sd_desired", "pop_size", "generations"),
     PrimitiveSet: ("n_variables",),
+    Hyperparams: ("d_model", "n_heads", "n_encoder_layers", "n_decoder_layers",
+                  "lr", "weight_decay", "epochs", "batch_size"),
 }
 
 # settable values: the parameters with a default of every function in
 # ``src/``, and the fields of the five config classes
-SETTABLE = {"defaulted parameters": 53, "config fields": 19}
+SETTABLE = {"defaulted parameters": 50, "config fields": 17}
 CONFIG_CLASSES = (GPConfig, SlimConfig, SearchConfig, PrimitiveSet,
                   Hyperparams)
 

@@ -21,6 +21,10 @@ that a step ran in length groups, and first as one pass over the whole
 padded batch). A change to how a step is computed may move them by float
 summation order only. The float32 curve must also stay within float32
 rounding of the float64 one.
+
+The checkpoint bytes were recorded when ``Hyperparams`` still had
+``max_len`` and ``ffn_dim`` fields; the header keeps both keys at their
+fixed values, so a saved file is byte-identical.
 """
 
 import hashlib
@@ -29,7 +33,7 @@ import numpy as np
 import pytest
 
 from tsgp import bench, corpus, expr
-from tsgp.model import train, training
+from tsgp.model import save_checkpoint, train, training
 from tsgp.model.transformer import SdTransformer
 from tsgp.sampler import SearchConfig, run_tsgp, sample_tokens_batch
 from tsgp.slim import SlimConfig, run_slim
@@ -92,6 +96,10 @@ TRAIN_LOSSES_FLOAT64 = (
     2.80080285170597, 2.808224127473244, 2.750731064290393,
     2.815610798543696, 2.817773973969753, 2.7549099538444612,
     2.7433698096343404, 2.746084316117382, 2.731222947008598)
+
+# save_checkpoint(tiny_model): magic, header and float32 payload
+CHECKPOINT_DIGEST = (
+    "64ff457f40ddd7db2194ffbbdd719b7c94e285aecadf6588a4bd101b9e69bfa1")
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +245,12 @@ def test_brute_force_mined_pairs_pinned(harvested):
     pairs, dropped = corpus.mine_pairs(entries, k=3)
     assert len(pairs) > 500
     assert _sha(pair_lines(pairs, dropped)) == MINED_PAIRS_DIGEST
+
+
+def test_checkpoint_bytes_pinned(tiny_model, tmp_path):
+    path = tmp_path / "m.tsgp"
+    save_checkpoint(tiny_model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_DIGEST
 
 
 def test_seeded_batch_tokens_pinned(tiny_model, prims):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tsgp import expr
 from tsgp.corpus import TrainingPair
 from tsgp.errors import DataError
-from tsgp.model import (Hyperparams, Vocabulary, load_checkpoint,
-                        save_checkpoint, train)
+from tsgp.model import Vocabulary, load_checkpoint, save_checkpoint, train
 from tsgp.model import autodiff as ad
 from tsgp.model import blocks
 from tsgp.model import checkpoint as ckpt
@@ -47,7 +47,7 @@ class TestVocabulary:
 class TestMakeBatch:
     def test_target_alignment(self, vocab):
         pair = TrainingPair(["v1"], ["ADD", "v1", "v2"], 0.5)
-        enc, sd, dec, tgt = make_batch([pair], vocab, 100)
+        enc, sd, dec, tgt = make_batch([pair], vocab)
         assert enc.tolist() == [vocab.encode(["v1"])]
         out = vocab.encode(["ADD", "v1", "v2"])
         assert dec.tolist() == [[1] + out]
@@ -57,7 +57,7 @@ class TestMakeBatch:
     def test_padding(self, vocab):
         pairs = [TrainingPair(["v1"], ["v2"], 0.1),
                  TrainingPair(["ADD", "v1", "v2"], ["MUL", "v1", "v2"], 0.2)]
-        enc, _, dec, tgt = make_batch(pairs, vocab, 100)
+        enc, _, dec, tgt = make_batch(pairs, vocab)
         assert enc.shape == (2, 3)
         assert enc[0, 1] == 0 and enc[0, 2] == 0  # PAD
         assert dec.shape[1] + 1 == tgt.shape[1]
@@ -65,39 +65,38 @@ class TestMakeBatch:
     def test_too_long_output_rejected(self, vocab):
         pair = TrainingPair(["v1"], ["v1"] * 101, 0.1)
         with pytest.raises(ValueError):
-            make_batch([pair], vocab, 100)
+            make_batch([pair], vocab)
 
 
 class TestForward:
     def test_initial_loss_near_ln_vocab(self, tiny_model, vocab):
         rng = np.random.default_rng(0)
-        batch = make_batch(random_pairs(tiny_model, rng, n=8), vocab, 100)
+        batch = make_batch(random_pairs(tiny_model, rng, n=8), vocab)
         val = tfm.loss(tiny_model.forward(*batch[:3]), batch[3])
         target = math.log(vocab.size)
         assert abs(val - target) / target < 0.05
 
-    def test_sequence_too_long(self, vocab):
-        hyper = Hyperparams(d_model=16, n_heads=2, n_encoder_layers=1,
-                            n_decoder_layers=1, max_len=8)
-        model = SdTransformer(hyper, vocab, rng=np.random.default_rng(0))
-        ids = np.full((1, 9), 3, dtype=np.int64)
-        with pytest.raises(ValueError, match="encoder sequence 9 > max_len 8"):
-            model.encode(ids, np.array([0.1]))
+    def test_sequence_too_long(self, tiny_model):
+        ids = np.full((1, expr.MAX_TOKENS + 1), 3, dtype=np.int64)
+        with pytest.raises(ValueError,
+                           match="encoder sequence 101 > 100 tokens"):
+            tiny_model.encode(ids, np.array([0.1]))
 
     def test_all_pad_target_rejected(self, tiny_model, vocab):
         batch = make_batch(random_pairs(tiny_model,
-                                        np.random.default_rng(1)), vocab, 100)
+                                        np.random.default_rng(1)), vocab)
         logits = tiny_model.forward(batch[0], batch[1], batch[2])
         with pytest.raises(ValueError):
             tfm.loss(logits, np.zeros_like(batch[3]))
 
 
 class TestIncrementalDecode:
-    """The cached one-token step against teacher-forced ``decode``."""
+    """The cached one-token step against teacher forcing (``forward``) on
+    the same rows."""
 
     @staticmethod
     def _inputs(model, rng, B=3):
-        V, L = model.vocab.size, model.hyper.max_len
+        V, L = model.vocab.size, expr.MAX_TOKENS
         enc = rng.integers(3, V, size=(B, 12))
         enc[0, 7:] = 0  # PAD tails of different lengths
         enc[1, 3:] = 0
@@ -114,24 +113,22 @@ class TestIncrementalDecode:
         rows = np.arange(len(dec))
         enc_out, enc_valid = model.encode(enc, sd)
         cache = model.start_decoding(enc_out, enc_valid, rows)
-        step = model.decode(full[:, :1], sd, None, None, cache=cache)
-        ref = model.decode(full[:, :1], sd, enc_out, enc_valid)
+        step = model.decode(full[:, :1], sd, cache)
+        ref = model.forward(enc, sd, full[:, :1])
         np.testing.assert_allclose(step, ref, rtol=0, atol=1e-12)
         for t in range(1, full.shape[1]):
             if t in (40, 70):  # drop a row, as when it emits EOS
                 keep = np.ones(len(rows), dtype=bool)
                 keep[0 if t == 40 else -1] = False
                 rows = rows[cache.retain(keep)]
-            step = model.decode(full[rows, t:t + 1], sd[rows], None, None,
-                                cache=cache)
-            ref = model.decode(full[rows, :t + 1], sd[rows], enc_out[rows],
-                               enc_valid[rows])
+            step = model.decode(full[rows, t:t + 1], sd[rows], cache)
+            ref = model.forward(enc[rows], sd[rows], full[rows, :t + 1])
             assert step.shape == (len(rows), 1, model.vocab.size)
             np.testing.assert_allclose(step[:, 0], ref[:, -1], rtol=0,
                                        atol=1e-12)
-        assert cache.length == model.hyper.max_len + 2
+        assert cache.length == expr.MAX_TOKENS + 2
         with pytest.raises(ValueError, match="decoder sequence"):
-            model.decode(full[rows, :1], sd[rows], None, None, cache=cache)
+            model.decode(full[rows, :1], sd[rows], cache)
 
 
     def test_repeated_rows_match_teacher_forcing(self, tiny_model):
@@ -145,13 +142,11 @@ class TestIncrementalDecode:
         enc_out, enc_valid = model.encode(enc, sd)
         cache = model.start_decoding(enc_out, enc_valid, rows)
         for t in range(40):
-            step = model.decode(full[:, t:t + 1], sd[rows], None, None,
-                                cache=cache)
-            ref = model.decode(full[:, :t + 1], sd[rows], enc_out[rows],
-                               enc_valid[rows])
+            step = model.decode(full[:, t:t + 1], sd[rows], cache)
+            ref = model.forward(enc[rows], sd[rows], full[:, :t + 1])
             np.testing.assert_allclose(step[:, -1], ref[:, -1], rtol=0,
                                        atol=1e-12)
-        assert cache.self_kv[0][0].shape[2] < model.hyper.max_len + 2
+        assert cache.self_kv[0][0].shape[2] < expr.MAX_TOKENS + 2
 
 
 class TestGradients:
@@ -162,7 +157,7 @@ class TestGradients:
     def test_unused_embedding_rows_zero_grad(self, tiny_model, vocab):
         used = {"ADD", "v1", "v2"}
         pair = TrainingPair(["v1"], ["ADD", "v1", "v2"], 0.3)
-        _, grads = grad(tiny_model, make_batch([pair], vocab, 100))
+        _, grads = grad(tiny_model, make_batch([pair], vocab))
         g = grads["embed.tok"]
         for i, sym in enumerate(vocab.symbols):
             if sym not in used and i > 2:  # specials appear via BOS padding
@@ -170,8 +165,8 @@ class TestGradients:
 
     def test_batch_doubling_preserves_mean_grad(self, tiny_model, vocab):
         pairs = random_pairs(tiny_model, np.random.default_rng(2), n=3)
-        l1, g1 = grad(tiny_model, make_batch(pairs, vocab, 100))
-        l2, g2 = grad(tiny_model, make_batch(pairs * 2, vocab, 100))
+        l1, g1 = grad(tiny_model, make_batch(pairs, vocab))
+        l2, g2 = grad(tiny_model, make_batch(pairs * 2, vocab))
         assert abs(l1 - l2) < 1e-9
         for k in g1:
             np.testing.assert_allclose(g1[k], g2[k], atol=1e-9)
@@ -199,7 +194,7 @@ def _ragged_batch(vocab, seed: int, lengths: list):
                           [str(t) for t in rng.choice(symbols, n_out)],
                           float(rng.uniform(0.0, 2.0)))
              for n_in, n_out in lengths]
-    return make_batch(pairs, vocab, 100)
+    return make_batch(pairs, vocab)
 
 
 class TestGroupedGrad:
@@ -225,7 +220,7 @@ class TestGroupedGrad:
 
     @pytest.mark.parametrize("n", [1, 3, 32])
     def test_matches_whole_batch(self, tiny_model, vocab, harvested, n):
-        batch = make_batch(_spread_batch(harvested[1], n), vocab, 100)
+        batch = make_batch(_spread_batch(harvested[1], n), vocab)
         if n == 32:  # the rows span short and long ones
             lengths = (batch[0] != PAD).sum(axis=1)
             assert lengths.min() <= 2 and lengths.max() >= 60
@@ -235,7 +230,7 @@ class TestGroupedGrad:
                                           harvested):
         """Each encoder layer feeds the next and every decoder layer's
         cross-attention adds into the encoder output's gradient."""
-        batch = make_batch(_spread_batch(harvested[1], 32), vocab, 100)
+        batch = make_batch(_spread_batch(harvested[1], 32), vocab)
         self._assert_matches_tape(operator_heavy_model, batch)
 
     @settings(max_examples=20, deadline=None)
@@ -265,7 +260,7 @@ class TestGroupedGrad:
         """The attention core runs once per power-of-two length class of the
         longer of input and target, on the class's rows cropped to its own
         longest row."""
-        batch = make_batch(_spread_batch(harvested[1], 32), vocab, 100)
+        batch = make_batch(_spread_batch(harvested[1], 32), vocab)
         shapes = []
         core = blocks.attention_core
 
@@ -366,7 +361,7 @@ class TestAdamW:
         state = AdamWState(model.params)
         pairs = harvested[1]
         for t in range(1, 6):
-            batch = make_batch(pairs[8 * t:8 * t + 8], vocab, 100)
+            batch = make_batch(pairs[8 * t:8 * t + 8], vocab)
             _, grads = grad(model, batch)
             adamw_step(model, grads, state, lr=1e-3,
                        weight_decay=weight_decay)
@@ -409,7 +404,7 @@ class TestCheckpoint:
         path = self._saved(tiny_model, tmp_path)
         loaded = load_checkpoint(path)
         pairs = random_pairs(tiny_model, np.random.default_rng(8), n=2)
-        batch = make_batch(pairs, vocab, 100)
+        batch = make_batch(pairs, vocab)
         # the loaded model computes in float32 on the stored values: the
         # float64 parameters rounded to float32, as the format rounds them
         f32 = SdTransformer(tiny_model.hyper, vocab, params=tiny_model.params,
@@ -493,11 +488,13 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key,value", [
         ("hyperparams", []), ("hyperparams", 3),
         ("n_encoder_layers", 10 ** 6), ("n_decoder_layers", 10 ** 30),
-        ("max_len", 10 ** 30), ("max_len", tfm.MAX_LEN_LIMIT + 1)])
+        ("max_len", 10 ** 30), ("max_len", expr.MAX_TOKENS + 1),
+        ("max_len", 400), ("ffn_dim", 4 * 32 + 1)])
     def test_header_value_is_manifest_mismatch(self, tiny_model, tmp_path,
                                                key, value):
         """Values that once raised AttributeError, ran param_spec out of
-        memory or sized a position table past NumPy's limit."""
+        memory or sized a position table past NumPy's limit, and token
+        budgets or FFN widths other than the fixed ones."""
         path = self._saved(tiny_model, tmp_path)
 
         def edit(h):

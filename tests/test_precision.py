@@ -75,7 +75,7 @@ def test_every_array_of_a_step_has_the_model_dtype(tiny_hyper, vocab,
     model = SdTransformer(tiny_hyper, vocab, rng=np.random.default_rng(1),
                           dtype=dtype)
     assert model.flat.dtype == dtype and model.positions.dtype == dtype
-    batch = make_batch(harvested[1][:16], vocab, 100)
+    batch = make_batch(harvested[1][:16], vocab)
     acts = {}
     logits = model.forward(*batch[:3], acts=acts)
     assert logits.dtype == dtype
@@ -113,7 +113,7 @@ def test_decode_cache_has_the_model_dtype(tiny_hyper, vocab, block_dtypes,
     cache = model.start_decoding(enc_out, enc_valid, np.array([0, 1, 1]))
     ids = np.full((3, 1), BOS)
     for _ in range(SELF_KV_CAPACITY + 4):  # past one capacity doubling
-        logits = model.decode(ids, np.full(3, 0.1), None, None, cache=cache)
+        logits = model.decode(ids, np.full(3, 0.1), cache)
         assert logits.dtype == dtype
         ids = logits[:, -1].argmax(axis=-1)[:, None] % 8 + 3
     assert cache.self_kv[0][0].shape[2] > SELF_KV_CAPACITY
@@ -141,7 +141,7 @@ def desk():
     offspring = sample_tokens_batch(oracle, parents, 0.1, rngs)
     batch = make_batch([TrainingPair(p, o, 0.1)
                         for p, o in zip(parents, offspring)],
-                       model.vocab, model.hyper.max_len)
+                       model.vocab)
     return model, oracle, batch
 
 
@@ -153,16 +153,15 @@ def test_desk_model_loads_as_float32(desk):
 
 def test_desk_cached_decode_matches_teacher_forcing(desk):
     """Every row steps in lockstep; PAD fed after a row's end reaches no
-    earlier position of that row, so the non-PAD targets are compared."""
+    earlier position of that row, so the non-PAD targets are compared with
+    teacher forcing (``forward``)."""
     _, oracle, (enc_ids, sd, dec_ids, targets) = desk
-    enc_out, enc_valid = oracle.encode(enc_ids, sd)
-    ref = oracle.decode(dec_ids, sd, enc_out, enc_valid)
-    cache = oracle.start_decoding(enc_out, enc_valid,
+    ref = oracle.forward(enc_ids, sd, dec_ids)
+    cache = oracle.start_decoding(*oracle.encode(enc_ids, sd),
                                   np.arange(len(dec_ids)))
-    first = oracle.decode(dec_ids[:, :1], sd, None, None, cache=cache)
-    cached = np.concatenate([first] + [
-        oracle.decode(dec_ids[:, t:t + 1], sd, None, None, cache=cache)
-        for t in range(1, dec_ids.shape[1])], axis=1)
+    cached = np.concatenate([
+        oracle.decode(dec_ids[:, t:t + 1], sd, cache)
+        for t in range(dec_ids.shape[1])], axis=1)
     live = targets != PAD
     assert live.sum() > 1000
     np.testing.assert_allclose(cached[live], ref[live], rtol=0, atol=1e-12)
