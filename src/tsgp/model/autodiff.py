@@ -2,12 +2,17 @@
 
 Only the operations the transformer needs. The model itself runs on plain
 arrays with hand-derived backward passes (``blocks``); this tape is the
-gradient oracle the tests build the same transformer from.
+gradient oracle the tests build the same transformer from. Its softmax and
+layer norm compute their forward with the row reductions of ``blocks``
+(``softmax_rows``, ``normalize``), so the two forwards agree bit for bit;
+their backward formulas are derived here independently.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import blocks
 
 
 class Tensor:
@@ -162,9 +167,8 @@ def relu(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    rows = np.moveaxis(a.data, axis, -1).copy()
+    s = np.moveaxis(blocks.softmax_rows(rows), -1, axis)
 
     def backward(g):
         a._accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
@@ -173,10 +177,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat, inv = blocks.normalize(x.data, eps)
     out = xhat * gamma.data + beta.data
 
     def backward(g):

@@ -300,7 +300,9 @@ class SdTransformer:
             dec_ids, sd_at = _sd_grid(dec_ids)[0], (slice(None), 0)
         x = blocks.embed(p, "dec", dec_ids, sd, sd_at,
                          self.positions[start:start + T])
-        self_bias = self._causal_bias(start + T, self.dtype)[start:]
+        # a one-position step sees every position decoded so far
+        self_bias = (self._causal_bias(start + T, self.dtype)[start:]
+                     if T > 1 else None)
         for i in range(self.hyper.n_decoder_layers):
             pre = f"dec.{i}"
             h = blocks.layer_norm(p, f"{pre}.ln1", x)

@@ -7,6 +7,8 @@ ops. Outputs must agree exactly, gradients to 1e-10 relative by norm. The
 blocks take packed rows; here every cell of the (B, T) grid is a row and
 the attention core runs once over the whole grid, as the tape does.
 Packing PAD cells away is checked on the whole model, in ``test_model``.
+The row reductions both sides share are checked against NumPy's own at the
+end.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsgp.model import Hyperparams, blocks
 from tsgp.model.autodiff import Tensor
-from tsgp.model.transformer import SdTransformer
+from tsgp.model.transformer import NEG_BIAS, SdTransformer
 from tsgp.model.vocab import PAD
 
 import tape_reference
@@ -201,3 +203,40 @@ def test_head_and_cross_entropy(vocab, seed, B, T, Tk):
     ref_loss.backward()
     assert abs(loss - float(ref_loss.data)) <= 1e-12 * float(ref_loss.data)
     _check(grads, tape.grads(), dx, x_t.grad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 130),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_row_reductions(seed, width, dtype):
+    """``_row_max`` is bit-equal to ``max``; ``_row_sums``/``_row_means``
+    agree with ``sum``/``mean`` to a dtype tolerance relative to the sum of
+    magnitudes; ``softmax_rows`` is exactly 0 at masked cells and its rows
+    sum to 1. Row 0 has only its last cell live, every row some cell."""
+    rng = np.random.default_rng(seed)
+    scores = (rng.standard_normal((3, 2, width)) * 10).astype(dtype)
+    live = rng.integers(width, size=(3, 2, 1))
+    live[0, 0] = width - 1
+    masked = rng.random(scores.shape) < 0.4
+    masked[0, 0] = True
+    np.put_along_axis(masked, live, False, axis=-1)
+    biased = scores + np.where(masked, dtype(NEG_BIAS), dtype(0))
+    for a in (scores, biased):
+        m = blocks._row_max(a)
+        assert m.dtype == dtype
+        np.testing.assert_array_equal(m, a.max(axis=-1, keepdims=True))
+
+    tol = 1e-6 if dtype == np.float32 else 1e-14
+    magnitude = np.abs(scores).sum(axis=-1, keepdims=True)
+    sums, means = blocks._row_sums(scores), blocks._row_means(scores)
+    assert sums.dtype == means.dtype == dtype
+    assert np.all(np.abs(sums - scores.sum(axis=-1, keepdims=True))
+                  <= tol * magnitude)
+    assert np.all(np.abs(means - scores.mean(axis=-1, keepdims=True))
+                  <= tol * magnitude / width)
+
+    att = blocks.softmax_rows(biased.copy())
+    assert att.dtype == dtype
+    assert np.all(att[masked] == 0)
+    assert np.all(att[0, 0, :-1] == 0) and att[0, 0, -1] == 1
+    np.testing.assert_allclose(att.sum(axis=-1), 1.0, rtol=0, atol=1e-6)

@@ -148,6 +148,21 @@ class TestIncrementalDecode:
                                        atol=1e-12)
         assert cache.self_kv[0][0].shape[2] < expr.MAX_TOKENS + 2
 
+    def test_one_position_step_builds_no_causal_bias(self, tiny_model,
+                                                     monkeypatch):
+        """Only the first step (SD slot and BOS) masks future positions; a
+        one-position step sees every position decoded so far."""
+        built, causal = [], SdTransformer._causal_bias
+        monkeypatch.setattr(SdTransformer, "_causal_bias", staticmethod(
+            lambda T, dtype: built.append(T) or causal(T, dtype)))
+        enc, dec, sd = self._inputs(tiny_model, np.random.default_rng(11))
+        enc_out, enc_valid = tiny_model.encode(enc, sd)
+        cache = tiny_model.start_decoding(enc_out, enc_valid, np.arange(3))
+        tiny_model.decode(np.full((3, 1), BOS), sd, cache)
+        for t in range(5):
+            tiny_model.decode(dec[:, t:t + 1], sd, cache)
+        assert built == [2]
+
 
 class TestGradients:
     def test_finite_difference(self, tiny_model):
@@ -258,8 +273,8 @@ class TestGroupedGrad:
     def test_groups_cropped_to_own_length(self, tiny_model, vocab, harvested,
                                           monkeypatch):
         """The attention core runs once per power-of-two length class of the
-        longer of input and target, on the class's rows cropped to its own
-        longest row."""
+        longer of input and target, every length up to 16 in the first
+        class, on the class's rows cropped to its own longest row."""
         batch = make_batch(_spread_batch(harvested[1], 32), vocab)
         shapes = []
         core = blocks.attention_core
@@ -272,16 +287,16 @@ class TestGroupedGrad:
         enc_len = (batch[0] != PAD).sum(axis=1)
         tgt_len = (batch[3] != PAD).sum(axis=1)
         key = np.maximum(enc_len, tgt_len)
-        classes = sorted({int(n - 1).bit_length() for n in key})
-        assert 1 < len(classes) < 8
+        cls = [int(max(n, 16) - 1).bit_length() for n in key]
+        classes = sorted(set(cls))
+        assert key.min() < 8 and classes[0] == 4 and 1 < len(classes) < 8
         # one encoder self-, one decoder self- and one cross-attention layer
         n = len(classes)
         assert len(shapes) == 3 * n
         enc, dec, cross = shapes[:n], shapes[n:2 * n], shapes[2 * n:]
         for c, (rows, enc_w, _), (_, dec_w, _), crossed in zip(classes, enc,
                                                                 dec, cross):
-            members = [i for i, m in enumerate(key)
-                       if int(m - 1).bit_length() == c]
+            members = [i for i, m in enumerate(cls) if m == c]
             assert rows == len(members)
             assert enc_w == enc_len[members].max() + 1  # the SD slot
             assert dec_w == tgt_len[members].max()

@@ -103,7 +103,7 @@ def test_decode_cache_has_the_model_dtype(tiny_hyper, vocab, block_dtypes,
                                           dtype):
     model = SdTransformer(tiny_hyper, vocab, rng=np.random.default_rng(2),
                           dtype=dtype)
-    # two parents in two length classes, the shorter with a PAD tail
+    # two parents, the shorter with a PAD tail
     enc_ids = np.array([[5, 9, 12, PAD, PAD, PAD, PAD],
                         [4, 7, 8, 3, 10, 11, 15]])
     enc_out, enc_valid = model.encode(enc_ids, np.full(2, 0.1))
