@@ -166,18 +166,18 @@ def relu(a: Tensor) -> Tensor:
     return _result(a.data * mask, (a,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    rows = np.moveaxis(a.data, axis, -1).copy()
-    s = np.moveaxis(blocks.softmax_rows(rows), -1, axis)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    s = blocks.softmax_rows(a.data.copy())
 
     def backward(g):
-        a._accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        a._accumulate(s * (g - (g * s).sum(axis=-1, keepdims=True)))
     return _result(s, (a,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis, then scale and shift."""
-    xhat, inv = blocks.normalize(x.data, eps)
+    xhat, inv = blocks.normalize(x.data, blocks.LN_EPS)
     out = xhat * gamma.data + beta.data
 
     def backward(g):

@@ -247,8 +247,8 @@ def layer_norm_backward(p: dict, prefix: str, dy: np.ndarray, acts: dict,
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of ``a``, in place: ``_row_max`` and
-    ``_row_sums``. A cell biased by ``transformer.NEG_BIAS`` gets exactly
-    0."""
+    ``_row_sums``. A cell biased by ``transformer.NEG_BIAS``, or at
+    ``-inf`` next to a finite maximum, gets exactly 0."""
     a -= _row_max(a)
     np.exp(a, out=a)
     a /= _row_sums(a)

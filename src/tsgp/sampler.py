@@ -2,17 +2,19 @@
 search loop that uses the model as the sole variation operator.
 
 The legality mask guarantees that every emitted sequence parses to a
-valid tree within the token budget and depth limit, for any parameters
-(including randomly initialized ones).
+valid tree within the token budget and depth limit, for any logits, finite
+or not (and so for any parameters, including randomly initialized ones).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr
+from .model import blocks
 from .model.transformer import SdTransformer
 from .model.vocab import Vocabulary, PAD, BOS, EOS, primitives_from_vocab
 from .stdgp import (TOURNAMENT_SIZE, Individual, assess, evaluated, evolve,
@@ -44,22 +46,21 @@ class SamplerState:
             self.need -= 1
 
 
-def legal_mask(state: SamplerState, vocab: Vocabulary,
-               max_len: int = expr.MAX_TOKENS,
-               max_depth: int = expr.MAX_DEPTH) -> np.ndarray:
+def legal_mask(state: SamplerState, vocab: Vocabulary) -> np.ndarray:
     """Boolean legality per vocabulary id for one sequence's next token;
     ``batch_legal_mask`` is the vectorised form the sampler uses.
 
-    EOS only once the tree is complete; operators only while the remaining
-    token budget covers this operator, a minimal terminal completion and the
-    EOS, and while the current slot depth allows two more levels.
+    EOS only once the tree is complete; operators only while the token
+    budget ``expr.MAX_TOKENS`` covers this operator, a minimal terminal
+    completion and the EOS, and while the slot's depth is below
+    ``expr.MAX_DEPTH``.
     """
     mask = np.zeros(vocab.size, dtype=bool)
     if state.done:
         mask[EOS] = True
         return mask
-    operator_ok = (state.emitted + state.need + 3 <= max_len
-                   and state.depth_stack[-1] < max_depth)
+    operator_ok = (state.emitted + state.need + 3 <= expr.MAX_TOKENS
+                   and state.depth_stack[-1] < expr.MAX_DEPTH)
     for i, sym in enumerate(vocab.symbols):
         if i in (PAD, BOS, EOS):
             continue
@@ -79,9 +80,7 @@ def operator_ids(vocab: Vocabulary) -> tuple:
 
 
 def batch_legal_mask(emitted: np.ndarray, need: np.ndarray,
-                     depth: np.ndarray, kinds: tuple,
-                     max_len: int = expr.MAX_TOKENS,
-                     max_depth: int = expr.MAX_DEPTH) -> np.ndarray:
+                     depth: np.ndarray, kinds: tuple) -> np.ndarray:
     """``legal_mask`` for a batch of rows, (B, V).
 
     ``emitted``/``need`` are the rows' counters, ``depth`` the depth of each
@@ -90,44 +89,30 @@ def batch_legal_mask(emitted: np.ndarray, need: np.ndarray,
     """
     is_op, is_term = kinds
     done = need == 0
-    operator_ok = ((emitted + need + 3 <= max_len) & (depth < max_depth)
-                   & ~done)
+    operator_ok = ((emitted + need + 3 <= expr.MAX_TOKENS)
+                   & (depth < expr.MAX_DEPTH) & ~done)
     mask = (is_op & operator_ok[:, None]) | (is_term & ~done[:, None])
     mask[:, EOS] = done
     return mask
 
 
-def _draw_batch(probs: np.ndarray, mask: np.ndarray, rngs: list) -> np.ndarray:
-    """One token per row by inverse-CDF over the legal ids' probabilities.
-
-    Each row consumes one draw from its own generator: ``random()``, or
-    ``integers`` over the legal ids when the model gives them zero mass.
+def _draw_batch(logits: np.ndarray, mask: np.ndarray,
+                rngs: list) -> np.ndarray:
+    """One token per row by inverse CDF over the softmax of the logits with
+    the illegal ids at ``-inf`` (exactly zero mass), by one ``random()`` of
+    the row's own generator. A row without finite mass (a NaN or infinite
+    logit) is NaN, no id lies above its draw, and it takes its last legal id.
     """
-    p = np.where(mask, probs, 0.0)
-    c = np.cumsum(p, axis=1)  # zeros leave the running sums unchanged
-    total = c[:, -1]
-    toks = np.empty(len(rngs), dtype=np.int64)
-    u = np.zeros(len(rngs))
-    for r, rng in enumerate(rngs):
-        if total[r] > 0.0:
-            u[r] = rng.random()
-        else:
-            legal = np.flatnonzero(mask[r])
-            toks[r] = legal[rng.integers(len(legal))]
-    above = c > (u * total)[:, None]
-    last = p.shape[1] - 1 - np.argmax(p[:, ::-1] > 0.0, axis=1)
-    drawn = np.where(above.any(axis=1), np.argmax(above, axis=1), last)
-    return np.where(total > 0.0, drawn, toks)
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    probs = blocks.softmax_rows(np.where(mask, logits, -np.inf))
+    c = np.cumsum(probs, axis=1)
+    u = np.array([rng.random() for rng in rngs])
+    above = c > (u * c[:, -1])[:, None]
+    last = mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
+    return np.where(above.any(axis=1), np.argmax(above, axis=1), last)
 
 
 def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
-                        sd_desired: float, rngs: list,
-                        temperature: float = 1.0) -> list:
+                        sd_desired: float, rngs: list) -> list:
     """Sample one offspring token sequence per parent (lockstep batch).
 
     Each sequence consumes only its own rng stream, so results are
@@ -167,8 +152,7 @@ def sample_tokens_batch(model: SdTransformer, parents_tokens: list,
         logits = model.decode(step_ids, sds[rows], cache)[:, -1, :]
         top = depth[rows, np.maximum(need[rows] - 1, 0)]
         mask = batch_legal_mask(emitted[rows], need[rows], top, kinds)
-        toks = _draw_batch(_softmax(logits / temperature), mask,
-                           [rngs[i] for i in rows])
+        toks = _draw_batch(logits, mask, [rngs[i] for i in rows])
         going = toks != EOS
         if not going.all():
             order = cache.retain(going)
@@ -191,8 +175,8 @@ class SearchConfig:
     generations: int = 50
 
     def __post_init__(self):
-        if self.sd_desired < 0:
-            raise ValueError("sd_desired must be >= 0")
+        if not 0.0 <= self.sd_desired < math.inf:
+            raise ValueError("sd_desired must be finite and >= 0")
 
 
 def run_tsgp(model: SdTransformer, dataset, config: SearchConfig,

@@ -117,22 +117,21 @@ def _pick_node(tree: Node, terminal_bias: float, rng: np.random.Generator):
 
 
 def subtree_crossover(p1: Node, p2: Node, terminal_bias: float,
-                      rng: np.random.Generator,
-                      max_depth: int = expr.MAX_DEPTH) -> Node:
+                      rng: np.random.Generator) -> Node:
     """Graft a biased-chosen subtree of p2 into a biased-chosen slot of p1."""
     slot_path, _ = _pick_node(p1, terminal_bias, rng)
     _, donor = _pick_node(p2, terminal_bias, rng)
     child = _graft(slot_path, donor)
-    return p1 if child.height > max_depth else child
+    return p1 if child.height > expr.MAX_DEPTH else child
 
 
-def subtree_mutation(p: Node, prims: PrimitiveSet, rng: np.random.Generator,
-                     max_depth: int = expr.MAX_DEPTH) -> Node:
+def subtree_mutation(p: Node, prims: PrimitiveSet,
+                     rng: np.random.Generator) -> Node:
     """Replace a uniformly chosen subtree with a FULL tree of depth in {0, 1, 2}."""
     slot_path, _ = _nth_node(p, int(rng.integers(p.n_nodes)), True, True)
     new = expr.random_tree(expr.FULL, 0, 2, prims, rng)
     child = _graft(slot_path, new)
-    return p if child.height > max_depth else child
+    return p if child.height > expr.MAX_DEPTH else child
 
 
 def _select(pop, config: GPConfig, rng) -> Individual:

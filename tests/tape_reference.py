@@ -53,7 +53,7 @@ class TapeModel:
         k, v = self._heads(prefix, "k", kv_in), self._heads(prefix, "v", kv_in)
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
                           1.0 / math.sqrt(h.d_model // h.n_heads))
-        att = ad.softmax(ad.add_const(scores, bias), axis=-1)
+        att = ad.softmax(ad.add_const(scores, bias))
         out = ad.transpose(ad.matmul(att, v), (0, 2, 1, 3))
         out = ad.reshape(out, (B, Tq, h.d_model))
         return ad.add(ad.matmul(out, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])

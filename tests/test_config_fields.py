@@ -3,7 +3,7 @@ fields that some caller sets; the paper's fixed hyper-parameters are module
 constants. A new field or engine parameter is a new knob, so it has to be
 added here on purpose, and some call in ``src/`` or ``perfbench/`` has to
 set a new field. So does a new defaulted parameter of any function in
-``src/``: the count of settable values is pinned too."""
+``src/``: each is pinned by name."""
 
 import ast
 import inspect
@@ -32,8 +32,52 @@ FIELDS = {
 }
 
 # settable values: the parameters with a default of every function in
-# ``src/``, and the fields of the five config classes
-SETTABLE = {"defaulted parameters": 50, "config fields": 17}
+# ``src/`` (``module.qualname.parameter``), and the fields of the five config
+# classes
+DEFAULTED = (
+    "tsgp.bench.load_csv.split_seed",
+    "tsgp.bench.load_csv.target_column",
+    "tsgp.bench.run_method.generations",
+    "tsgp.bench.run_method.model",
+    "tsgp.bench.run_method.pop_size",
+    "tsgp.bench.run_method.sd_desired",
+    "tsgp.bench.variation_probe.sd_desired",
+    "tsgp.cli.AtLeast.__init__.base",
+    "tsgp.cli.main.argv",
+    "tsgp.corpus.build_corpus.d",
+    "tsgp.corpus.build_corpus.m",
+    "tsgp.corpus.build_corpus.m_sem",
+    "tsgp.corpus.build_corpus.noise_sigma",
+    "tsgp.corpus.harvest_functions.problem_id",
+    "tsgp.corpus.harvest_functions.start_id",
+    "tsgp.corpus.mine_pairs.index",
+    "tsgp.corpus.mine_pairs.n_probe",
+    "tsgp.corpus.mine_pairs.sd_max",
+    "tsgp.expr.Node.__init__.children",
+    "tsgp.model.autodiff.Tensor.__init__.requires_grad",
+    "tsgp.model.blocks.cross_attention.acts",
+    "tsgp.model.blocks.embed.acts",
+    "tsgp.model.blocks.ffn.acts",
+    "tsgp.model.blocks.head.acts",
+    "tsgp.model.blocks.layer_norm.acts",
+    "tsgp.model.blocks.self_attention.acts",
+    "tsgp.model.training.adamw_step.weight_decay",
+    "tsgp.model.training.train.max_steps",
+    "tsgp.model.training.train.seed",
+    "tsgp.model.transformer.SdTransformer.__init__.dtype",
+    "tsgp.model.transformer.SdTransformer.__init__.params",
+    "tsgp.model.transformer.SdTransformer.__init__.rng",
+    "tsgp.model.transformer.SdTransformer._causal_bias.dtype",
+    "tsgp.model.transformer.SdTransformer._key_bias.dtype",
+    "tsgp.model.transformer.SdTransformer.forward.acts",
+    "tsgp.stdgp.evolve.log_variations",
+    "tsgp.stdgp.evolve.on_generation",
+    "tsgp.stdgp.run_stdgp.log_variations",
+    "tsgp.stdgp.run_stdgp.on_generation",
+    "tsgp.verify.gradient_check.n_probes",
+    "tsgp.verify.random_pairs.n",
+)
+CONFIG_FIELD_COUNT = 17
 CONFIG_CLASSES = (GPConfig, SlimConfig, SearchConfig, PrimitiveSet,
                   Hyperparams)
 
@@ -93,14 +137,34 @@ def test_engine_signatures_are_pinned(fn):
             == list(SIGNATURES[fn].items()))
 
 
-def test_settable_value_count_is_pinned():
-    defaulted = 0
+def _defaulted_parameters(node: ast.AST, qualname: list) -> list:
+    """``qualname.parameter`` of every parameter with a default of the
+    functions and lambdas under ``node``."""
+    names = []
+    for child in ast.iter_child_nodes(node):
+        inner = qualname
+        if isinstance(child, ast.ClassDef):
+            inner = qualname + [child.name]
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.Lambda)):
+            name = getattr(child, "name", "<lambda>")
+            args = child.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None]
+            names += [".".join(qualname + [name, a.arg]) for a in defaulted]
+            inner = qualname + [name, "<locals>"]
+        names += _defaulted_parameters(child, inner)
+    return names
+
+
+def test_settable_values_are_pinned():
+    defaulted = []
     for path in sorted((ROOT / "src").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                defaulted += len(node.args.defaults) + sum(
-                    d is not None for d in node.args.kw_defaults)
-    assert {"defaulted parameters": defaulted,
-            "config fields": sum(len(fields(cls))
-                                 for cls in CONFIG_CLASSES)} == SETTABLE
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        defaulted += _defaulted_parameters(ast.parse(path.read_text()),
+                                           [module])
+    assert tuple(sorted(defaulted)) == DEFAULTED
+    assert (sum(len(fields(cls)) for cls in CONFIG_CLASSES)
+            == CONFIG_FIELD_COUNT)

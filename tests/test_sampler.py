@@ -55,13 +55,13 @@ class TestLegalMask:
                 assert mask[i]
 
     def test_budget_masks_operators(self, vocab):
-        # emitted + need + 3 > max_len leaves no room for op + terminals
+        # emitted + need + 3 > MAX_TOKENS leaves no room for op + terminals
         s = SamplerState(emitted=96, need=2, depth_stack=[3, 3])
-        mask = legal_mask(s, vocab, max_len=100)
+        mask = legal_mask(s, vocab)
         assert not any(mask[i] for i, sym in enumerate(vocab.symbols)
                        if sym in expr.OPERATORS)
         s2 = SamplerState(emitted=95, need=2, depth_stack=[3, 3])
-        mask2 = legal_mask(s2, vocab, max_len=100)
+        mask2 = legal_mask(s2, vocab)
         assert any(mask2[i] for i, sym in enumerate(vocab.symbols)
                    if sym in expr.OPERATORS)
 
@@ -70,16 +70,16 @@ class TestBatchLegalMask:
     """The vectorised mask against ``legal_mask`` row by row."""
 
     @staticmethod
-    def _batch(states, vocab, max_len, max_depth):
+    def _batch(states, vocab):
         return batch_legal_mask(
             np.array([s.emitted for s in states]),
             np.array([s.need for s in states]),
             np.array([s.depth_stack[-1] if s.depth_stack else 0
                       for s in states]),
-            operator_ids(vocab), max_len, max_depth)
+            operator_ids(vocab))
 
     @staticmethod
-    def _random_states(vocab, rng, max_len, max_depth, n_walks=40):
+    def _random_states(vocab, rng, n_walks=40):
         """Every intermediate state of random legal emissions."""
         states = []
         for _ in range(n_walks):
@@ -87,20 +87,20 @@ class TestBatchLegalMask:
             while not s.done:
                 states.append(SamplerState(s.emitted, s.need,
                                            list(s.depth_stack)))
-                legal = np.flatnonzero(legal_mask(s, vocab, max_len,
-                                                  max_depth))
+                legal = np.flatnonzero(legal_mask(s, vocab))
                 tok = int(legal[rng.integers(len(legal))])
                 s.push(vocab.symbols[tok] in expr.OPERATORS)
             states.append(s)
         return states
 
     @pytest.mark.parametrize("max_len,max_depth", [(100, 17), (12, 3)])
-    def test_random_states(self, vocab, max_len, max_depth):
-        states = self._random_states(vocab, np.random.default_rng(4),
-                                     max_len, max_depth)
-        want = np.array([legal_mask(s, vocab, max_len, max_depth)
-                         for s in states])
-        got = self._batch(states, vocab, max_len, max_depth)
+    def test_random_states(self, vocab, monkeypatch, max_len, max_depth):
+        # both masks read the budget and the depth cap per call
+        monkeypatch.setattr(expr, "MAX_TOKENS", max_len)
+        monkeypatch.setattr(expr, "MAX_DEPTH", max_depth)
+        states = self._random_states(vocab, np.random.default_rng(4))
+        want = np.array([legal_mask(s, vocab) for s in states])
+        got = self._batch(states, vocab)
         np.testing.assert_array_equal(got, want)
 
     def test_edge_states(self, vocab):
@@ -113,57 +113,60 @@ class TestBatchLegalMask:
             SamplerState(),
         ]
         want = np.array([legal_mask(s, vocab) for s in states])
-        np.testing.assert_array_equal(self._batch(states, vocab, 100, 17),
-                                      want)
+        np.testing.assert_array_equal(self._batch(states, vocab), want)
         assert want[1].sum() > want[2].sum()  # the budget edge matters
 
 
-def reference_draw(probs, mask, rng) -> int:
-    """One row's draw: inverse CDF over the legal ids with mass, clamped to
-    the last of them; uniform over the legal ids when none has mass."""
-    p = np.where(mask, probs, 0.0)
-    legal = np.flatnonzero(p > 0.0)
-    if len(legal) == 0:
-        legal = np.flatnonzero(mask)
-        return int(legal[rng.integers(len(legal))])
-    c = np.cumsum(p[legal])
+def reference_draw(logits, mask, rng) -> int:
+    """One row's draw in float64: inverse CDF over a softmax of the legal
+    ids' logits alone, clamped to the last legal id."""
+    legal = np.flatnonzero(mask)
+    z = logits[legal].astype(np.float64)
+    p = np.exp(z - z.max())
+    c = np.cumsum(p / p.sum())
     j = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
     return int(legal[min(j, len(legal) - 1)])
-
-
-class _FixedUniform:
-    """Generator stand-in whose ``random()`` returns a fixed value."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 class TestDrawBatch:
     def test_matches_reference_draw(self):
         rng = np.random.default_rng(8)
         logits = rng.normal(0.0, 4.0, size=(300, 22))
-        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        probs[rng.random(probs.shape) < 0.1] = 0.0  # exact zeros
-        mask = rng.random(probs.shape) < 0.6
+        logits[:20] *= 200.0  # most legal ids' mass underflows to 0
+        mask = rng.random(logits.shape) < 0.6
         mask[np.arange(300), rng.integers(22, size=300)] = True
-        probs[:20] *= ~mask[:20]  # rows whose legal ids have no mass
-        got = _draw_batch(probs, mask, [np.random.default_rng(i)
-                                        for i in range(300)])
-        want = [reference_draw(probs[i], mask[i], np.random.default_rng(i))
+        logits[20:40] += np.where(mask[20:40], 0.0, 1e4)  # illegal favourites
+        got = _draw_batch(logits, mask, [np.random.default_rng(i)
+                                         for i in range(300)])
+        want = [reference_draw(logits[i], mask[i], np.random.default_rng(i))
                 for i in range(300)]
         assert got.tolist() == want
 
-    def test_subnormal_mass_clamps_to_last_legal(self):
-        tiny = np.nextafter(0.0, 1.0)
-        probs = np.zeros((1, 12))
-        probs[0, [5, 9]] = tiny
-        mask = np.ones((1, 12), dtype=bool)
-        # 0.9 * (2 * tiny) rounds back up to the total mass
-        assert reference_draw(probs[0], mask[0], _FixedUniform(0.9)) == 9
-        assert _draw_batch(probs, mask, [_FixedUniform(0.9)]).tolist() == [9]
+    def test_non_finite_rows_draw_legal_ids(self):
+        """A row without finite mass takes its last legal id; masked, or far
+        below an illegal one, finite legal logits draw as usual. Every row
+        consumes one ``random()``."""
+        mask = np.zeros((5, 12), dtype=bool)
+        mask[:, [2, 5, 9]] = True
+        for dtype in (np.float32, np.float64):
+            logits = np.zeros((5, 12), dtype=dtype)
+            logits[0] = np.nan
+            logits[1, 5] = np.inf
+            logits[2, mask[2]] = -np.inf
+            logits[3, ~mask[3]] = np.inf
+            logits[4, ~mask[4]] = 1e4
+            rngs = [np.random.default_rng(i) for i in range(5)]
+            with np.errstate(invalid="ignore"):
+                got = _draw_batch(logits, mask, rngs)
+            assert mask[np.arange(5), got].all()
+            assert got[:3].tolist() == [9, 9, 9]
+            assert got[3:].tolist() == [
+                reference_draw(logits[i], mask[i], np.random.default_rng(i))
+                for i in (3, 4)]
+            for i, rng in enumerate(rngs):
+                once = np.random.default_rng(i)
+                once.random()
+                assert rng.bit_generator.state == once.bit_generator.state
 
 
 def _random_model(vocab, seed: int, operator_bias: float) -> SdTransformer:
@@ -259,24 +262,26 @@ class TestSampling:
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       temperature=st.one_of(st.sampled_from([1e-3, 1e3]),
-                             st.floats(1e-3, 1e3)),
+       scale=st.one_of(st.sampled_from([1e-3, 1e3]), st.floats(1e-3, 1e3)),
        sd_desired=st.floats(0.0, 100.0),
        operator_bias=st.floats(-4.0, 4.0),
        picks=st.lists(st.integers(0, 3), min_size=1, max_size=8))
-def test_samples_always_legal(vocab, prims, seed, temperature, sd_desired,
+def test_samples_always_legal(vocab, prims, seed, scale, sd_desired,
                               operator_bias, picks):
-    """Any parameters, temperature and SD give offspring that parse, fit
-    100 tokens and have depth <= 17, also for parents repeated in a batch."""
+    """Any parameters and SD give offspring that parse, fit 100 tokens and
+    have depth <= 17, also for parents repeated in a batch. Scaling the
+    output layer reaches near-uniform (small ``scale``) and near-argmax
+    (large ``scale``) draws."""
     model = _random_model(vocab, seed, operator_bias)
+    model.params["out.w"] *= scale
+    model.params["out.b"] *= scale
     rng = np.random.default_rng(seed)
     distinct = [expr.serialize_prefix(t)
                 for t in expr.ramped_half_and_half(4, 2, 6, prims, rng)]
     parents = [distinct[i] for i in picks]
     rngs = [np.random.default_rng(s)
             for s in rng.integers(0, 2 ** 63, size=len(parents))]
-    for toks in sample_tokens_batch(model, parents, sd_desired, rngs,
-                                    temperature):
+    for toks in sample_tokens_batch(model, parents, sd_desired, rngs):
         assert len(toks) <= 100
         assert expr.depth(expr.parse_prefix(toks, prims)) <= 17
 
@@ -296,8 +301,10 @@ class _ToyDataset:
 
 class TestSearch:
     def test_config_guard(self):
-        with pytest.raises(ValueError):
-            SearchConfig(sd_desired=-1.0)
+        # a NaN or infinite SD would make every logit NaN
+        for sd_desired in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                SearchConfig(sd_desired=sd_desired)
 
     def test_trace_shape_and_monotonicity(self, tiny_model):
         cfg = SearchConfig(pop_size=10, generations=3)

@@ -1,4 +1,4 @@
-from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -155,14 +155,11 @@ class TestEvaluatedOnce:
     def test_depth_rejected_child_shares_semantics_and_size(self,
                                                              monkeypatch):
         # depth-3 initial trees under a depth cap of 3, so every variation
-        # that deepens a tree is rejected (vary looks the operators up per
+        # that deepens a tree is rejected (the operators read the cap per
         # call, and evolve the init depths per run)
         monkeypatch.setattr(stdgp, "INIT_DEPTH_MIN", 3)
         monkeypatch.setattr(stdgp, "INIT_DEPTH_MAX", 3)
-        monkeypatch.setattr(stdgp, "subtree_crossover",
-                            partial(subtree_crossover, max_depth=3))
-        monkeypatch.setattr(stdgp, "subtree_mutation",
-                            partial(subtree_mutation, max_depth=3))
+        monkeypatch.setattr(expr, "MAX_DEPTH", 3)
         ds = _ToyDataset()
         pops = []
         cfg = GPConfig(pop_size=16, generations=2)
@@ -297,7 +294,9 @@ def _walked_size_height(tree: Node) -> tuple:
 
 class TestVariationOracle:
     """Path-only variation against the whole-tree reference: the same child
-    trees, the same identity cases and the same rng draws."""
+    trees, the same identity cases and the same rng draws. The operators
+    read their depth cap from ``expr.MAX_DEPTH``, patched per example (a
+    function-scoped fixture would span every example of a test)."""
 
     @settings(max_examples=200, deadline=None)
     @given(p1=_TREES, p2=_TREES, same_parent=st.booleans(), bias=_BIASES,
@@ -308,20 +307,22 @@ class TestVariationOracle:
             p2 = p1
         rng_got = np.random.default_rng(seed)
         rng_want = np.random.default_rng(seed)
-        for _ in range(4):
-            got = subtree_crossover(p1, p2, bias, rng_got, max_depth)
-            want = ref_crossover(p1, p2, bias, rng_want, max_depth)
-            _same_outcome(got, want, p1, p2, rng_got, rng_want)
+        with mock.patch.object(expr, "MAX_DEPTH", max_depth):
+            for _ in range(4):
+                got = subtree_crossover(p1, p2, bias, rng_got)
+                want = ref_crossover(p1, p2, bias, rng_want, max_depth)
+                _same_outcome(got, want, p1, p2, rng_got, rng_want)
 
     @settings(max_examples=200, deadline=None)
     @given(p=_TREES, seed=_SEEDS, max_depth=st.integers(0, 12))
     def test_mutation_matches_reference(self, p, seed, max_depth):
         rng_got = np.random.default_rng(seed)
         rng_want = np.random.default_rng(seed)
-        for _ in range(4):
-            got = subtree_mutation(p, _PRIMS, rng_got, max_depth)
-            want = ref_mutation(p, _PRIMS, rng_want, max_depth)
-            _same_outcome(got, want, p, p, rng_got, rng_want)
+        with mock.patch.object(expr, "MAX_DEPTH", max_depth):
+            for _ in range(4):
+                got = subtree_mutation(p, _PRIMS, rng_got)
+                want = ref_mutation(p, _PRIMS, rng_want, max_depth)
+                _same_outcome(got, want, p, p, rng_got, rng_want)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=_SEEDS, bias=_BIASES, init_depth=st.integers(0, 9),
@@ -334,18 +335,19 @@ class TestVariationOracle:
         pool = expr.ramped_half_and_half(12, 0, init_depth, _PRIMS, rng)
         rng_got = np.random.default_rng(seed + 1)
         rng_want = np.random.default_rng(seed + 1)
-        for _ in range(150):
-            p1 = pool[rng.integers(len(pool))]
-            p2 = pool[rng.integers(len(pool))]
-            if rng.random() < 0.7:
-                got = subtree_crossover(p1, p2, bias, rng_got, max_depth)
-                want = ref_crossover(p1, p2, bias, rng_want, max_depth)
-            else:
-                p2 = p1
-                got = subtree_mutation(p1, _PRIMS, rng_got, max_depth)
-                want = ref_mutation(p1, _PRIMS, rng_want, max_depth)
-            _same_outcome(got, want, p1, p2, rng_got, rng_want)
-            pool.append(got)
+        with mock.patch.object(expr, "MAX_DEPTH", max_depth):
+            for _ in range(150):
+                p1 = pool[rng.integers(len(pool))]
+                p2 = pool[rng.integers(len(pool))]
+                if rng.random() < 0.7:
+                    got = subtree_crossover(p1, p2, bias, rng_got)
+                    want = ref_crossover(p1, p2, bias, rng_want, max_depth)
+                else:
+                    p2 = p1
+                    got = subtree_mutation(p1, _PRIMS, rng_got)
+                    want = ref_mutation(p1, _PRIMS, rng_want, max_depth)
+                _same_outcome(got, want, p1, p2, rng_got, rng_want)
+                pool.append(got)
         for tree in pool:
             for node in _all_nodes(tree):
                 assert (node.n_nodes, node.height) == _walked_size_height(node)
